@@ -1,44 +1,25 @@
-"""Hot numeric kernels with a numba path and a pure-numpy fallback.
-
-The numba path is the default when numba imports successfully; setting
-RUMIN_ETA_DISABLE_NUMBA=1 (before import) forces the numpy fallback. Both
-paths implement the same contracts and are cross-checked in the tests and
-compared in benchmarks/bench_kernels.py.
-"""
+"""The long oscillatory power sum behind ``specfun.im_polylog_even``, and a
+real symmetric eigenvalue routine that the library itself no longer calls."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "HAS_NUMBA",
     "backend_name",
     "sin_power_sum",
-    "sin_power_sum_numpy",
     "sym_eigenvalues",
-    "sym_eigenvalues_numpy",
 ]
-
-_disable = os.environ.get("RUMIN_ETA_DISABLE_NUMBA", "")
-HAS_NUMBA = False
-if _disable in ("", "0"):
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
 
 
 def backend_name():
-    """Name of the active kernel backend."""
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the kernel backend."""
+    return "numpy"
 
 
-def sin_power_sum_numpy(a_frac, p, n_terms):
+def sin_power_sum(a_frac, p, n_terms):
     """sum_{n=1}^{N} sin(2 pi n a)/n^p, vectorized in bounded chunks."""
     partials = []
     chunk = 1_000_000
@@ -49,151 +30,11 @@ def sin_power_sum_numpy(a_frac, p, n_terms):
     return math.fsum(partials)
 
 
-def sym_eigenvalues_numpy(mat):
-    """Eigenvalues of a real symmetric matrix, ascending (LAPACK path)."""
+def sym_eigenvalues(mat):
+    """Eigenvalues of a real symmetric matrix, ascending (LAPACK).
+
+    The oracle diagonalizes its complex matrices in
+    ``rep_oracle.hermitian_eigenvalues``; this stays while the benchmark
+    harness (``perfbench/tracing.py``) lists it as a traced target.
+    """
     return np.linalg.eigvalsh(np.asarray(mat, dtype=np.float64))
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _sin_power_sum_numba(a_frac, p, n_terms):
-        # Kahan compensation keeps the long sum at machine accuracy.
-        acc = 0.0
-        comp = 0.0
-        two_pi = 2.0 * math.pi
-        for n in range(n_terms, 0, -1):
-            term = math.sin(two_pi * ((n * a_frac) % 1.0)) / float(n) ** p
-            y = term - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-        return acc
-
-    @njit(cache=True)
-    def _tridiagonalize(a):
-        # Householder reduction of a symmetric matrix, eigenvalues-only
-        # variant: d = diagonal, e[i] = offdiagonal between i-1 and i.
-        n = a.shape[0]
-        d = np.zeros(n)
-        e = np.zeros(n)
-        for i in range(n - 1, 0, -1):
-            l = i - 1
-            h = 0.0
-            if l > 0:
-                scale = 0.0
-                for k in range(i):
-                    scale += abs(a[i, k])
-                if scale == 0.0:
-                    e[i] = a[i, l]
-                else:
-                    for k in range(i):
-                        a[i, k] /= scale
-                        h += a[i, k] * a[i, k]
-                    f = a[i, l]
-                    g = -math.sqrt(h) if f >= 0.0 else math.sqrt(h)
-                    e[i] = scale * g
-                    h -= f * g
-                    a[i, l] = f - g
-                    f = 0.0
-                    for j in range(i):
-                        g = 0.0
-                        for k in range(j + 1):
-                            g += a[j, k] * a[i, k]
-                        for k in range(j + 1, i):
-                            g += a[k, j] * a[i, k]
-                        e[j] = g / h
-                        f += e[j] * a[i, j]
-                    hh = f / (h + h)
-                    for j in range(i):
-                        f = a[i, j]
-                        g = e[j] - hh * f
-                        e[j] = g
-                        for k in range(j + 1):
-                            a[j, k] -= f * e[k] + g * a[i, k]
-            else:
-                e[i] = a[i, l]
-            d[i] = h
-        e[0] = 0.0
-        for i in range(n):
-            d[i] = a[i, i]
-        return d, e
-
-    @njit(cache=True)
-    def _ql_implicit_shift(d, e):
-        # Implicit-shift QL on a tridiagonal (d, e) with e[i] linking i and
-        # i+1; eigenvalues land in d. Returns nonzero on non-convergence.
-        n = d.shape[0]
-        eps = 2.220446049250313e-16
-        for l in range(n):
-            iterations = 0
-            while True:
-                m = l
-                while m < n - 1:
-                    dd = abs(d[m]) + abs(d[m + 1])
-                    if abs(e[m]) <= eps * dd:
-                        break
-                    m += 1
-                if m == l:
-                    break
-                iterations += 1
-                if iterations > 64:
-                    return 1
-                g = (d[l + 1] - d[l]) / (2.0 * e[l])
-                r = math.hypot(g, 1.0)
-                denom = g + (r if g >= 0.0 else -r)
-                g = d[m] - d[l] + e[l] / denom
-                s = 1.0
-                c = 1.0
-                p = 0.0
-                underflow = False
-                for i in range(m - 1, l - 1, -1):
-                    f = s * e[i]
-                    b = c * e[i]
-                    r = math.hypot(f, g)
-                    e[i + 1] = r
-                    if r == 0.0:
-                        d[i + 1] -= p
-                        e[m] = 0.0
-                        underflow = True
-                        break
-                    s = f / r
-                    c = g / r
-                    g = d[i + 1] - p
-                    r = (d[i] - g) * s + 2.0 * c * b
-                    p = s * r
-                    d[i + 1] = g + p
-                    g = c * r - b
-                if not underflow:
-                    d[l] -= p
-                    e[l] = g
-                    e[m] = 0.0
-        return 0
-
-    def sin_power_sum(a_frac, p, n_terms):
-        """sum_{n=1}^{N} sin(2 pi n a)/n^p."""
-        return _sin_power_sum_numba(float(a_frac), int(p), int(n_terms))
-
-    def sym_eigenvalues(mat):
-        """Eigenvalues of a real symmetric matrix, ascending.
-
-        Householder tridiagonalization followed by implicit-shift QL.
-        """
-        a = np.array(mat, dtype=np.float64, order="C", copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("sym_eigenvalues expects a square matrix")
-        if a.shape[0] == 1:
-            return a[0, :1].copy()
-        d, e = _tridiagonalize(a)
-        e_link = np.empty_like(e)
-        e_link[:-1] = e[1:]
-        e_link[-1] = 0.0
-        status = _ql_implicit_shift(d, e_link)
-        if status != 0:
-            raise ArithmeticError("QL iteration failed to converge")
-        d.sort()
-        return d
-
-else:
-    sin_power_sum = sin_power_sum_numpy
-    sym_eigenvalues = sym_eigenvalues_numpy

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .specfun import eta_hurw, eta_hurw_deriv_neg_odd, im_polylog_even
-from .tilde_eta import tilde_eta, tilde_eta_residue
+from .tilde_eta import _snapped_pole, tilde_eta, tilde_eta_residue
 
 __all__ = [
     "CaseTag",
@@ -113,15 +113,6 @@ def multiplicity(k: int, d: LatticeCharacterData) -> int:
     return abs(d.c + d.r * k)
 
 
-def _is_negative_even_integer(s: complex) -> bool:
-    return (
-        s.imag == 0.0
-        and s.real == round(s.real)
-        and s.real < 0.0
-        and round(s.real) % 2 == 0
-    )
-
-
 def eta_nil(s, d: LatticeCharacterData) -> EtaEvaluation:
     """Evaluate the nilmanifold eta function at one point.
 
@@ -136,8 +127,10 @@ def eta_nil(s, d: LatticeCharacterData) -> EtaEvaluation:
         return EtaEvaluation(s=s, value=0.0 + 0.0j, is_pole=False, residue=0.0)
     # reduce in integers so c and c + r give bitwise-identical values
     a = (d.c % d.r) / d.r
-    if _is_negative_even_integer(s):
-        l = -int(round(s.real)) // 2
+    # snapped like tilde_eta, whose pole the Hurwitz factor cancels there
+    pole = _snapped_pole(s)
+    if pole is not None:
+        l = -pole // 2
         scale_sq = (2.0 * math.pi) ** 2 / d.gamma_norm
         residue = (
             d.r
@@ -232,16 +225,12 @@ def eta_direct_sum(s, d: LatticeCharacterData, lattice_cutoff: int, spectrum_cut
         raise ValueError("cutoffs must be positive")
     if d.case_tag is CaseTag.CENTER_NONTRIVIAL:
         return 0.0 + 0.0j, 0.0
-    p = s.real
     if d.case_tag is CaseTag.COMMUTATOR_TRIVIAL:
         # modes +-m carry equal multiplicity and opposite sign; they cancel
         # exactly in pairs, and so do their tails
-        total = 0.0
-        for m in range(1, lattice_cutoff + 1):
-            term = float(d.r * m) ** (1.0 - p)
-            total += term - term
-        return complex(total), 0.0
+        return 0.0 + 0.0j, 0.0
 
+    p = s.real
     scale = 2.0 * math.pi / (d.r * math.sqrt(d.gamma_norm))
     k = np.arange(-lattice_cutoff, lattice_cutoff + 1, dtype=np.float64)
     modes = d.c + d.r * k

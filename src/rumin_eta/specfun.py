@@ -21,7 +21,6 @@ from . import kernels
 
 __all__ = [
     "bernoulli_number",
-    "bernoulli_poly",
     "gamma_fn",
     "riemann_zeta",
     "riemann_zeta_regular",
@@ -45,7 +44,7 @@ def _bernoulli_table(count):
         out.append(row[0])
         row = [(j + 1) * (row[j] - row[j + 1]) for j in range(len(row) - 1)]
     # The transform yields B_1 = +1/2; the B_n(0) convention used by
-    # Euler-Maclaurin and bernoulli_poly wants B_1 = -1/2.
+    # Euler-Maclaurin wants B_1 = -1/2.
     out[1] = -out[1]
     return out
 
@@ -64,19 +63,6 @@ def bernoulli_number(n):
     if not 0 <= n <= MAX_BERNOULLI:
         raise ValueError(f"Bernoulli index must be in [0, {MAX_BERNOULLI}], got {n}")
     return _BERN_FLOAT[n]
-
-
-def bernoulli_poly(n, x):
-    """Bernoulli polynomial B_n(x), exact rational coefficients.
-
-    Supported for 0 <= n <= 64.
-    """
-    if not 0 <= n <= 64:
-        raise ValueError(f"Bernoulli polynomial degree must be in [0, 64], got {n}")
-    acc = 0.0
-    for k in range(n + 1):
-        acc += math.comb(n, k) * _BERN_FLOAT[k] * x ** (n - k)
-    return acc
 
 
 def gamma_fn(s):

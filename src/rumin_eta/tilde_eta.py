@@ -41,6 +41,14 @@ __all__ = [
 _POLE_SNAP = 1e-12
 
 
+def _snapped_pole(s: complex) -> int | None:
+    """The candidate pole -2, -4, ... within _POLE_SNAP of s, or None."""
+    s_int = round(s.real)
+    if s.imag == 0.0 and abs(s.real - s_int) <= _POLE_SNAP and s_int <= -2 and s_int % 2 == 0:
+        return s_int
+    return None
+
+
 def lambda_n(n):
     """n-th model eigenvalue magnitude sqrt(8 (2n+1)^2 + 9)/4."""
     if n < 0:
@@ -254,14 +262,7 @@ def tilde_eta(s, a, m=None):
         lam = lambda_n(n)
         total += _signed_power(a + lam, s) + _signed_power(a - lam, s)
 
-    # is s exactly one of the candidate poles -2, -4, ... ?
-    s_int = round(s.real)
-    exact_hit = (
-        s.imag == 0.0
-        and abs(s.real - s_int) <= _POLE_SNAP
-        and s_int <= -2
-        and s_int % 2 == 0
-    )
+    pole = _snapped_pole(s)
     residue = 0.0
 
     j = 0
@@ -276,15 +277,15 @@ def tilde_eta(s, a, m=None):
                 total -= 2.0 * _binom_reduced(-s, l, l - 1) * a_pow * zm.polar_coeff
             else:
                 s0 = zm.sigma0 - l
-                if exact_hit and s_int == round(s0):
-                    residue += 2.0 * math.comb(-s_int, l) * a_pow * zm.polar_coeff.real
+                if pole == round(s0):
+                    residue += 2.0 * math.comb(-pole, l) * a_pow * zm.polar_coeff.real
                 else:
                     total += 2.0 * _binom_complex(-s, l) * a_pow * zm.polar_coeff / (s - s0)
         j += 1
 
     total += _h_tail_odd(s, a, m, order)
 
-    is_pole = exact_hit and residue != 0.0
+    is_pole = pole is not None and residue != 0.0
     value = complex(math.nan, math.nan) if is_pole else total
     return TildeEtaPoint(s=s, a=a, value=value, is_pole=is_pole, residue=residue)
 
@@ -353,9 +354,3 @@ def tilde_eta_at_zero(a):
         count -= 1
     return 2.0 * math.copysign(1.0, a) * count - math.sqrt(2.0) * a
 
-
-def _self_test_sanity():
-    # quick internal consistency probe used by the verification module
-    pt = tilde_eta(0.0, 1.25)
-    target = 2.0 - 5.0 * math.sqrt(2.0) / 4.0
-    return abs(pt.value - target)

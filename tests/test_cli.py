@@ -1,10 +1,12 @@
 """End-to-end command line checks through the click test runner."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import rumin_eta
 from rumin_eta import cli
 from rumin_eta.nilmanifold import RouteDisagreement
 
@@ -31,6 +33,20 @@ def test_eval_nil_at_zero(runner):
     assert rec["s"] == {"re": 0.0, "im": 0.0}
     assert abs(rec["value"]["re"]) <= 1e-9
     assert rec["is_pole"] is False
+
+
+def test_eval_nil_snaps_to_the_negative_even_integer(runner):
+    # within the pole snap of s = -2 the finite s = -2 value comes back
+    result = runner.invoke(
+        cli.main,
+        ["eval", "--fn", "nil", "--r", "4", "--c", "1",
+         "--gamma-norm", "1", "--s=-1.9999999999999"],
+    )
+    assert result.exit_code == 0
+    (rec,) = records_of(result.stdout)
+    assert rec["s"]["re"] == -1.9999999999999
+    assert rec["value"] == {"re": -3.75621855063959, "im": 0.0}
+    assert rec["is_pole"] is True
 
 
 def test_eval_tilde_at_zero(runner):
@@ -299,3 +315,11 @@ def test_verify_failure_exits_1(runner, monkeypatch):
     assert result.exit_code == 1
     summary = json.loads(result.stdout.splitlines()[-1])
     assert summary["passed"] is False
+
+
+def test_package_metadata_matches_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["name"] == "rumin-eta"
+    assert project["version"] == rumin_eta.__version__

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rumin_eta import cli
 from rumin_eta.rep_oracle import (
     GenericRepParams,
     GradedMetric,
     HermitianOperatorMatrix,
     IDENTITY_METRIC,
     SchrodingerParams,
+    SpectralPairingError,
     TruncationConfig,
     closed_form_schrodinger_spectrum,
     default_truncation,
@@ -28,7 +32,6 @@ from rumin_eta.rep_oracle import (
     spectral_eta_partial,
     trusted_window,
 )
-from rumin_eta import kernels
 from rumin_eta.tilde_eta import tilde_eta_direct
 
 TWO_PI = 2.0 * math.pi
@@ -112,15 +115,11 @@ def test_planck_sign_conjugation_identity():
     minus = schrodinger_S(SchrodingerParams(hbar=-1.5), g, n).entries
     u = np.diag(np.concatenate([np.ones(n), -np.ones(n), np.ones(n)]))
     assert np.array_equal(minus, -(u @ plus @ u))
-    # consequence: the spectrum negates; bitwise only on the symmetric
-    # QL path, the LAPACK fallback rounds each side independently
+    # consequence: the spectrum negates, up to rounding on each side
     ep = np.sort(hermitian_eigenvalues(schrodinger_S(SchrodingerParams(hbar=1.5), g, n)))
     em = np.sort(hermitian_eigenvalues(schrodinger_S(SchrodingerParams(hbar=-1.5), g, n)))
-    if kernels.HAS_NUMBA:
-        assert np.array_equal(em, -ep[::-1])
-    else:
-        scale = np.max(np.abs(ep))
-        assert np.max(np.abs(em + ep[::-1])) <= 1e-13 * scale
+    scale = np.max(np.abs(ep))
+    assert np.max(np.abs(em + ep[::-1])) <= 1e-13 * scale
 
 
 def test_metric_scaling_is_exact_for_power_of_two():
@@ -208,6 +207,89 @@ def test_hermitian_eigenvalues_on_known_matrix():
     arr = np.array([[2.0, 1.0j], [-1.0j, 2.0]], dtype=np.complex128)
     got = hermitian_eigenvalues(HermitianOperatorMatrix(arr))
     assert np.allclose(np.sort(got), [1.0, 3.0], atol=1e-12)
+
+
+def test_hermitian_eigenvalues_known_spectrum():
+    # diag(1..5) conjugated by a complex unitary keeps its spectrum
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    arr = q @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) @ q.conj().T
+    arr = 0.5 * (arr + arr.conj().T)
+    got = hermitian_eigenvalues(HermitianOperatorMatrix(arr))
+    assert np.all(np.diff(got) > 0.0)
+    assert np.allclose(got, [1, 2, 3, 4, 5], atol=1e-12)
+
+
+def test_hermitian_eigenvalues_does_not_mutate_input():
+    mat = generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, 8)
+    keep = mat.entries.copy()
+    hermitian_eigenvalues(mat)
+    assert np.array_equal(mat.entries, keep)
+
+
+def _patch_solver(monkeypatch, spoil):
+    """Make the LAPACK call return spoil(eigenvalues)."""
+    solve = scipy.linalg.eigvalsh
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", lambda *a, **kw: spoil(solve(*a, **kw)))
+
+
+def _shift_top(w):
+    # breaks the trace (and the norm)
+    w = w.copy()
+    w[-1] += 1e-9 * np.max(np.abs(w))
+    return w
+
+
+def _swap_mass(w):
+    # keeps the trace, breaks the Frobenius norm
+    w = w.copy()
+    d = 1e-9 * np.max(np.abs(w))
+    w[0] -= d
+    w[-1] += d
+    return w
+
+
+def _nan_one(w):
+    w = w.copy()
+    w[len(w) // 2] = np.nan
+    return w
+
+
+@pytest.mark.parametrize("spoil", [_shift_top, _swap_mass, _nan_one])
+def test_consistency_check_catches_a_bad_solver(monkeypatch, spoil):
+    mat = schrodinger_S(SchrodingerParams(hbar=1.0), IDENTITY_METRIC, 16)
+    assert hermitian_eigenvalues(mat).size == 48
+    _patch_solver(monkeypatch, spoil)
+    with pytest.raises(SpectralPairingError):
+        hermitian_eigenvalues(mat)
+
+
+@pytest.mark.parametrize("spoil", [_shift_top, _nan_one])
+def test_spectrum_exits_3_on_a_bad_solver(monkeypatch, spoil):
+    _patch_solver(monkeypatch, spoil)
+    result = CliRunner().invoke(
+        cli.main,
+        ["spectrum", "--rep", "generic", "--lambda", "1", "--mu", "0.5",
+         "--basis-size", "16"],
+    )
+    assert result.exit_code == 3
+    assert "internal inconsistency" in result.stderr
+    assert result.stdout == ""
+
+
+def test_consistency_check_margin_on_oracle_matrices():
+    # the check must pass well inside its bound on the oracle's own matrices
+    eps = np.finfo(np.float64).eps
+    for n in (16, 64):
+        for mat in (
+            schrodinger_S(SchrodingerParams(hbar=0.7), GradedMetric(1.3, 0.8, 1.1), n),
+            generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, n),
+        ):
+            w = hermitian_eigenvalues(mat)
+            fro = np.linalg.norm(mat.entries)
+            tol = mat.dim * eps
+            assert abs(w.sum() - mat.entries.diagonal().real.sum()) <= 0.2 * tol * fro
+            assert abs(w @ w - fro * fro) <= 0.2 * tol * fro * fro
 
 
 @settings(max_examples=8, deadline=None)
