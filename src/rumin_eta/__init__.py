@@ -33,6 +33,7 @@ from .rep_oracle import (
     generic_scale,
     hermitian_eigenvalues,
     hodge_star3,
+    pairing_symmetry,
     scalar_S,
     schrodinger_S,
     schrodinger_scale,
@@ -90,6 +91,7 @@ __all__ = [
     "im_polylog_even_quad",
     "lambda_n",
     "multiplicity",
+    "pairing_symmetry",
     "polylog_circle",
     "riemann_zeta",
     "scalar_S",

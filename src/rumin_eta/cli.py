@@ -38,6 +38,7 @@ from .rep_oracle import (
     generic_S,
     generic_scale,
     hermitian_eigenvalues,
+    pairing_symmetry,
     scalar_S,
     schrodinger_S,
     schrodinger_scale,
@@ -363,20 +364,14 @@ def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55,
                 params = GenericRepParams(lam=lam, mu=mu, nu=0.0 if nu is None else nu)
                 mat = generic_S(params, g, basis_size)
                 unit = generic_scale(params, g)
-            eigs = np.sort(np.asarray(hermitian_eigenvalues(mat)))
+            eigs = hermitian_eigenvalues(mat)
             kernel_eps = 1e-6 * unit
-            if trusted_count is None:
-                cfg = TruncationConfig(
-                    basis_size=basis_size,
-                    kernel_eps=kernel_eps,
-                    trusted_count=max(1, basis_size // 8),
-                )
-            else:
-                cfg = TruncationConfig(
-                    basis_size=basis_size,
-                    kernel_eps=kernel_eps,
-                    trusted_count=trusted_count,
-                )
+            cfg = TruncationConfig(
+                basis_size=basis_size,
+                kernel_eps=kernel_eps,
+                trusted_count=(trusted_count if trusted_count is not None
+                               else max(1, basis_size // 8)),
+            )
             trusted = sorted(trusted_window(eigs, cfg))
             sidecar = {
                 "rep": rep,
@@ -409,13 +404,7 @@ def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55,
                 sidecar["mu"] = float(mu)
                 sidecar["nu"] = float(params.nu)
                 if g.bg_proportional and trusted:
-                    arr = np.asarray(trusted)
-                    if arr.size % 2:
-                        arr = np.sort(arr[np.argsort(np.abs(arr))[:-1]])
-                    sym = float(
-                        np.max(np.abs(arr + arr[::-1])) / np.max(np.abs(arr))
-                    ) if arr.size else 0.0
-                    sidecar["pairing_symmetry"] = sym
+                    sidecar["pairing_symmetry"] = pairing_symmetry(trusted)
     except _INTERNAL_ERRORS as exc:
         click.echo(f"internal inconsistency: {exc}", err=True)
         sys.exit(3)

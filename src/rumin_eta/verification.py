@@ -40,6 +40,7 @@ from .rep_oracle import (
     generic_S,
     generic_scale,
     hermitian_eigenvalues,
+    pairing_symmetry,
     scalar_S,
     schrodinger_S,
     schrodinger_scale,
@@ -271,13 +272,7 @@ def criterion_generic_symmetry(basis_size: int = 256) -> dict:
         mat = generic_S(params, g, basis_size)
         eigs = hermitian_eigenvalues(mat)
         cfg = default_truncation(basis_size, generic_scale(params, g))
-        trusted = sorted(trusted_window(eigs, cfg), key=abs)
-        if len(trusted) % 2:
-            trusted = trusted[:-1]
-        arr = np.sort(np.asarray(trusted))
-        err = 0.0
-        if len(arr):
-            err = float(np.max(np.abs(arr + arr[::-1])) / np.max(np.abs(arr)))
+        err = pairing_symmetry(trusted_window(eigs, cfg))
         parts.append(
             _part(f"pairing lam={lam:g}, mu={mu:g}, nu={nu:g}, g44={g44:g}", err, tol)
         )

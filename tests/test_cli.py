@@ -283,6 +283,18 @@ def test_spectrum_generic_pairing_diagnostic(runner):
     assert sidecar["pairing_symmetry"] <= 1e-9
 
 
+def test_spectrum_trusted_count_override(runner):
+    base = ["spectrum", "--rep", "generic", "--lambda", "1", "--mu", "1",
+            "--basis-size", "32"]
+    result = runner.invoke(cli.main, base + ["--trusted-count", "3"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stderr)["trusted_count"] == 3
+    # the window must hold at least one value and at most basis/8
+    for count in ("0", "5"):
+        result = runner.invoke(cli.main, base + ["--trusted-count", count])
+        assert result.exit_code == 2, result.output
+
+
 def test_verify_suite_summary_and_exit(runner):
     result = runner.invoke(cli.main, ["verify", "--suite", "tilde-eta"])
     assert result.exit_code == 0, result.output

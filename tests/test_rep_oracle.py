@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +26,7 @@ from rumin_eta.rep_oracle import (
     h3_weights,
     hermitian_eigenvalues,
     hodge_star3,
+    pairing_symmetry,
     scalar_S,
     schrodinger_S,
     schrodinger_scale,
@@ -227,10 +228,23 @@ def test_hermitian_eigenvalues_does_not_mutate_input():
     assert np.array_equal(mat.entries, keep)
 
 
+def _patch_lapack(monkeypatch, change):
+    """Make every LAPACK routine fetched by name return change(its results)."""
+    fetch = scipy.linalg.lapack.get_lapack_funcs
+
+    def spoiled(f):
+        return lambda *a, **kw: change(f(*a, **kw))
+
+    monkeypatch.setattr(
+        scipy.linalg.lapack,
+        "get_lapack_funcs",
+        lambda *a, **kw: tuple(spoiled(f) for f in fetch(*a, **kw)),
+    )
+
+
 def _patch_solver(monkeypatch, spoil):
-    """Make the LAPACK call return spoil(eigenvalues)."""
-    solve = scipy.linalg.eigvalsh
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", lambda *a, **kw: spoil(solve(*a, **kw)))
+    """Make the band solver return spoil(eigenvalues)."""
+    _patch_lapack(monkeypatch, lambda out: (spoil(out[0]),) + tuple(out[1:]))
 
 
 def _shift_top(w):
@@ -275,6 +289,112 @@ def test_spectrum_exits_3_on_a_bad_solver(monkeypatch, spoil):
     assert result.exit_code == 3
     assert "internal inconsistency" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda out: tuple(out[:4]) + (1,),  # info > 0: bisection failed
+        lambda out: tuple(out[:2]) + (out[2] - 1,) + tuple(out[3:]),  # one missing
+    ],
+    ids=["info", "count"],
+)
+def test_solver_failure_raises_instead_of_a_partial_spectrum(monkeypatch, change):
+    mat = generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, 16)
+    _patch_lapack(monkeypatch, change)
+    with pytest.raises(SpectralPairingError, match="zhbevx"):
+        hermitian_eigenvalues(mat)
+
+
+def _half_bandwidth(mat):
+    order = mat.band_order
+    rows, cols = np.nonzero(mat.entries[np.ix_(order, order)])
+    return int(np.max(np.abs(rows - cols)))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_band_order_makes_the_oracle_matrices_narrow(n):
+    # a layout regression must not fall back silently to a full band
+    g = GradedMetric(1.3, 0.8, 1.1)
+    schro = schrodinger_S(SchrodingerParams(hbar=0.7), g, n)
+    gen = generic_S(GenericRepParams(1.0, 0.5, 0.3), g, n)
+    assert _half_bandwidth(schro) == 8
+    assert _half_bandwidth(gen) == 14
+    # highest oscillator level first: position 3k + b is block b, level n-1-k
+    assert list(schro.band_order[:3]) == [n - 1, 2 * n - 1, 3 * n - 1]
+    assert list(gen.band_order[-3:]) == [0, n, 2 * n]
+    assert np.array_equal(scalar_S(1.0, 0.5, g).band_order, np.arange(3))
+
+
+def test_band_order_must_be_a_permutation():
+    arr = np.diag([1.0, 2.0, 3.0])
+    for bad in ([0, 1], [0, 1, 1], [0, 1, 3]):
+        with pytest.raises(ValueError):
+            HermitianOperatorMatrix(arr, bad)
+    # any order gives the same spectrum; a dense matrix is a full band
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    arr = x + x.conj().T
+    want = hermitian_eigenvalues(HermitianOperatorMatrix(arr))
+    got = hermitian_eigenvalues(HermitianOperatorMatrix(arr, rng.permutation(6)))
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def _rayleigh_reference(arr):
+    """Rayleigh quotients of double-precision eigenvectors, in long double."""
+    _, vecs = np.linalg.eigh(arr)
+    v = vecs.astype(np.clongdouble)
+    av = arr.astype(np.clongdouble) @ v
+    num = np.einsum("ij,ij->j", v.conj(), av).real
+    den = np.einsum("ij,ij->j", v.conj(), v).real
+    return np.sort(num / den)
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_band_solver_accuracy_against_extended_precision(n):
+    for mat in (
+        schrodinger_S(SchrodingerParams(hbar=0.7), GradedMetric(1.3, 0.8, 1.1), n),
+        schrodinger_S(SchrodingerParams(hbar=-1.2), GradedMetric(0.9, 1.4, 1.4), n),
+        generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, n),
+    ):
+        ref = _rayleigh_reference(mat.entries)
+        rho = float(np.max(np.abs(ref)))
+        got = hermitian_eigenvalues(mat)
+        assert np.all(np.diff(got) >= 0.0)
+        assert float(np.max(np.abs(got - ref))) <= 5e-15 * rho
+
+
+def _pairing_as_cli_computed(trusted):
+    # the spectrum sidecar's formula before it moved into pairing_symmetry
+    arr = np.asarray(sorted(trusted))
+    if arr.size % 2:
+        arr = np.sort(arr[np.argsort(np.abs(arr))[:-1]])
+    return float(np.max(np.abs(arr + arr[::-1])) / np.max(np.abs(arr))) if arr.size else 0.0
+
+
+def _pairing_as_c8_computed(trusted):
+    # criterion C8's formula before it moved into pairing_symmetry
+    trusted = sorted(trusted, key=abs)
+    if len(trusted) % 2:
+        trusted = trusted[:-1]
+    arr = np.sort(np.asarray(trusted))
+    return float(np.max(np.abs(arr + arr[::-1])) / np.max(np.abs(arr))) if len(arr) else 0.0
+
+
+def test_pairing_symmetry_matches_both_former_formulas():
+    windows = [[], [2.5], [-1.0, 1.0], [-3.0, 1.0, 2.0], [0.5, -0.4, 3.0, -2.9, 7.0]]
+    for n, count in ((32, 4), (48, 5), (64, 7), (96, 12)):
+        for params, g in (
+            (GenericRepParams(1.0, 1.0, 0.0), IDENTITY_METRIC),
+            (GenericRepParams(0.7, -1.3, 0.4), GradedMetric(1.0, 1.7, 1.7)),
+        ):
+            eigs = hermitian_eigenvalues(generic_S(params, g, n))
+            cfg = TruncationConfig(n, 1e-6 * generic_scale(params, g), count)
+            windows.append(list(trusted_window(eigs, cfg)))
+    for window in windows:
+        got = pairing_symmetry(window)
+        assert got == _pairing_as_cli_computed(window) == _pairing_as_c8_computed(window)
+        assert got == pairing_symmetry(window[::-1])
 
 
 def test_consistency_check_margin_on_oracle_matrices():
