@@ -1,5 +1,10 @@
-"""The long oscillatory power sum behind ``specfun.im_polylog_even``, and a
-real symmetric eigenvalue routine that the library itself no longer calls."""
+"""An oscillatory power sum and a real symmetric eigenvalue routine.
+
+The library calls neither: ``specfun.im_polylog_even`` sums a short zeta
+series and the oracle diagonalizes in ``rep_oracle.hermitian_eigenvalues``.
+Both stay while the benchmark harness (``perfbench/tracing.py``) lists them
+as traced targets.
+"""
 
 from __future__ import annotations
 
@@ -31,10 +36,5 @@ def sin_power_sum(a_frac, p, n_terms):
 
 
 def sym_eigenvalues(mat):
-    """Eigenvalues of a real symmetric matrix, ascending (LAPACK).
-
-    The oracle diagonalizes its complex matrices in
-    ``rep_oracle.hermitian_eigenvalues``; this stays while the benchmark
-    harness (``perfbench/tracing.py``) lists it as a traced target.
-    """
+    """Eigenvalues of a real symmetric matrix, ascending (LAPACK)."""
     return np.linalg.eigvalsh(np.asarray(mat, dtype=np.float64))

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 import rumin_eta
 from rumin_eta import cli
 from rumin_eta.nilmanifold import RouteDisagreement
+from rumin_eta.specfun import eta_hurw
 
 CATALAN = 0.915965594177219
 
@@ -45,7 +46,7 @@ def test_eval_nil_snaps_to_the_negative_even_integer(runner):
     assert result.exit_code == 0
     (rec,) = records_of(result.stdout)
     assert rec["s"]["re"] == -1.9999999999999
-    assert rec["value"] == {"re": -3.75621855063959, "im": 0.0}
+    assert rec["value"] == {"re": -3.7562185506397174, "im": 0.0}
     assert rec["is_pole"] is True
 
 
@@ -88,6 +89,17 @@ def test_eval_polylog_im_generic_point_matches_series(runner):
     (f,) = records_of(fast.stdout)
     (g,) = records_of(slow.stdout)
     assert f["value"]["re"] == pytest.approx(g["value"]["re"], abs=1e-10)
+
+
+def test_eval_hurw_eta_far_left_at_large_imaginary_part(runner):
+    # the reflection branch needs Li_{1-s} where its zeta series cancels
+    result = runner.invoke(
+        cli.main, ["eval", "--fn", "hurw-eta", "--a", "0.45", "--s=-2,20"]
+    )
+    assert result.exit_code == 0, result.output
+    (rec,) = records_of(result.stdout)
+    want = eta_hurw(-2.0 + 20.0j, 0.45)
+    assert rec["value"] == {"re": want.real, "im": want.imag}
 
 
 def test_eval_tilde_pole_record_nulls(runner):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rumin_eta import specfun
 from rumin_eta.specfun import (
     bernoulli_number,
     eta_hurw,
@@ -16,7 +17,9 @@ from rumin_eta.specfun import (
     im_polylog_even,
     im_polylog_even_quad,
     polylog_circle,
+    polylog_circle_direct,
     riemann_zeta,
+    riemann_zeta_regular,
 )
 
 CATALAN = 0.915965594177219
@@ -95,16 +98,26 @@ def test_eta_hurw_reflected_region_against_mpmath():
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (s, a)
 
 
+def test_real_orders_give_real_values():
+    # conjugate-symmetric arithmetic: gamma_fn's real routine on the real
+    # axis, Li at a and 1 - a from b and -b, and Li_s(-1) real
+    assert gamma_fn(-5.28).imag == 0.0
+    for s, a in [(-5.28, 2.0 / 3.0), (-2.7, 0.1), (-9.5, 0.45)]:
+        assert eta_hurw(s, a).imag == 0.0, (s, a)
+    for l in range(3):
+        assert im_polylog_even(l, 0.5) == 0.0
+
+
 def test_eta_hurw_half_shift_is_zero():
     for s in (0.0, 1.7, -2.4, 3.0 + 2.0j):
         assert eta_hurw(s, 0.5) == 0.0
 
 
 def test_eta_hurw_negative_odd_zeros_exact():
-    # the reflection window snaps these; the summation window must agree
-    for k in (3, 5, 9, 15):
+    # snapped in both windows, so eta_nil(0) = r eta_hurw(-1, a) ... is exact
+    for k in (1, 3, 5, 9, 15):
         assert eta_hurw(-float(k), 0.25) == 0.0
-    assert abs(eta_hurw(-1.0, 0.25)) < 1e-12
+    assert eta_hurw(-1.0, 2.0 / 7.0) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,7 +159,117 @@ def test_polylog_circle_against_mpmath():
     for s, a in [(2.0, 0.3), (3.5, 0.25), (2.5 + 1.0j, 0.7), (6.0, 3.0 / 7.0)]:
         want = complex(mp.polylog(s, mp.exp(2j * mp.pi * a)))
         got = polylog_circle(s, a)
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (s, a)
+        assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (s, a)
+
+
+def _polylog_grid_orders():
+    orders = [1.001, 1.05, 1.2, 1.2 + 3.0j, 2.5 - 1.0j, 4.3 + 7.0j, 15.2 - 2.0j]
+    for n in range(2, 8):
+        orders.append(float(n))
+        # both sides, an imaginary offset, and both sides of the 0.1 radius
+        # inside which the singular pair is combined analytically
+        for d in (1e-13, 1e-10, 1e-6, 9e-4):
+            orders += [n + d, n - d, complex(n, d)]
+        orders += [n + 0.099, n - 0.101]
+    return orders
+
+
+def test_polylog_circle_mpmath_grid():
+    # a near 0 and 1, Re s near 1, and orders at and next to the integers,
+    # where the Gamma term and one zeta term are both singular
+    mp = pytest.importorskip("mpmath")
+    for s in _polylog_grid_orders():
+        # mpmath's own series cancels by 1/|s - n| next to an integer order n
+        gap = abs(s - round(s.real))
+        with mp.workdps(20 + (math.ceil(-math.log10(gap)) if gap > 0.0 else 0)):
+            for a in (1e-5, 1e-3, 0.3, 0.5, 0.999):
+                if a == 0.5:  # Li_s(-1) = -eta(s), much faster in mpmath
+                    want = complex(-mp.altzeta(mp.mpc(s)))
+                else:
+                    want = complex(mp.polylog(mp.mpc(s), mp.exp(2j * mp.pi * mp.mpf(a))))
+                got = polylog_circle(s, a)
+                assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (s, a)
+
+
+def _polylog_jonquiere(mp, s, a):
+    # Li_s(e^{2 pi i a}) from Hurwitz zeta values (Jonquiere's formula);
+    # mpmath's own polylog loses digits at large |Im s|
+    s, a = mp.mpc(s), mp.mpf(a)
+    return complex(
+        mp.gamma(1 - s) / (2 * mp.pi) ** (1 - s)
+        * (mp.power(1j, 1 - s) * mp.zeta(1 - s, a) + mp.power(1j, s - 1) * mp.zeta(1 - s, 1 - a))
+    )
+
+
+def test_polylog_circle_large_imaginary_orders_against_mpmath():
+    # past |b Im s| ~ 3 the zeta series cancels and the direct sum with
+    # Boole's tail takes over; past |Im s| ~ 450 the zeta values overflow
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for s, a in [
+            (2.5 + 25.0j, 0.5),
+            (3.0 - 20.0j, 0.45),
+            (1.001 + 150.0j, 0.05),
+            (1.5 - 200.0j, 0.4),
+            (complex(2.0 + 1e-9, 40.0), 0.3),
+            (7.3 + 150.0j, 0.7),
+            (3.0 + 455.0j, 1e-5),
+            (1.2 - 600.0j, 1e-3),
+        ]:
+            want = _polylog_jonquiere(mp, s, a)
+            assert abs(polylog_circle(s, a) - want) <= 1e-11 * max(1.0, abs(want)), (s, a)
+
+
+def test_orders_next_to_integers_stay_on_the_zeta_series():
+    # the analytic pole pair keeps the series' terms from cancelling there;
+    # without it the slower direct route would have to answer
+    for s in (2.0 + 1e-6, 3.0 - 9e-4, complex(4.0, 1e-6), 5.0 + 0.099):
+        for b in (0.3, -1e-3, 0.5):
+            assert specfun._polylog_zeta_series(complex(s), b) is not None, (s, b)
+
+
+def test_polylog_circle_raises_where_the_direct_route_is_too_long():
+    # |Im s| = 600 overflows the zeta series, and a = 1e-6 would need
+    # 4(|s| + 40)/(2 pi a) ~ 4e8 direct terms
+    with pytest.raises(ValueError, match="direct terms"):
+        polylog_circle(1.5 + 600.0j, 1e-6)
+
+
+def test_eta_hurw_reflected_region_large_imaginary_part_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for s, a in [(-2.0 + 20.0j, 0.45), (-3.5 - 30.0j, 0.25), (-2.0 + 20.0j, 1.0 / 3.0)]:
+            z = mp.mpc(s)
+            want = complex(mp.zeta(z, a) - mp.zeta(z, 1 - mp.mpf(a)))
+            assert abs(eta_hurw(s, a) - want) <= 1e-10 * max(1.0, abs(want)), (s, a)
+
+
+def test_polylog_circle_direct_bounds_its_tail():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        for s, a, n in [(2.0, 0.3, 500), (1.3 + 2.0j, 0.05, 2000), (4.0, 6.0 / 7.0, 50)]:
+            want = complex(mp.polylog(mp.mpc(s), mp.exp(2j * mp.pi * mp.mpf(a))))
+            value, tail = polylog_circle_direct(s, a, n)
+            assert abs(value - want) <= tail, (s, a, n)
+            assert abs(polylog_circle(s, a) - value) <= tail + 1e-11, (s, a, n)
+    with pytest.raises(ValueError):
+        polylog_circle_direct(1.0, 0.25, 10)
+    with pytest.raises(ValueError):
+        polylog_circle_direct(2.0, 3.0, 10)
+    with pytest.raises(ValueError):
+        polylog_circle_direct(2.0, 0.25, 0)
+
+
+def test_riemann_zeta_regular_next_to_the_pole_against_mpmath():
+    # (exp(z) - 1)/z in the correction term loses eps/|z| unless it is
+    # formed from expm1; the worst case sits near |z| = 1e-4
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for d in (3.6e-5, -3.6e-5, 3.6e-5j, 1e-3, 1e-8, 0.0):
+            s = 1.0 + d
+            z = mp.mpc(s)
+            want = complex(mp.euler if d == 0 else mp.zeta(z) - 1 / (z - 1))
+            assert abs(riemann_zeta_regular(s) - want) <= 4e-15, d
 
 
 def test_polylog_circle_domain_errors():
@@ -168,6 +291,15 @@ def test_im_polylog_even_series_vs_quadrature():
             series = im_polylog_even(l, a)
             quad = im_polylog_even_quad(l, a)
             assert abs(series - quad) <= 1e-8, (l, a)
+
+
+def test_im_polylog_even_mpmath_grid():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        for l in range(5):
+            for a in (1e-5, 1e-3, 0.02, 0.25, 0.5, 0.77, 0.999, 1.0 - 1e-5):
+                want = float(mp.im(mp.polylog(2 * l + 2, mp.exp(2j * mp.pi * mp.mpf(a)))))
+                assert abs(im_polylog_even(l, a) - want) <= 1e-13, (l, a)
 
 
 @settings(max_examples=30, deadline=None)
