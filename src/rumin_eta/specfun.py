@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as _scipy_gamma
+from scipy.special import loggamma as _scipy_loggamma
 
 __all__ = [
     "bernoulli_number",
@@ -54,6 +55,7 @@ _MAX_CANCELLATION = 2e3
 _DIRECT_TAIL = 1e-12
 _DIRECT_MAX_TERMS = 2**23
 _DIRECT_BLOCK = 2**16
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _bernoulli_table(count):
@@ -95,6 +97,22 @@ def gamma_fn(s):
         # the real routine: more accurate, and exactly real
         return complex(_scipy_gamma(s.real))
     return complex(_scipy_gamma(s))
+
+
+def _log_sin_gamma(x, y):
+    # log(sin(pi x/2) Gamma(y)) for the functional equations, where the
+    # factors themselves over- or underflow: sin grows like e^{pi |Im x|/2}
+    # (cmath.sin overflows from |Im x| ~ 452) while Gamma falls like
+    # e^{-pi |Im y|/2}, and Gamma overflows from Re y ~ 171.
+    z = 0.5 * math.pi * x
+    if abs(z.imag) > 20.0:
+        # sin z = (i e/2) e^{-i e z} (1 - e^{2 i e z}) with e the sign of
+        # Im z, and the last factor is 1 to double precision
+        sign = math.copysign(1.0, z.imag)
+        log_sin = -1j * sign * z + cmath.log(0.5j * sign)
+    else:
+        log_sin = cmath.log(cmath.sin(z))
+    return log_sin + complex(_scipy_loggamma(complex(y)))
 
 
 def _em_parameters(s):
@@ -165,7 +183,9 @@ def riemann_zeta(s):
 
     Euler-Maclaurin for Re s >= -1/2; the functional equation otherwise
     (the alternating sums in the left half plane would cancel
-    catastrophically in doubles).
+    catastrophically in doubles), its factor sin(pi s/2) Gamma(1-s)
+    (2 pi)^s formed in log space where it over- or underflows as a
+    product. Raises OverflowError where zeta(s) exceeds the double range.
     """
     s = complex(s)
     if s == 1.0:
@@ -174,13 +194,23 @@ def riemann_zeta(s):
         if s.imag == 0.0 and s.real == round(s.real) and round(s.real) % 2 == 0:
             return 0.0 + 0.0j
         t = 1.0 - s
-        return (
-            2.0**s
-            * cmath.pi ** (s - 1.0)
-            * cmath.sin(cmath.pi * s / 2.0)
-            * gamma_fn(t)
-            * hurwitz_zeta(t, 1.0)
-        )
+        zeta_t = hurwitz_zeta(t, 1.0)
+        try:
+            value = (
+                2.0**s
+                * cmath.pi ** (s - 1.0)
+                * cmath.sin(cmath.pi * s / 2.0)
+                * gamma_fn(t)
+                * zeta_t
+            )
+        except OverflowError:
+            value = math.nan
+        # zeta has no zeros here but the trivial ones: 0 means underflow
+        if not cmath.isfinite(value) or value == 0.0:
+            value = cmath.exp(s * _LOG_2PI - math.log(math.pi) + _log_sin_gamma(s, t)) * zeta_t
+            if s.imag == 0.0:
+                value = complex(value.real, 0.0)
+        return value
     return hurwitz_zeta(s, 1.0)
 
 
@@ -216,7 +246,10 @@ def eta_hurw(s, a):
     Euler-Maclaurin covers Re s >= -3/2; further left the paired head sums
     cancel catastrophically in doubles, so the value comes from the
     functional equation instead, through polylogs on the unit circle
-    evaluated as in polylog_circle.
+    evaluated as in polylog_circle. Its prefactor
+    -2i (2 pi)^{s-1} sin(pi (1-s)/2) Gamma(1-s) is formed in log space
+    where it over- or underflows as a product (Re s below about -171).
+    Raises OverflowError where the value exceeds the double range.
     """
     s = complex(s)
     a_red = a - math.floor(a)
@@ -228,10 +261,17 @@ def eta_hurw(s, a):
         return 0.0 + 0.0j  # the zeros -B_{2l+2}(a) + B_{2l+2}(1 - a) = 0
     if s.real < -1.5:
         t = 1.0 - s
-        pref = -2j * (2.0 * cmath.pi) ** (-t) * cmath.sin(cmath.pi * t / 2.0) * gamma_fn(t)
         # Li_t at a and at 1 - a from b and -b: exact conjugates for real t
         b = _centered(a_red)
-        return pref * (_polylog_unit(t, b) - _polylog_unit(t, -b))
+        diff = _polylog_unit(t, b) - _polylog_unit(t, -b)
+        try:
+            pref = -2j * (2.0 * cmath.pi) ** (-t) * cmath.sin(cmath.pi * t / 2.0) * gamma_fn(t)
+        except OverflowError:
+            pref = math.nan
+        if cmath.isfinite(pref) and pref != 0.0:
+            return pref * diff
+        value = cmath.exp(cmath.log(-2j * diff) - t * _LOG_2PI + _log_sin_gamma(t, t))
+        return complex(value.real, 0.0) if s.imag == 0.0 else value
     m_shift, order = _em_parameters(s)
     acc = 0.0 + 0.0j
     for n in range(m_shift):
@@ -242,14 +282,7 @@ def eta_hurw(s, a):
     q = math.log1p((2.0 * a_red - 1.0) / wb)
     acc += -(wb ** (1.0 - s)) * q * _phi_expm1((1.0 - s) * q)
     acc += 0.5 * (wa ** (-s) - wb ** (-s))
-    coef = s
-    wpow_a = wa ** (-s - 1.0)
-    wpow_b = wb ** (-s - 1.0)
-    for k in range(1, order + 1):
-        acc += _BERN_OVER_FACT[k] * coef * (wpow_a - wpow_b)
-        coef = coef * (s + (2 * k - 1)) * (s + 2 * k)
-        wpow_a /= wa * wa
-        wpow_b /= wb * wb
+    acc += _em_bernoulli_tail(s, wa, order) - _em_bernoulli_tail(s, wb, order)
     return acc
 
 

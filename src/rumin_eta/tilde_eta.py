@@ -14,6 +14,14 @@ binomial tail series. Poles of intermediate zeta factors are carried
 symbolically (coefficient over s - s0) so that binomial zeros cancel them
 analytically; the function is regular except for simple poles at the
 negative even integers.
+
+Each binomial tail sum_{l >= l0} binom(x, l) z^l is sized before it is
+summed: from the exact |binom(x, l)| and a geometric bound on the terms
+after l, the length is the first l at which the bound on the rest falls
+below the tail's tolerance. The lambda_n of the shifted-series tail are
+split into blocks (n - m in [0, 16), [16, 256), [256, 4096)) whose first,
+largest |a|/lambda_n sizes the whole block; each block is then one cumprod
+of the term ratios and one weighted sum, with no test inside a loop.
 """
 
 from __future__ import annotations
@@ -39,6 +47,16 @@ __all__ = [
 ]
 
 _POLE_SNAP = 1e-12
+
+# The binomial tails are summed until a bound on their rest falls below
+# these (see _binomial_tail); _h_tail_odd covers _H_TAIL_COUNT lambda_n
+# from the split index on, in blocks between the offsets _H_TAIL_EDGES.
+_H_TAIL_TOL = 1e-22
+_ZETA0_TAIL_TOL = 1e-24
+_H_TAIL_COUNT = 4096
+_H_TAIL_EDGES = (0, 16, 256, _H_TAIL_COUNT)
+_MAX_TAIL_TERMS = 2**16
+_ODD = [2.0 * n + 1.0 for n in range(1, 200)]
 
 
 def _snapped_pole(s: complex) -> int | None:
@@ -133,17 +151,84 @@ def _binom_reduced(x, l, i0):
 def _odd_zeta_tail(sp):
     # sum_{n>=1} (2n+1)^{-sp} = (1 - 2^{-sp}) zeta(sp) - 1
     if sp.real >= 10.0:
-        acc = 0.0 + 0.0j
-        n = 1
-        while n <= 400:
-            odd = 2.0 * n + 1.0
-            term = odd ** (-sp)
-            acc += term
-            if odd ** (-sp.real) < 1e-26:
-                break
-            n += 1
-        return acc
+        return _odd_zeta_direct(sp)
     return (1.0 - 2.0 ** (-sp)) * riemann_zeta(sp) - 1.0
+
+
+@lru_cache(maxsize=16384)
+def _odd_zeta_direct(sp):
+    # The same sum directly, through the first term below 1e-26 in modulus:
+    # the smallest odd number above 10^(26/Re sp), at most 399 for
+    # Re sp >= 10. One sum of libm powers in order; a numpy sum of
+    # exp(-sp log odd) moves the value by an ulp, which _zeta_m's
+    # cancellation amplifies ~1e4-fold.
+    count = math.floor((1e26 ** (1.0 / sp.real) - 1.0) / 2.0) + 1
+    power = -sp
+    return sum([odd**power for odd in _ODD[:count]], 0.0 + 0.0j)
+
+
+def _tail_lengths(x, b0, l0, z_max, limit):
+    """Term counts for binomial tails sum_{l >= l0} binom(x, l) z^l.
+
+    b0 is |binom(x, l0)|. For each block j, with |z| <= z_max[j] < 1,
+    returns the smallest L_j after which the rest is at most limit[j].
+    From l on the term ratios |z (x - l)/(l + 1)| stay below
+    r_l = z_max (|x| + l)/(l + 1) for |x| >= 1, where that factor falls
+    towards 1, and below r_l = z_max for |x| < 1, where it rises towards 1.
+    So while r_l < 1 the rest from l is at most
+    |binom(x, l)| z_max^l/(1 - r_l), with |binom(x, l)| taken exactly.
+    Raises ValueError beyond _MAX_TAIL_TERMS terms.
+    """
+    z_max = np.asarray(z_max, dtype=np.float64)[:, None]
+    limit = np.asarray(limit, dtype=np.float64)[:, None]
+    x_abs = abs(x)
+    # first guess: enough terms for z_max^L to reach 1e-26
+    n = min(max(64, math.ceil(-60.0 / math.log(float(z_max.max())))), _MAX_TAIL_TERMS)
+    while True:
+        l = l0 + np.arange(n, dtype=np.float64)
+        bound = np.empty((z_max.size, n))
+        bound[:, :1] = b0 * z_max**l0
+        bound[:, 1:] = np.abs(x - l[:-1]) / (l[:-1] + 1.0) * z_max
+        np.cumprod(bound, axis=1, out=bound)  # |binom(x, l)| z_max^l
+        r = z_max * ((x_abs + l) / (l + 1.0) if x_abs >= 1.0 else 1.0)
+        # an exact zero ends the series (x a non-negative integer)
+        done = (bound == 0.0) | (bound <= limit * (1.0 - r))
+        if done.any(axis=1).all():
+            return done.argmax(axis=1)
+        if n == _MAX_TAIL_TERMS:
+            break
+        n = min(4 * n, _MAX_TAIL_TERMS)
+    raise ValueError(
+        f"binomial tail at x = {x} needs more than {_MAX_TAIL_TERMS} terms; "
+        f"|z| = {float(z_max.max()):.6g} is too close to 1"
+    )
+
+
+def _binomial_tail(x, l0, stride, z, weights, edges, tol):
+    """sum_n weights_n sum_l binom(x, l) z_n^l over l = l0, l0 + stride, ...
+
+    z is real with |z_n| < 1 falling in n, and |weights_n z_n^l| must fall
+    in n for l >= l0, so that the first n of each block [edges[j],
+    edges[j+1]) bounds all of it. Each block gets its own term count from
+    _tail_lengths, with its whole rest held below tol, and is summed by one
+    cumprod of the term ratios down the l axis.
+    """
+    b0 = _binom_complex(x, l0)
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    # a block whose weights underflow contributes nothing and gets no terms
+    limit = tol / np.fmax((hi - lo) * np.abs(weights[lo]), np.finfo(np.float64).tiny)
+    counts = _tail_lengths(x, abs(b0), l0, np.abs(z[lo]), limit)
+    total = 0.0 + 0.0j
+    for start, stop, count in zip(lo, hi, counts):
+        if count == 0:
+            continue
+        l = l0 + np.arange(count - 1, dtype=np.float64)
+        terms = np.empty((count, stop - start), dtype=np.complex128)
+        terms[0] = b0 * z[start:stop] ** l0
+        terms[1:] = np.multiply.outer((x - l) / (l + 1.0), z[start:stop])
+        np.cumprod(terms, axis=0, out=terms)
+        total += complex(np.dot(terms[::stride].sum(axis=0), weights[start:stop]))
+    return total
 
 
 @lru_cache(maxsize=16384)
@@ -179,22 +264,14 @@ def _zeta0(sigma):
         b *= (-sigma / 2.0 - k) / (k + 1.0)
         zk *= 9.0 / 8.0
 
-    # exact remainder: binomial tail series over n >= 1, all |z| <= 1/8
-    n_arr = np.arange(1, 65, dtype=np.float64)
-    odd = 2.0 * n_arr + 1.0
+    # exact remainder: binomial tail series over n = 1..64, all |z| <= 1/8;
+    # its scaled terms (9/8)^k (2n+1)^{-Re sigma - 2k} fall with n for k > order
+    odd = 2.0 * np.arange(1, 65, dtype=np.float64) + 1.0
     z = (9.0 / 8.0) / (odd * odd)
-    b_tail = _binom_complex(-sigma / 2.0, order + 1)
-    c = b_tail * z ** (order + 1)
-    acc = np.zeros_like(c)
-    k = order + 1
-    while k < order + 500:
-        acc = acc + c
-        c = c * z * ((-sigma / 2.0 - k) / (k + 1.0))
-        k += 1
-        if np.max(np.abs(c)) < 1e-24 * (1.0 + np.max(np.abs(acc))):
-            break
     weights = np.exp(-sigma * np.log(odd))
-    regular += pref * complex(np.dot(weights, acc))
+    regular += pref * _binomial_tail(
+        -sigma / 2.0, order + 1, 1, z, weights, (0, odd.size), _ZETA0_TAIL_TOL
+    )
 
     return _PoleAware(regular, polar_coeff, sigma0)
 
@@ -211,24 +288,15 @@ def _zeta_m(sigma, m):
 
 def _h_tail_odd(s, a, m, order):
     # h_{m,a,order}(s) - h_{m,-a,order}(s): twice the odd part of the
-    # binomial tail beyond the expansion order, summed exactly.
+    # binomial tail beyond the expansion order, over _H_TAIL_COUNT lambda_n
+    # from n = m, in blocks over which |a|/lambda_n falls about tenfold.
+    # The scaled terms |a|^l lambda^{-Re s - l} fall with lambda for
+    # l > order > -Re s.
     if a == 0.0:
         return 0.0 + 0.0j
-    count = 4096
-    lam = _lambda_array(m, count)
-    z = a / lam
-    c = _binom_complex(-s, order + 1) * z ** (order + 1)
-    acc = np.zeros_like(c, dtype=np.complex128)
-    l = order + 1
-    while l < order + 3000:
-        if l % 2 == 1:
-            acc = acc + c
-        c = c * z * ((-s - l) / (l + 1.0))
-        l += 1
-        if np.max(np.abs(c)) < 1e-22 * (1.0 + np.max(np.abs(acc))):
-            break
+    lam = _lambda_array(m, _H_TAIL_COUNT)
     weights = np.exp(-s * np.log(lam))
-    return 2.0 * complex(np.dot(weights, acc))
+    return 2.0 * _binomial_tail(-s, order + 1, 2, a / lam, weights, _H_TAIL_EDGES, _H_TAIL_TOL)
 
 
 def _signed_power(x, s):
@@ -242,7 +310,10 @@ def tilde_eta(s, a, m=None):
     a must stay away from the singular set {+-lambda_n}. m overrides the
     split point (lambda_m > |a| required); the value is independent of the
     choice. At a pole (s a negative even integer, a != 0) the returned
-    point has is_pole set, the residue filled in, and a NaN value.
+    point has is_pole set, the residue filled in, and a NaN value. Raises
+    ValueError where |a|/lambda_m is so close to 1 that the binomial tail
+    would need more than 2^16 terms (|a| above about 1000 by default, or an
+    m with lambda_m barely above |a|).
     """
     s = complex(s)
     a = float(a)

@@ -325,3 +325,33 @@ def test_eta_hurw_deriv_matches_finite_difference():
         h = 1e-5
         fd = (eta_hurw(s0 + h, a) - eta_hurw(s0 - h, a)).real / (2.0 * h)
         assert eta_hurw_deriv_neg_odd(l, a) == pytest.approx(fd, rel=1e-7, abs=1e-12)
+
+
+def test_riemann_zeta_left_half_plane_large_imaginary_part_against_mpmath():
+    # sin(pi s/2) overflows from |Im s| ~ 452 and Gamma(1 - s) underflows;
+    # their product is formed in log space there
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for s in (-3.0 + 453.0j, -3.0 - 453.0j, -0.7 + 600.0j, -50.0 + 800.0j, -200.5):
+            want = complex(mp.zeta(mp.mpc(s)))
+            # measured: at most 5.1e-13 relative (the rounding of pi s/2 alone gives ~1e-13)
+            assert abs(riemann_zeta(s) - want) <= 2e-12 * abs(want), s
+    assert riemann_zeta(-200.5).imag == 0.0
+
+
+def test_eta_hurw_far_left_against_mpmath():
+    # Gamma(1 - s) overflows from Re s ~ -171 while the value is still finite
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for s, a in [(-172.5, 0.3), (-200.5, 0.25), (-180.0 + 0.5j, 0.25), (-3.0 + 453.0j, 0.3)]:
+            z = mp.mpc(s)
+            want = complex(mp.zeta(z, a) - mp.zeta(z, 1 - mp.mpf(a)))
+            # measured: at most 1.4e-13 relative
+            assert abs(eta_hurw(s, a) - want) <= 1e-11 * abs(want), (s, a)
+    assert eta_hurw(-172.5, 0.3).imag == 0.0
+
+
+def test_eta_hurw_raises_beyond_the_double_range():
+    # |eta_hurw(-400.5, 0.3)| is about 1e548
+    with pytest.raises(OverflowError):
+        eta_hurw(-400.5, 0.3)

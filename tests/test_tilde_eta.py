@@ -7,6 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rumin_eta.tilde_eta import (
+    _H_TAIL_COUNT,
+    _binom_complex,
+    _h_tail_odd,
+    _odd_zeta_tail,
+    _tail_lengths,
+    _zeta0,
+    default_start_index,
     lambda_n,
     tilde_eta,
     tilde_eta_at_zero,
@@ -147,3 +154,171 @@ def test_shift_reflection_antisymmetry():
             plus = tilde_eta(s, a).value
             minus = tilde_eta(s, -a).value
             assert abs(plus + minus) <= 1e-10 * max(1.0, abs(plus)), (s, a)
+
+
+# --- binomial tails ---------------------------------------------------------
+
+# (s, a) over Re s in [-6.5, 6], |Im s| <= 30, each a in {+-0.05, +-0.97, +-1.2} twice
+TAIL_GRID = [
+    (-6.5 + 0.0j, 0.05), (-6.5 + 7.5j, -0.97), (-6.5 - 30.0j, 1.2),
+    (-2.3 + 7.5j, -1.2), (-2.3 - 30.0j, 0.97), (-2.3 + 0.0j, -0.05),
+    (0.4 + 0.0j, 1.2), (0.4 - 30.0j, -0.05), (0.4 + 7.5j, 0.97),
+    (3.1 - 30.0j, -1.2), (6.0 + 7.5j, 0.05), (6.0 - 30.0j, -0.97),
+]
+
+
+def _order(s):
+    return 2 * math.ceil(abs(s.real)) + 6
+
+
+def _h_tail_rest_bound(s, a, n_from, l0):
+    """Bound on 2 sum_{n >= n_from} |lambda_n^-s| sum_{odd l >= l0} |binom(-s, l) (a/lambda_n)^l|.
+
+    From l0 on the term ratios stay below r = z max(1, (|s| + l0)/(l0 + 1)),
+    z = |a|/lambda_{n_from}; lambda_n >= (2n + 1)/sqrt(2); and with
+    p = Re s + l0 > 1, sum_{n >= N} ((2n + 1)/sqrt(2))^-p <= u^-p (1 + (2N + 1)/(2 (p - 1))),
+    u = (2N + 1)/sqrt(2). Infinite where r >= 1 or p <= 1.
+    """
+    p = s.real + l0
+    r = abs(a) / lambda_n(n_from) * max(1.0, (abs(s) + l0) / (l0 + 1.0))
+    if p <= 1.0 or r >= 1.0:
+        return math.inf
+    b0 = abs(_binom_complex(-s, l0))
+    if b0 == 0.0:  # the binomial series ends before l0
+        return 0.0
+    u = (2 * n_from + 1) / math.sqrt(2.0)
+    log_bound = (
+        math.log(2.0 * b0) + l0 * math.log(abs(a)) - math.log1p(-r)
+        - p * math.log(u) + math.log1p((2 * n_from + 1) / (2.0 * (p - 1.0)))
+    )
+    return math.exp(log_bound)
+
+
+def _h_tail_reference(mp, s, a, m, order):
+    """(value, sum of |terms|, bound on the n left out) of the odd binomial
+    tail, term by term in mpmath, over n from m until _h_tail_rest_bound
+    drops below 1e-20 (1 + sum)."""
+    S, A = mp.mpc(s), mp.mpf(a)
+    l0 = order + 1
+    total, magnitude = mp.mpc(0), mp.mpf(0)
+    n = m
+    while n < m + _H_TAIL_COUNT and _h_tail_rest_bound(s, a, n, l0) > 1e-20 * (1.0 + magnitude):
+        lam = mp.sqrt(8 * (2 * n + 1) ** 2 + 9) / 4
+        z = A / lam
+        c = mp.binomial(-S, l0) * z**l0
+        acc, size, l = mp.mpc(0), mp.mpf(0), l0
+        while True:
+            if l % 2:
+                acc += c
+                size += abs(c)
+            r = abs(z) * max(1, (abs(S) + l) / (l + 1))
+            if r < 1 and abs(c) / (1 - r) < 1e-22 * (1 + size):
+                break
+            c *= z * (-S - l) / (l + 1)
+            l += 1
+        weight = lam ** (-S)
+        total += weight * acc
+        magnitude += abs(weight) * size
+        n += 1
+    return complex(2 * total), 2.0 * float(magnitude), _h_tail_rest_bound(s, a, n, l0)
+
+
+def test_h_tail_odd_against_mpmath_double_sum():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(25):
+        for s, a in TAIL_GRID:
+            m = default_start_index(a)
+            want, magnitude, rest = _h_tail_reference(mp, s, a, m, _order(s))
+            got = _h_tail_odd(s, a, m, _order(s))
+            # measured: at most 4e-16 max(1, sum of |terms|)
+            assert abs(got - want) <= 1e-14 * max(1.0, magnitude) + rest, (s, a)
+
+
+def test_zeta0_against_mpmath_double_sum():
+    # sum_n lambda_n^-sigma = lambda_0^-sigma + 2^{sigma/2} sum_k binom(-sigma/2, k)
+    # (9/8)^k sum_{n>=1} (2n+1)^{-sigma-2k}, summed in mpmath with the inner
+    # sums as 2^{-w} zeta(w, 3/2)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(25):
+        for s, _ in TAIL_GRID:
+            for sigma in (s + 1.0, s + _order(s) - 1.0):
+                S = mp.mpc(sigma)
+                want = mp.mpf(17) ** (-S / 2) * 4**S
+                k = 0
+                while True:
+                    w = S + 2 * k
+                    term = mp.binomial(-S / 2, k) * mp.mpf(1.125) ** k * mp.zeta(w, 1.5) / 2**w
+                    want += 2 ** (S / 2) * term
+                    if k > 5 and abs(term) < 1e-24:
+                        break
+                    k += 1
+                want = complex(want)
+                z0 = _zeta0(sigma)
+                got = z0.regular
+                if z0.sigma0 is not None:
+                    got += z0.polar_coeff / (sigma - z0.sigma0)
+                # measured: at most 5.4e-13 (at sigma = 1.4 - 30i, from zeta itself)
+                assert abs(got - want) <= 5e-12 * max(1.0, abs(want)), sigma
+
+
+def test_odd_zeta_tail_direct_branch_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    # (1 - 2^-sp) zeta(sp) - 1 cancels to 3^-sp: 19 of its digits at Re sp = 40
+    with mp.workdps(60):
+        for sp in (10.0 + 0.0j, 10.0 - 7.0j, 10.0 + 30.0j, 15.0 + 30.0j, 15.0 - 2.0j,
+                   40.0 + 3.0j, 40.0 - 30.0j):
+            S = mp.mpc(sp)
+            want = complex((1 - mp.mpf(2) ** (-S)) * mp.zeta(S) - 1)
+            # measured: at most 2e-15 relative
+            assert abs(_odd_zeta_tail(sp) - want) <= 1e-14 * abs(want) + 1e-26, sp
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    re=st.floats(min_value=-8.0, max_value=8.0),
+    im=st.floats(min_value=-30.0, max_value=30.0),
+    z=st.floats(min_value=0.001, max_value=0.9),
+    l0=st.integers(min_value=1, max_value=30),
+    log_limit=st.floats(min_value=-60.0, max_value=-5.0),
+)
+@example(re=0.3, im=0.2, z=0.9, l0=1, log_limit=-50.0)  # |x| < 1: ratios rise towards z
+@example(re=-0.5, im=0.0, z=0.85, l0=7, log_limit=-55.0)
+@example(re=3.0, im=0.0, z=0.5, l0=2, log_limit=-50.0)  # the series ends at l = 3
+@example(re=8.0, im=30.0, z=0.9, l0=1, log_limit=-60.0)  # terms grow to ~1e31 first
+def test_tail_length_bounds_the_next_terms(re, im, z, l0, log_limit):
+    """What the length leaves out, the next 200 terms summed one by one, is within the limit."""
+    x = complex(re, im)
+    limit = math.exp(log_limit)
+    b0 = abs(_binom_complex(x, l0))
+    (count,) = _tail_lengths(x, b0, l0, [z], [limit])
+    term, l = b0 * z**l0, l0
+    for _ in range(count):
+        term *= abs(x - l) / (l + 1) * z
+        l += 1
+    rest = 0.0
+    for _ in range(200):
+        rest += term
+        term *= abs(x - l) / (l + 1) * z
+        l += 1
+    assert rest <= limit * (1.0 + 1e-12), (x, z, l0, count)
+
+
+def test_tail_length_raises_rather_than_truncate():
+    with pytest.raises(ValueError, match="too close to 1"):
+        _tail_lengths(0.5 + 0.0j, 1.0, 7, [1.0 - 1e-6], [1e-22])
+
+
+@pytest.mark.parametrize("a", [-1.25, -0.97, -0.05, 0.05, 0.6, 1.2, 1.25])
+def test_h_tail_beyond_its_lambda_range_is_negligible_on_the_eval_domain(a):
+    """_h_tail_odd stops after _H_TAIL_COUNT lambda_n; on the eval domain
+    (|a| <= 5/4, Re s in [-6.5, 6], |Im s| <= 10) what lies beyond is below
+    1e-17 max(1, |tilde_eta|)."""
+    m = default_start_index(a)
+    for re in (-6.5, -4.2, -1.5, 0.0, 1.0, 3.3, 6.0):
+        for im in (0.0, 2.5, -6.0, 10.0):
+            s = complex(re, im)
+            point = tilde_eta(s, a)
+            if point.is_pole:
+                continue
+            beyond = _h_tail_rest_bound(s, a, m + _H_TAIL_COUNT, _order(s) + 1)
+            assert beyond <= 1e-17 * max(1.0, abs(point.value)), (s, a, beyond)
