@@ -34,7 +34,7 @@ from .rep_oracle import (
     SchrodingerParams,
     SpectralPairingError,
     TruncationConfig,
-    closed_form_schrodinger_spectrum,
+    closed_form_error,
     generic_S,
     generic_scale,
     hermitian_eigenvalues,
@@ -386,18 +386,9 @@ def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55,
             if rep == "schroedinger":
                 sidecar["hbar"] = float(hbar)
                 if g.bg_proportional:
-                    exact = sorted(
-                        closed_form_schrodinger_spectrum(params, g, 2 * len(trusted)),
-                        key=abs,
-                    )
-                    by_abs = sorted(trusted, key=abs)
-                    err = max(
-                        (abs(t - e) / abs(e) for t, e in zip(by_abs, exact)),
-                        default=0.0,
-                    )
                     sidecar["closed_form_comparison"] = {
-                        "count": len(by_abs),
-                        "max_rel_error": float(err),
+                        "count": len(trusted),
+                        "max_rel_error": closed_form_error(trusted, params, g),
                     }
             else:
                 sidecar["lambda"] = float(lam)

@@ -32,6 +32,7 @@ __all__ = [
     "schrodinger_S",
     "generic_S",
     "closed_form_schrodinger_spectrum",
+    "closed_form_error",
     "hermitian_eigenvalues",
     "spectral_eta_partial",
     "trusted_window",
@@ -123,16 +124,27 @@ class TruncationConfig:
 
 
 class HermitianOperatorMatrix:
-    """Dense complex square matrix validated for exact conjugate symmetry.
+    """Hermitian matrix held as independent blocks in LAPACK lower band storage.
 
-    ``band_order`` is a permutation of the indices: position i of the
-    reordered matrix holds index ``band_order[i]``.  The eigensolver reads
-    the matrix in that order, so an order that makes it narrowly banded
-    makes the solve cheap.  The default is the identity.
+    ``blocks`` is a list of pairs (indices, band).  The indices of all
+    blocks together are a permutation of range(dim); entries coupling two
+    blocks are zero.  Read in the order of its indices, a block is a band
+    of half-width kd = band.shape[0] - 1 with band[d, j] at (j + d, j); the
+    padded bottom-right triangle (j + d >= block size) holds zeros.  An
+    order that makes each block narrow makes the solve cheap.
+
+    ``schrodinger_S`` and ``generic_S`` write their bands directly:
+    Schrodinger, in the basis (e_j, i*e_j, e_j) of its three blocks, as two
+    real blocks, one per oscillator level parity; generic as one complex
+    block.  ``scalar_S`` and other dense input go through the constructor,
+    which checks exact conjugate symmetry and makes one block in
+    ``band_order`` (a permutation: position i holds index band_order[i];
+    default the identity).  ``entries`` builds the dense complex matrix on
+    demand.
     """
 
     def __init__(self, entries, band_order=None):
-        arr = np.ascontiguousarray(entries, dtype=np.complex128)
+        arr = np.asarray(entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("entries must form a nonempty square matrix")
         if not np.array_equal(arr, arr.conj().T):
@@ -144,9 +156,37 @@ class HermitianOperatorMatrix:
             order = np.asarray(band_order, dtype=np.intp)
             if order.shape != (dim,) or not np.array_equal(np.sort(order), np.arange(dim)):
                 raise ValueError("band_order must be a permutation of range(dim)")
-        self.entries = arr
+        pos = np.empty_like(order)
+        pos[order] = np.arange(dim)
+        rows, cols = np.nonzero(arr)
+        kd = int(np.max(np.abs(pos[rows] - pos[cols]), initial=0))
+        i = np.arange(dim) + np.arange(kd + 1)[:, None]
+        j = np.broadcast_to(np.arange(dim), i.shape)
+        inside = i < dim
+        band = np.zeros(i.shape, dtype=np.complex128)
+        band[inside] = arr[order[i[inside]], order[j[inside]]]
         self.dim = dim
-        self.band_order = order
+        self.blocks = [(order, band)]
+
+    @classmethod
+    def from_blocks(cls, blocks):
+        """The matrix of the given (indices, band) blocks, taken as they are."""
+        self = object.__new__(cls)
+        self.blocks = list(blocks)
+        self.dim = sum(idx.size for idx, _ in self.blocks)
+        return self
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense complex matrix, built from the blocks on each access."""
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for idx, band in self.blocks:
+            size = idx.size
+            for d in range(band.shape[0]):
+                values = band[d, : size - d]
+                out[idx[: size - d], idx[d:]] = values.conj()
+                out[idx[d:], idx[: size - d]] = values
+        return out
 
 
 def hodge_star3(g: GradedMetric) -> np.ndarray:
@@ -200,98 +240,155 @@ def _metric_factors(g: GradedMetric):
     return p, ca, cb, v
 
 
-def _sym_banded(n: int, bands: dict) -> np.ndarray:
-    """Real symmetric matrix with values[j] at (j, j+offset) and its mirror."""
-    m = np.zeros((n, n))
-    for offset, values in bands.items():
-        if offset == 0:
-            np.fill_diagonal(m, values)
-        else:
-            idx = np.arange(n - offset)
-            m[idx, idx + offset] = values
-            m[idx + offset, idx] = values
-    return m
+class _Bands(dict):
+    """An n x n band matrix by its diagonals, {offset: values}.
+
+    values[k] sits at (k, k + offset) above the diagonal and at
+    (k - offset, k) below it, so a symmetric band stores the same values at
+    +offset and -offset.  Sums fill a missing diagonal with zeros, so each
+    entry comes out of the same floating-point operations as the entry of
+    the dense matrix would.  Scalars multiply from either side and divide
+    from the right.
+    """
+
+    def _zip(self, other, op):
+        keys = sorted(self.keys() | other.keys())
+        return _Bands({o: op(self.get(o, 0.0), other.get(o, 0.0)) for o in keys})
+
+    def __add__(self, other):
+        return self._zip(other, lambda x, y: x + y)
+
+    def __sub__(self, other):
+        return self._zip(other, lambda x, y: x - y)
+
+    def __mul__(self, c):
+        return _Bands({o: c * v for o, v in self.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return _Bands({o: v / c for o, v in self.items()})
+
+    def __neg__(self):
+        return _Bands({o: -v for o, v in self.items()})
 
 
-def _antisym_banded(n: int, bands: dict) -> np.ndarray:
-    """Real antisymmetric matrix: values[j] at (j, j+offset), negated mirror."""
-    m = np.zeros((n, n))
-    for offset, values in bands.items():
-        idx = np.arange(n - offset)
-        m[idx, idx + offset] = values
-        m[idx + offset, idx] = -values
-    return m
+def _sym_bands(bands: dict) -> _Bands:
+    """Real symmetric band: values[j] at (j, j+offset) and its mirror."""
+    out = _Bands(bands)
+    out.update({-o: v for o, v in bands.items() if o})
+    return out
 
 
-def _window_alpha(n: int) -> np.ndarray:
+def _antisym_bands(bands: dict) -> _Bands:
+    """Real antisymmetric band: values[j] at (j, j+offset), negated mirror."""
+    out = _Bands(bands)
+    out.update({-o: -v for o, v in bands.items()})
+    return out
+
+
+def _window_eye(n: int) -> _Bands:
+    """The identity."""
+    return _Bands({0: np.ones(n)})
+
+
+def _window_alpha(n: int) -> _Bands:
     """a + a^dag."""
     j = np.arange(n - 1, dtype=np.float64)
-    return _sym_banded(n, {1: np.sqrt(j + 1.0)})
+    return _sym_bands({1: np.sqrt(j + 1.0)})
 
 
-def _window_delta(n: int) -> np.ndarray:
+def _window_delta(n: int) -> _Bands:
     """a - a^dag."""
     j = np.arange(n - 1, dtype=np.float64)
-    return _antisym_banded(n, {1: np.sqrt(j + 1.0)})
+    return _antisym_bands({1: np.sqrt(j + 1.0)})
 
 
-def _window_alpha_sq(n: int) -> np.ndarray:
+def _window_alpha_sq(n: int) -> _Bands:
     """(a + a^dag)^2 = a^2 + (a^dag)^2 + 2N + 1."""
     j = np.arange(n, dtype=np.float64)
     j2 = j[: n - 2]
-    return _sym_banded(n, {0: 2.0 * j + 1.0, 2: np.sqrt((j2 + 1.0) * (j2 + 2.0))})
+    return _sym_bands({0: 2.0 * j + 1.0, 2: np.sqrt((j2 + 1.0) * (j2 + 2.0))})
 
 
-def _window_delta_sq(n: int) -> np.ndarray:
+def _window_delta_sq(n: int) -> _Bands:
     """(a - a^dag)^2 = a^2 + (a^dag)^2 - 2N - 1."""
     j = np.arange(n, dtype=np.float64)
     j2 = j[: n - 2]
-    return _sym_banded(n, {0: -(2.0 * j + 1.0), 2: np.sqrt((j2 + 1.0) * (j2 + 2.0))})
+    return _sym_bands({0: -(2.0 * j + 1.0), 2: np.sqrt((j2 + 1.0) * (j2 + 2.0))})
 
 
-def _window_comm2(n: int) -> np.ndarray:
+def _window_comm2(n: int) -> _Bands:
     """a^2 - (a^dag)^2."""
     j2 = np.arange(n - 2, dtype=np.float64)
-    return _antisym_banded(n, {2: np.sqrt((j2 + 1.0) * (j2 + 2.0))})
+    return _antisym_bands({2: np.sqrt((j2 + 1.0) * (j2 + 2.0))})
 
 
-def _window_alpha_quart(n: int) -> np.ndarray:
+def _window_alpha_quart(n: int) -> _Bands:
     """(a + a^dag)^4, exact pentadiagonal elements of the full operator."""
     j = np.arange(n, dtype=np.float64)
     j2 = j[: n - 2]
     j4 = j[: n - 4]
-    return _sym_banded(
-        n,
+    return _sym_bands(
         {
             0: 6.0 * j * j + 6.0 * j + 3.0,
             2: (4.0 * j2 + 6.0) * np.sqrt((j2 + 1.0) * (j2 + 2.0)),
             4: np.sqrt((j4 + 1.0) * (j4 + 2.0) * (j4 + 3.0) * (j4 + 4.0)),
-        },
+        }
     )
 
 
-def _window_cubic(n: int) -> np.ndarray:
+def _window_cubic(n: int) -> _Bands:
     """(a - a^dag)(a + a^dag)^2 + (a + a^dag)^2 (a - a^dag)."""
     j1 = np.arange(n - 1, dtype=np.float64)
     j3 = np.arange(n - 3, dtype=np.float64)
-    return _antisym_banded(
-        n,
+    return _antisym_bands(
         {
             1: 2.0 * (j1 + 1.0) ** 1.5,
             3: 2.0 * np.sqrt((j3 + 1.0) * (j3 + 2.0) * (j3 + 3.0)),
-        },
+        }
     )
 
 
-def _level_interleaved(n: int) -> np.ndarray:
-    """Band order of a 3x3 block matrix with n oscillator levels per block.
+def _block_operator(blocks: dict, n: int, stride: int) -> HermitianOperatorMatrix:
+    """A 3x3 block operator on n oscillator levels per block, in band storage.
 
-    Position 3k+b holds block b at level n-1-k, highest level first.  Every
-    block is a band of half-width w in the level, so the reordered matrix is
-    a band of half-width 3w+2.
+    ``blocks`` maps (a, b) to the _Bands of block row a, column b; index
+    b*n + j is block b at level j.  The levels split into ``stride``
+    classes mod stride, which no block may couple, and each class becomes
+    one band block: position 3k+b holds block b at the k-th level of the
+    class counted from the highest, so a block band of half-width w in the
+    level becomes a band of half-width 3w/stride + 2.  Every entry below
+    the diagonal is written from its own block and checked to equal the
+    conjugate of its mirror, so the matrix is exactly Hermitian.
     """
-    levels = np.arange(n - 1, -1, -1)
-    return (n * np.arange(3) + levels[:, None]).ravel()
+    dtype = np.result_type(*(v for bands in blocks.values() for v in bands.values()))
+    kd = max(abs(3 * o // stride + a - b) for (a, b), bands in blocks.items() for o in bands)
+    out = []
+    for r in range(stride):
+        levels = np.arange(r, n, stride)
+        top, dim = int(levels[-1]), 3 * levels.size
+        lower = np.zeros((kd + 1, dim), dtype=dtype)
+        mirror = np.zeros_like(lower)
+        for (a, b), bands in blocks.items():
+            for o, values in bands.items():
+                if o % stride:
+                    raise ValueError(f"offset {o} couples levels of different classes")
+                row = np.arange(values.size) + max(-o, 0)
+                keep = row % stride == r
+                pos = 3 * ((top - row[keep]) // stride) + a
+                d = 3 * o // stride + a - b
+                if d >= 0:
+                    lower[d, pos - d] = values[keep]
+                if d <= 0:
+                    mirror[-d, pos] = np.conj(values[keep])
+        if not np.array_equal(lower, mirror):
+            raise ValueError("blocks are not exactly conjugate symmetric")
+        # position 3k+b holds index b*n + levels[-1-k]
+        idx = (n * np.arange(3) + levels[::-1, None]).ravel()
+        width = max(np.flatnonzero(np.any(lower != 0.0, axis=1)), default=0)
+        out.append((idx, lower[: width + 1]))
+    return HermitianOperatorMatrix.from_blocks(out)
 
 
 def scalar_S(alpha: float, beta: float, g: GradedMetric) -> HermitianOperatorMatrix:
@@ -319,7 +416,13 @@ def schrodinger_S(
     The oscillator frequency 2*pi*|hbar| balances the two horizontal
     generators to equal operator norms, which is the best-conditioned
     truncation.  Every block below is the exact band form of the full
-    operator, so the assembled matrix is exactly Hermitian by construction.
+    operator, so the matrix is exactly Hermitian by construction.
+
+    The matrix is written in the basis (e_j, i*e_j, e_j) of the three
+    blocks, that is conjugated by diag(1, i, 1), which makes every entry
+    real.  The blocks couple level j only to j and j+-2, so even and odd
+    levels never meet: the matrix is two real symmetric band blocks, one
+    per level parity, each of half-width 5 with the highest level first.
     """
     if basis_size < 8:
         raise ValueError("basis_size must be at least 8")
@@ -327,24 +430,26 @@ def schrodinger_S(
     p, ca, cb, v = _metric_factors(g)
     sgn = 1.0 if params.hbar > 0 else -1.0
     omega = 2.0 * math.pi * abs(params.hbar)
-    # X1^2 = (omega/2)(a - a^dag)^2, X2^2 = -(omega/2)(a + a^dag)^2, X3 = i*sgn*omega
+    # X1^2 = (omega/2)(a - a^dag)^2, X2^2 = -(omega/2)(a + a^dag)^2, X3 = i*sgn*omega;
+    # the (0,1) block i*c*B and the (1,2) block -i*c*D become -c*B and -c*D
     bmat = _window_alpha_sq(n)
     dmat = _window_delta_sq(n)
     amat = _window_comm2(n)
-    eye = np.eye(n)
-    s = np.zeros((3 * n, 3 * n), dtype=np.complex128)
-    blk01 = (1j * (ca * omega / 2.0)) * bmat
-    blk12 = (-1j * (cb * omega / 2.0)) * dmat
-    s[0:n, n : 2 * n] = blk01
-    s[n : 2 * n, 0:n] = -blk01
-    s[n : 2 * n, 2 * n : 3 * n] = blk12
-    s[2 * n : 3 * n, n : 2 * n] = -blk12
-    s[n : 2 * n, n : 2 * n] = (-1.5 * p * v * sgn * omega) * eye
-    s[0:n, 2 * n : 3 * n] = (p * sgn * omega) * (1.5 * eye - 0.5 * amat)
-    s[2 * n : 3 * n, 0:n] = (p * sgn * omega) * (1.5 * eye + 0.5 * amat)
+    eye = _window_eye(n)
+    blk01 = (-(ca * omega / 2.0)) * bmat
+    blk12 = (-(cb * omega / 2.0)) * dmat
+    blocks = {
+        (0, 1): blk01,
+        (1, 0): blk01,
+        (1, 2): blk12,
+        (2, 1): blk12,
+        (1, 1): (-1.5 * p * v * sgn * omega) * eye,
+        (0, 2): (p * sgn * omega) * (1.5 * eye - 0.5 * amat),
+        (2, 0): (p * sgn * omega) * (1.5 * eye + 0.5 * amat),
+    }
     if params.orientation_sign < 0:
-        s = -s
-    return HermitianOperatorMatrix(s, _level_interleaved(n))
+        blocks = {key: -bands for key, bands in blocks.items()}
+    return _block_operator(blocks, n, stride=2)
 
 
 def generic_S(
@@ -354,7 +459,10 @@ def generic_S(
 
     Oscillator frequency 2*pi*(lam^2 + mu^2)^(1/3); the quartic and cubic
     oscillator words entering the squares of the horizontal generators are
-    written out as exact band matrices of the full operators.
+    written out as exact band matrices of the full operators.  No diagonal
+    phase makes this matrix real, and its odd offsets couple even and odd
+    levels, so it is one complex band block of half-width 14, its three
+    blocks interleaved by oscillator level with the highest level first.
     """
     if basis_size < 8:
         raise ValueError("basis_size must be at least 8")
@@ -372,7 +480,7 @@ def generic_S(
     deriv_sq = (omega / 2.0) * _window_delta_sq(n)
     theta_sq = _window_alpha_sq(n) / (2.0 * omega)
     theta_quart = _window_alpha_quart(n) / (4.0 * omega * omega)
-    eye = np.eye(n)
+    eye = _window_eye(n)
 
     # t = (theta^2 + kappa)/2; ys = (deriv t + t deriv)/2, antisymmetric
     t_sq = 0.25 * (theta_quart + (2.0 * kappa) * theta_sq + (kappa * kappa) * eye)
@@ -384,15 +492,16 @@ def generic_S(
     y2 = 4.0 * math.pi * cl * cm
     yw = 2.0 * math.pi * (cl * cl - cm * cm)
 
-    s = np.zeros((3 * n, 3 * n), dtype=np.complex128)
-    s[0:n, n : 2 * n] = (ca * y2) * ys - (1j * ca) * r2
-    s[n : 2 * n, 0:n] = (-(ca * y2)) * ys + (1j * ca) * r2
-    s[n : 2 * n, 2 * n : 3 * n] = (cb * y1) * ys - (1j * cb) * r1
-    s[2 * n : 3 * n, n : 2 * n] = (-(cb * y1)) * ys + (1j * cb) * r1
-    s[n : 2 * n, n : 2 * n] = (-3.0 * math.pi * d * p * v) * theta
-    s[0:n, 2 * n : 3 * n] = (3.0 * math.pi * d * p) * theta - (p * yw) * ys + (1j * p) * rw
-    s[2 * n : 3 * n, 0:n] = (3.0 * math.pi * d * p) * theta + (p * yw) * ys - (1j * p) * rw
-    return HermitianOperatorMatrix(s, _level_interleaved(n))
+    blocks = {
+        (0, 1): (ca * y2) * ys - (1j * ca) * r2,
+        (1, 0): (-(ca * y2)) * ys + (1j * ca) * r2,
+        (1, 2): (cb * y1) * ys - (1j * cb) * r1,
+        (2, 1): (-(cb * y1)) * ys + (1j * cb) * r1,
+        (1, 1): (-3.0 * math.pi * d * p * v) * theta,
+        (0, 2): (3.0 * math.pi * d * p) * theta - (p * yw) * ys + (1j * p) * rw,
+        (2, 0): (3.0 * math.pi * d * p) * theta + (p * yw) * ys - (1j * p) * rw,
+    }
+    return _block_operator(blocks, n, stride=1)
 
 
 def closed_form_schrodinger_spectrum(
@@ -417,64 +526,69 @@ def closed_form_schrodinger_spectrum(
     return values
 
 
-def _lower_band(m: HermitianOperatorMatrix) -> np.ndarray:
-    """The matrix in ``band_order``, in LAPACK lower band storage.
+def closed_form_error(trusted, params: SchrodingerParams, g: GradedMetric) -> float:
+    """Largest relative error of trusted eigenvalues against the closed form.
 
-    Row d holds the d-th subdiagonal: ab[d, j] is entry (j + d, j) of the
-    reordered matrix.  The half-bandwidth kd is read off the nonzero
-    pattern; the band is gathered straight from the dense entries, so no
-    reordered copy of the matrix is made.
+    The trusted eigenvalues of a Schrodinger truncation and the closed-form
+    values (``closed_form_schrodinger_spectrum``, so g44 = g55) are both
+    sorted by magnitude and compared in that order.  An empty window gives 0.
     """
-    order = m.band_order
-    pos = np.empty_like(order)
-    pos[order] = np.arange(m.dim)
-    rows, cols = np.nonzero(m.entries)
-    kd = int(np.max(np.abs(pos[rows] - pos[cols]), initial=0))
-    j = np.arange(m.dim)
-    # rows past the end fill the bottom-right triangle, which LAPACK never reads
-    i = np.minimum(j + np.arange(kd + 1)[:, None], m.dim - 1)
-    return m.entries[order[i], order[j]]
+    by_abs = sorted(trusted, key=abs)
+    if not by_abs:
+        return 0.0
+    exact = sorted(closed_form_schrodinger_spectrum(params, g, 2 * len(by_abs)), key=abs)
+    return float(max(abs(t - e) / abs(e) for t, e in zip(by_abs, exact)))
 
 
 def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending (LAPACK zhbevx).
+    """All eigenvalues of a Hermitian matrix, ascending (LAPACK ?sbevx/?hbevx).
 
-    The matrix is read in its ``band_order`` as a band of half-width kd:
-    8 for ``schrodinger_S`` and 14 for ``generic_S``, whose blocks are
-    interleaved by oscillator level, and at most dim - 1 otherwise.  LAPACK
-    reduces the band to tridiagonal form (zhbtrd) in O(kd * dim^2) instead
-    of the dense O(dim^3).  Asking for the eigenvalues in (-inf, inf]
-    rather than for all of them makes it find them by bisection (dstebz,
-    abstol 0), which returns them in ascending order and is more accurate
-    than the all-eigenvalue QR path (dsterf).  The interleaving puts the
-    highest oscillator level, where the entries are largest, first: the
-    reduction starts there.  Against extended-precision Rayleigh quotients
-    at N = 512 this errs by at most 8e-15 of the spectral radius, where the
-    lowest level first errs by up to 2.7e-14.
+    Each band block of the matrix is solved on its own, real ones by
+    dsbevx and complex ones by zhbevx, and the eigenvalues are merged.
+    ``schrodinger_S``, written in the basis (e_j, i*e_j, e_j), is two real
+    blocks of half-width 5, one per oscillator level parity; ``generic_S``
+    is one complex block of half-width 14.  LAPACK reduces a band to
+    tridiagonal form in O(kd * dim^2) instead of the dense O(dim^3).
+    Asking for the eigenvalues in (-inf, inf] rather than for all of them
+    makes it find them by bisection (dstebz, abstol 0), which returns them
+    in ascending order and is more accurate than the all-eigenvalue QR path
+    (dsterf).  The oracle's bands put the highest oscillator level, where
+    the entries are largest, first: the reduction starts there.  Against
+    extended-precision Rayleigh quotients at N = 512 this errs by 8.7e-15
+    (Schrodinger, skewed metric), 1.1e-14 (proportional) and 1.1e-15
+    (generic) of the spectral radius, where the lowest level first errs by
+    up to 3.1e-14.
 
     A LAPACK failure or a missing eigenvalue raises.  The eigenvalues must
     reproduce the trace to dim*eps*||S||_F and the squared Frobenius norm
-    to dim*eps*||S||_F^2, otherwise the computation is internally
-    inconsistent.
+    to dim*eps*||S||_F^2, both read off the bands, otherwise the
+    computation is internally inconsistent.
     """
     import scipy.linalg.lapack  # deferred: only oracle commands pay for the import
 
-    ab = _lower_band(m)
-    (hbevx,) = scipy.linalg.lapack.get_lapack_funcs(("hbevx",), (ab,))
-    w, _, count, _, info = hbevx(
-        ab, -np.inf, np.inf, 1, m.dim, compute_v=0, range=1, lower=1, abstol=0.0
-    )
-    if info != 0 or count != m.dim:
-        raise SpectralPairingError(
-            f"zhbevx returned info={info} and {count} of {m.dim} eigenvalues"
+    parts = []
+    trace = fro_sq = 0.0
+    for idx, ab in m.blocks:
+        routine = "zhbevx" if np.iscomplexobj(ab) else "dsbevx"
+        (solver,) = scipy.linalg.lapack.get_lapack_funcs((routine[1:],), (ab,))
+        w, _, count, _, info = solver(
+            ab, -np.inf, np.inf, 1, idx.size, compute_v=0, range=1, lower=1,
+            abstol=0.0, overwrite_ab=0,
         )
-    a = m.entries
-    # the squared norm straight from the entries: squaring a rounded norm
-    # would spend part of the bound at small dims
-    fro_sq = float(np.vdot(a, a).real)
+        if info != 0 or count != idx.size:
+            raise SpectralPairingError(
+                f"{routine} returned info={info} and {count} of {idx.size} eigenvalues"
+            )
+        parts.append(w)
+        trace += float(np.sum(ab[0].real))
+        # each subdiagonal stands for two entries; the padding is zero.  The
+        # squared norm comes straight from the entries: squaring a rounded
+        # norm would spend part of the bound at small dims
+        fro_sq += 2.0 * float(np.vdot(ab, ab).real) - float(np.vdot(ab[0], ab[0]).real)
+    w = np.sort(np.concatenate(parts))
     fro = math.sqrt(fro_sq)
     tol = m.dim * np.finfo(np.float64).eps
-    trace_err = abs(float(np.sum(w)) - float(np.sum(a.diagonal().real)))
+    trace_err = abs(float(np.sum(w)) - trace)
     norm_err = abs(float(np.dot(w, w)) - fro_sq)
     if not (trace_err <= tol * fro and norm_err <= tol * fro_sq):
         raise SpectralPairingError(

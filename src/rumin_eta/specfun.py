@@ -302,14 +302,29 @@ def _pole_pair(m, delta, log_neg_mu):
     return riemann_zeta_regular(1.0 + delta) - ratio * _phi_expm1(ratio * delta)
 
 
+def _gamma_power(s, log_neg_mu):
+    # Gamma(1-s) (-mu)^{s-1}, the first term of the zeta series. At large
+    # |Im s| the Gamma factor underflows while the power overflows (at
+    # s = 1.5+600i, b = 1e-6 the exponent's real part is 936), so where the
+    # direct product is not finite or is zero it is formed in log space
+    try:
+        value = gamma_fn(1.0 - s) * cmath.exp((s - 1.0) * log_neg_mu)
+    except OverflowError:
+        value = math.inf
+    if value != 0.0 and cmath.isfinite(value):
+        return value
+    return cmath.exp(complex(_scipy_loggamma(1.0 - s)) + (s - 1.0) * log_neg_mu)
+
+
 def _polylog_zeta_series(s, b):
     # Li_s(e^mu) = Gamma(1-s) (-mu)^{s-1} + sum_k zeta(s-k) mu^k/k!, |mu| < 2 pi
     # (D. C. Wood, "The Computation of Polylogarithms", 1992; R. Crandall,
     # "Note on fast polylogarithm computation", 2006), with mu = 2 pi i b,
     # 0 < |b| <= 1/2, so |mu| <= pi. Returns None where the sum cannot be
     # trusted: where its terms cancel too much for their rounding errors
-    # (see _MAX_CANCELLATION; the cancellation grows like e^{|b Im s|}) and
-    # where its zeta values overflow, from |Im s| ~ 450.
+    # (see _MAX_CANCELLATION; the cancellation grows like e^{|b Im s|}, and
+    # the allowance shrinks like 1/|Im s|, so from |Im s| ~ 1000 even a
+    # tiny b fails) and where a term overflows.
     mu = 2j * math.pi * b
     log_neg_mu = complex(math.log(2.0 * math.pi * abs(b)), -math.copysign(0.5 * math.pi, b))
     n = round(s.real)
@@ -328,7 +343,7 @@ def _polylog_zeta_series(s, b):
     log_b = math.log(abs(b))
     power = 1.0 + 0j  # mu^k/k!
     try:
-        acc = 0j if pair is not None else gamma_fn(1.0 - s) * cmath.exp((s - 1.0) * log_neg_mu)
+        acc = 0j if pair is not None else _gamma_power(s, log_neg_mu)
         magnitude = abs(acc)  # sum of |terms|, the scale of the rounding error
         k = 0
         while True:
@@ -417,18 +432,20 @@ def polylog_circle(s, a):
     singular there are combined analytically, so integer orders and orders
     next to them cost no accuracy.
 
-    The series' terms cancel by about e^{|b Im s|} and its zeta values
-    overflow from |Im s| of about 450. Where that could cost accuracy
-    (from |b Im s| of about 3), the value is instead the direct sum over
+    The series' terms cancel by about e^{|b Im s|}, and their rounding
+    errors grow with |Im s|. Where that could cost accuracy (from
+    |b Im s| of about 3, and for any b from |Im s| of about 1000-2000),
+    the value is instead the direct sum over
     n < N = 4 (|s| + 40)/(2 pi |b|) plus Boole's expansion of the rest in
     Hurwitz zeta values at integers, which does not cancel; or, where
     shorter, the plain sum up to an Abel tail bound of 1e-12.
 
     Accurate to 1e-11 * max(1, |Li|) (measured against mpmath: at most
     2e-13 for a from 1e-5 to 0.999, Re s from 1.001 to 31, s within 1e-13
-    to 0.2 of 2..7 and |Im s| up to 455). Raises ValueError where the
-    direct route would need more than 2^23 terms: only for |Im s| above
-    450 with a within about 1e-4 of an integer (closer for Re s > 2).
+    to 0.2 of 2..7 and |Im s| up to 455; 2.5e-14 at |Im s| of 460 and 600
+    with a within 1e-4 of an integer). Raises ValueError where the direct
+    route would need more than 2^23 terms: only for |Im s| above about
+    1000 with a within about 1e-4 of an integer (closer for Re s > 2).
     """
     s = complex(s)
     if s.real <= 1.0:

@@ -35,6 +35,7 @@ from .rep_oracle import (
     GradedMetric,
     GenericRepParams,
     SchrodingerParams,
+    closed_form_error,
     closed_form_schrodinger_spectrum,
     default_truncation,
     generic_S,
@@ -205,8 +206,7 @@ def _schrodinger_window_error(basis_size: int, k: int = 8) -> float:
     trusted = sorted(trusted_window(eigs, cfg), key=abs)[:k]
     if not trusted:
         return math.inf
-    exact = sorted(closed_form_schrodinger_spectrum(params, g, 4 * k), key=abs)
-    return max(abs(t - e) / abs(e) for t, e in zip(trusted, exact))
+    return closed_form_error(trusted, params, g)
 
 
 def criterion_schrodinger_oracle(basis_size: int = 256) -> dict:

@@ -1,6 +1,7 @@
 """Representation matrices, truncated spectra, and the closed-form oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumin_eta import cli
+from rumin_eta import cli, rep_oracle
 from rumin_eta.rep_oracle import (
     GenericRepParams,
     GradedMetric,
@@ -18,6 +19,7 @@ from rumin_eta.rep_oracle import (
     SchrodingerParams,
     SpectralPairingError,
     TruncationConfig,
+    closed_form_error,
     closed_form_schrodinger_spectrum,
     default_truncation,
     generic_S,
@@ -269,61 +271,251 @@ def _nan_one(w):
     return w
 
 
-@pytest.mark.parametrize("spoil", [_shift_top, _swap_mass, _nan_one])
-def test_consistency_check_catches_a_bad_solver(monkeypatch, spoil):
-    mat = schrodinger_S(SchrodingerParams(hbar=1.0), IDENTITY_METRIC, 16)
+_SPOILED_MATRICES = {
+    # two real parity blocks (dsbevx) and one complex block (zhbevx)
+    "schrodinger": lambda: schrodinger_S(SchrodingerParams(hbar=1.0), IDENTITY_METRIC, 16),
+    "generic": lambda: generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, 16),
+}
+
+
+def _over_both_reps(values, first, name=lambda v: v.__name__):
+    """Parameters (value, rep) for both reps; the ``first`` rep keeps the bare id."""
+    other = "generic" if first == "schrodinger" else "schrodinger"
+    return [
+        pytest.param(v, rep, id=name(v) if rep == first else f"{name(v)}-{rep}")
+        for v in values
+        for rep in (first, other)
+    ]
+
+
+@pytest.mark.parametrize(
+    "spoil, rep", _over_both_reps([_shift_top, _swap_mass, _nan_one], "schrodinger")
+)
+def test_consistency_check_catches_a_bad_solver(monkeypatch, spoil, rep):
+    mat = _SPOILED_MATRICES[rep]()
     assert hermitian_eigenvalues(mat).size == 48
     _patch_solver(monkeypatch, spoil)
     with pytest.raises(SpectralPairingError):
         hermitian_eigenvalues(mat)
 
 
-@pytest.mark.parametrize("spoil", [_shift_top, _nan_one])
-def test_spectrum_exits_3_on_a_bad_solver(monkeypatch, spoil):
+_SPOILED_ARGV = {
+    "schrodinger": ["--rep", "schroedinger", "--hbar", "1"],
+    "generic": ["--rep", "generic", "--lambda", "1", "--mu", "0.5"],
+}
+
+
+@pytest.mark.parametrize("spoil, rep", _over_both_reps([_shift_top, _nan_one], "generic"))
+def test_spectrum_exits_3_on_a_bad_solver(monkeypatch, spoil, rep):
     _patch_solver(monkeypatch, spoil)
     result = CliRunner().invoke(
-        cli.main,
-        ["spectrum", "--rep", "generic", "--lambda", "1", "--mu", "0.5",
-         "--basis-size", "16"],
+        cli.main, ["spectrum", *_SPOILED_ARGV[rep], "--basis-size", "16"]
     )
     assert result.exit_code == 3
     assert "internal inconsistency" in result.stderr
     assert result.stdout == ""
 
 
+def _bisection_failed(out):
+    return tuple(out[:4]) + (1,)  # info > 0
+
+
+def _one_missing(out):
+    return tuple(out[:2]) + (out[2] - 1,) + tuple(out[3:])
+
+
 @pytest.mark.parametrize(
-    "change",
-    [
-        lambda out: tuple(out[:4]) + (1,),  # info > 0: bisection failed
-        lambda out: tuple(out[:2]) + (out[2] - 1,) + tuple(out[3:]),  # one missing
-    ],
-    ids=["info", "count"],
+    "change, rep",
+    _over_both_reps(
+        [_bisection_failed, _one_missing], "generic",
+        name={_bisection_failed: "info", _one_missing: "count"}.get,
+    ),
 )
-def test_solver_failure_raises_instead_of_a_partial_spectrum(monkeypatch, change):
-    mat = generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, 16)
+def test_solver_failure_raises_instead_of_a_partial_spectrum(monkeypatch, change, rep):
+    mat = _SPOILED_MATRICES[rep]()
     _patch_lapack(monkeypatch, change)
-    with pytest.raises(SpectralPairingError, match="zhbevx"):
+    routine = "zhbevx" if rep == "generic" else "dsbevx"
+    with pytest.raises(SpectralPairingError, match=routine):
         hermitian_eigenvalues(mat)
 
 
 def _half_bandwidth(mat):
-    order = mat.band_order
-    rows, cols = np.nonzero(mat.entries[np.ix_(order, order)])
-    return int(np.max(np.abs(rows - cols)))
+    return [band.shape[0] - 1 for _, band in mat.blocks]
 
 
-@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("n", [16, 64, 65])
 def test_band_order_makes_the_oracle_matrices_narrow(n):
     # a layout regression must not fall back silently to a full band
     g = GradedMetric(1.3, 0.8, 1.1)
     schro = schrodinger_S(SchrodingerParams(hbar=0.7), g, n)
     gen = generic_S(GenericRepParams(1.0, 0.5, 0.3), g, n)
-    assert _half_bandwidth(schro) == 8
-    assert _half_bandwidth(gen) == 14
-    # highest oscillator level first: position 3k + b is block b, level n-1-k
-    assert list(schro.band_order[:3]) == [n - 1, 2 * n - 1, 3 * n - 1]
-    assert list(gen.band_order[-3:]) == [0, n, 2 * n]
-    assert np.array_equal(scalar_S(1.0, 0.5, g).band_order, np.arange(3))
+    assert _half_bandwidth(schro) == [5, 5]
+    assert _half_bandwidth(gen) == [14]
+    # Schrodinger: one block per level parity, highest level first; position
+    # 3k + b is block b at the k-th level of the parity counted from the top
+    (even, _), (odd, _) = schro.blocks
+    assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(3 * n))
+    assert np.all(even % n % 2 == 0) and np.all(odd % n % 2 == 1)
+    top = (n - 1) - (n - 1) % 2
+    assert list(even[:6]) == [top, n + top, 2 * n + top, top - 2, n + top - 2, 2 * n + top - 2]
+    assert list(odd[-3:]) == [1, n + 1, 2 * n + 1]
+    # no entry couples the two parity blocks
+    dense = schro.entries
+    assert not np.any(dense[np.ix_(even, odd)])
+    assert schro.dim == gen.dim == 3 * n
+    # generic: position 3k + b is block b at level n-1-k
+    (order, _), = gen.blocks
+    assert list(order[:3]) == [n - 1, 2 * n - 1, 3 * n - 1]
+    assert list(order[-3:]) == [0, n, 2 * n]
+    (order, _), = scalar_S(1.0, 0.5, g).blocks
+    assert np.array_equal(order, np.arange(3))
+
+
+def _dense_sym_banded(n, bands):
+    m = np.zeros((n, n))
+    for offset, values in bands.items():
+        if offset == 0:
+            np.fill_diagonal(m, values)
+        else:
+            idx = np.arange(n - offset)
+            m[idx, idx + offset] = values
+            m[idx + offset, idx] = values
+    return m
+
+
+def _dense_antisym_banded(n, bands):
+    m = np.zeros((n, n))
+    for offset, values in bands.items():
+        idx = np.arange(n - offset)
+        m[idx, idx + offset] = values
+        m[idx + offset, idx] = -values
+    return m
+
+
+def _dense_windows(n):
+    """The oscillator windows as dense n x n matrices, as first assembled."""
+    j = np.arange(n, dtype=np.float64)
+    j1, j2, j3, j4 = j[: n - 1], j[: n - 2], j[: n - 3], j[: n - 4]
+    root2 = np.sqrt((j2 + 1.0) * (j2 + 2.0))
+    return {
+        "alpha": _dense_sym_banded(n, {1: np.sqrt(j1 + 1.0)}),
+        "delta": _dense_antisym_banded(n, {1: np.sqrt(j1 + 1.0)}),
+        "alpha_sq": _dense_sym_banded(n, {0: 2.0 * j + 1.0, 2: root2}),
+        "delta_sq": _dense_sym_banded(n, {0: -(2.0 * j + 1.0), 2: root2}),
+        "comm2": _dense_antisym_banded(n, {2: root2}),
+        "alpha_quart": _dense_sym_banded(n, {
+            0: 6.0 * j * j + 6.0 * j + 3.0,
+            2: (4.0 * j2 + 6.0) * root2,
+            4: np.sqrt((j4 + 1.0) * (j4 + 2.0) * (j4 + 3.0) * (j4 + 4.0)),
+        }),
+        "cubic": _dense_antisym_banded(n, {
+            1: 2.0 * (j1 + 1.0) ** 1.5,
+            3: 2.0 * np.sqrt((j3 + 1.0) * (j3 + 2.0) * (j3 + 3.0)),
+        }),
+    }
+
+
+def _metric_factors(g):
+    p = 1.0 / math.sqrt(g.g33)
+    ca = p * math.sqrt(g.g44 / (g.g44 + g.g55))
+    cb = p * math.sqrt(g.g55 / (g.g44 + g.g55))
+    v = 2.0 * math.sqrt(g.g44 * g.g55) / (g.g44 + g.g55)
+    return p, ca, cb, v
+
+
+def _dense_schrodinger(params, g, n):
+    """The dense 3n x 3n Schrodinger truncation in the basis (e_j, e_j, e_j)."""
+    p, ca, cb, v = _metric_factors(g)
+    sgn = 1.0 if params.hbar > 0 else -1.0
+    omega = 2.0 * math.pi * abs(params.hbar)
+    w = _dense_windows(n)
+    eye = np.eye(n)
+    s = np.zeros((3 * n, 3 * n), dtype=np.complex128)
+    blk01 = (1j * (ca * omega / 2.0)) * w["alpha_sq"]
+    blk12 = (-1j * (cb * omega / 2.0)) * w["delta_sq"]
+    s[0:n, n : 2 * n] = blk01
+    s[n : 2 * n, 0:n] = -blk01
+    s[n : 2 * n, 2 * n : 3 * n] = blk12
+    s[2 * n : 3 * n, n : 2 * n] = -blk12
+    s[n : 2 * n, n : 2 * n] = (-1.5 * p * v * sgn * omega) * eye
+    s[0:n, 2 * n : 3 * n] = (p * sgn * omega) * (1.5 * eye - 0.5 * w["comm2"])
+    s[2 * n : 3 * n, 0:n] = (p * sgn * omega) * (1.5 * eye + 0.5 * w["comm2"])
+    return -s if params.orientation_sign < 0 else s
+
+
+def _dense_generic(params, g, n):
+    """The dense 3n x 3n generic truncation."""
+    p, ca, cb, v = _metric_factors(g)
+    d = (params.lam**2 + params.mu**2) ** (1.0 / 3.0)
+    cl, cm, kappa = params.lam / d, params.mu / d, params.nu / (d * d)
+    omega = 2.0 * math.pi * d
+    pi_sq4 = 4.0 * math.pi**2
+    w = _dense_windows(n)
+    theta = w["alpha"] / math.sqrt(2.0 * omega)
+    deriv = math.sqrt(omega / 2.0) * w["delta"]
+    deriv_sq = (omega / 2.0) * w["delta_sq"]
+    theta_sq = w["alpha_sq"] / (2.0 * omega)
+    theta_quart = w["alpha_quart"] / (4.0 * omega * omega)
+    eye = np.eye(n)
+    t_sq = 0.25 * (theta_quart + (2.0 * kappa) * theta_sq + (kappa * kappa) * eye)
+    ys = w["cubic"] / (8.0 * math.sqrt(2.0 * omega)) + (0.5 * kappa) * deriv
+    r1 = (cl * cl) * deriv_sq - (pi_sq4 * cm * cm) * t_sq
+    r2 = (cm * cm) * deriv_sq - (pi_sq4 * cl * cl) * t_sq
+    rw = (cl * cm) * deriv_sq + (pi_sq4 * cl * cm) * t_sq
+    y1, y2 = -4.0 * math.pi * cl * cm, 4.0 * math.pi * cl * cm
+    yw = 2.0 * math.pi * (cl * cl - cm * cm)
+    s = np.zeros((3 * n, 3 * n), dtype=np.complex128)
+    s[0:n, n : 2 * n] = (ca * y2) * ys - (1j * ca) * r2
+    s[n : 2 * n, 0:n] = (-(ca * y2)) * ys + (1j * ca) * r2
+    s[n : 2 * n, 2 * n : 3 * n] = (cb * y1) * ys - (1j * cb) * r1
+    s[2 * n : 3 * n, n : 2 * n] = (-(cb * y1)) * ys + (1j * cb) * r1
+    s[n : 2 * n, n : 2 * n] = (-3.0 * math.pi * d * p * v) * theta
+    s[0:n, 2 * n : 3 * n] = (3.0 * math.pi * d * p) * theta - (p * yw) * ys + (1j * p) * rw
+    s[2 * n : 3 * n, 0:n] = (3.0 * math.pi * d * p) * theta + (p * yw) * ys - (1j * p) * rw
+    return s
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 33])
+def test_band_assembly_matches_the_dense_assembly(n):
+    # entry for entry the same floating-point operations as the dense matrix;
+    # Schrodinger is written in the basis (e_j, i e_j, e_j), which makes it real
+    for params, g in (
+        (SchrodingerParams(hbar=0.7), GradedMetric(1.3, 0.8, 1.1)),
+        (SchrodingerParams(hbar=-1.2, orientation_sign=-1), GradedMetric(0.9, 1.4, 1.4)),
+    ):
+        u = np.repeat([1.0, 1j, 1.0], n)
+        want = u.conj()[:, None] * _dense_schrodinger(params, g, n) * u
+        got = schrodinger_S(params, g, n).entries
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, want)
+        assert not np.any(got.imag)
+    for params in (GenericRepParams(1.0, 0.5, 0.3), GenericRepParams(0.0, -1.1, 0.0),
+                   GenericRepParams(-0.7, 1.3, -0.4)):
+        g = GradedMetric(1.3, 0.8, 1.1)
+        assert np.array_equal(generic_S(params, g, n).entries, _dense_generic(params, g, n))
+
+
+def test_band_assembly_builds_no_dense_matrix():
+    # the dense 12288 x 12288 complex matrix at N = 4096 would take 2.4 GB
+    tracemalloc.start()
+    try:
+        for mat in (
+            schrodinger_S(SchrodingerParams(hbar=0.7), GradedMetric(1.3, 0.8, 1.1), 4096),
+            generic_S(GenericRepParams(1.0, 0.5, 0.3), GradedMetric(1.3, 0.8, 1.1), 4096),
+        ):
+            assert mat.dim == 3 * 4096
+            assert sum(idx.size for idx, _ in mat.blocks) == mat.dim
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+def test_blocks_must_be_conjugate_symmetric():
+    with pytest.raises(ValueError, match="conjugate symmetric"):
+        rep_oracle._block_operator({(0, 1): rep_oracle._window_alpha(8)}, 8, stride=1)
+    with pytest.raises(ValueError, match="classes"):
+        rep_oracle._block_operator({(0, 0): rep_oracle._window_alpha(8)}, 8, stride=2)
 
 
 def test_band_order_must_be_a_permutation():
@@ -395,6 +587,34 @@ def test_pairing_symmetry_matches_both_former_formulas():
         got = pairing_symmetry(window)
         assert got == _pairing_as_cli_computed(window) == _pairing_as_c8_computed(window)
         assert got == pairing_symmetry(window[::-1])
+
+
+def _closed_form_as_cli_computed(trusted, params, g):
+    # the spectrum sidecar's formula before it moved into closed_form_error
+    exact = sorted(closed_form_schrodinger_spectrum(params, g, 2 * len(trusted)), key=abs)
+    by_abs = sorted(trusted, key=abs)
+    return float(max((abs(t - e) / abs(e) for t, e in zip(by_abs, exact)), default=0.0))
+
+
+def _closed_form_as_c6_computed(trusted, params, g, k=8):
+    # criterion C6's formula before it moved into closed_form_error
+    trusted = sorted(trusted, key=abs)[:k]
+    exact = sorted(closed_form_schrodinger_spectrum(params, g, 4 * k), key=abs)
+    return max(abs(t - e) / abs(e) for t, e in zip(trusted, exact))
+
+
+def test_closed_form_error_matches_both_former_formulas():
+    assert closed_form_error([], SchrodingerParams(hbar=1.0), IDENTITY_METRIC) == 0.0
+    for n, hbar, g in ((32, 1.0, IDENTITY_METRIC), (64, -0.7, GradedMetric(1.3, 0.6, 0.6)),
+                       (96, 1.9, GradedMetric(0.5, 2.0, 2.0))):
+        params = SchrodingerParams(hbar=hbar)
+        eigs = hermitian_eigenvalues(schrodinger_S(params, g, n))
+        trusted = sorted(trusted_window(eigs, default_truncation(n, schrodinger_scale(params, g))))
+        got = closed_form_error(trusted, params, g)
+        assert got == _closed_form_as_cli_computed(trusted, params, g)
+        window = sorted(trusted, key=abs)[:8]
+        assert closed_form_error(window, params, g) == _closed_form_as_c6_computed(trusted, params, g)
+        assert 0.0 < got < 1e-3
 
 
 def test_consistency_check_margin_on_oracle_matrices():

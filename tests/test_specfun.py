@@ -228,11 +228,28 @@ def test_orders_next_to_integers_stay_on_the_zeta_series():
             assert specfun._polylog_zeta_series(complex(s), b) is not None, (s, b)
 
 
-def test_polylog_circle_raises_where_the_direct_route_is_too_long():
-    # |Im s| = 600 overflows the zeta series, and a = 1e-6 would need
-    # 4(|s| + 40)/(2 pi a) ~ 4e8 direct terms
+def test_polylog_circle_next_to_integer_a_at_large_imaginary_orders_against_mpmath():
+    # the series' first term Gamma(1-s)(-mu)^{s-1} is an underflowing Gamma
+    # times an overflowing power here; formed in log space it keeps these
+    # points on the zeta series, where the direct route would need
+    # 4(|s| + 40)/(2 pi |b|) ~ 4e8 terms and raise
+    mp = pytest.importorskip("mpmath")
+    points = [(1.5 + 600.0j, 1e-6)]
+    points += [(complex(1.5, t), a) for a in (1e-6, 1e-4, 1.0 - 1e-5) for t in (460.0, -600.0)]
+    with mp.workdps(60):
+        for s, a in points:
+            b = a - round(a)
+            assert specfun._polylog_zeta_series(s, b) is not None, (s, a)
+            want = _polylog_jonquiere(mp, s, a)
+            # measured: at most 2.5e-14
+            assert abs(polylog_circle(s, a) - want) <= 1e-12 * max(1.0, abs(want)), (s, a)
+
+
+def test_polylog_circle_raises_where_neither_route_is_short():
+    # past |Im s| ~ 1000 the zeta series cannot be trusted, and a = 1e-5
+    # would need ~6e8 direct terms
     with pytest.raises(ValueError, match="direct terms"):
-        polylog_circle(1.5 + 600.0j, 1e-6)
+        polylog_circle(1.5 + 2000.0j, 1e-5)
 
 
 def test_eta_hurw_reflected_region_large_imaginary_part_against_mpmath():
