@@ -12,9 +12,10 @@ parameters; 3 internal inconsistency detected during computation.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -33,8 +34,8 @@ from .rep_oracle import (
     GradedMetric,
     SchrodingerParams,
     SpectralPairingError,
-    TruncationConfig,
     closed_form_error,
+    default_truncation,
     generic_S,
     generic_scale,
     hermitian_eigenvalues,
@@ -96,28 +97,22 @@ def _lattice_data(r, c, gamma_norm) -> LatticeCharacterData:
     return LatticeCharacterData(r=r, c=c, gamma_norm=gamma_norm, case_tag=tag)
 
 
-def _eval_one(fn, point, r, c, gamma_norm, a, l):
+def _eval_one(fn, point, data, a):
     """One evaluation record for the requested function at one point."""
     if fn == "nil":
-        result = eta_nil(point, _lattice_data(r, c, gamma_norm))
+        result = eta_nil(point, data)
         return serialize.eta_record(
             result.s, result.value, result.is_pole, result.residue, None
         )
     if fn == "tilde":
-        if a is None:
-            raise click.UsageError("--fn tilde requires --a")
         result = tilde_eta(point, a)
         return serialize.eta_record(
             result.s, result.value, result.is_pole, result.residue, None
         )
     if fn == "hurw-eta":
-        if a is None:
-            raise click.UsageError("--fn hurw-eta requires --a")
         value = eta_hurw(point, a)
         return serialize.eta_record(point, value, False, 0.0, None)
     if fn == "polylog-im":
-        if a is None:
-            raise click.UsageError("--fn polylog-im requires --a")
         if point.imag == 0.0 and point.real == round(point.real) and point.real >= 2:
             order = int(round(point.real))
             if order % 2 == 0:
@@ -147,7 +142,32 @@ def _eval_request(fn, points, r, c, gamma_norm, a, l):
         raise click.UsageError("--r/--c/--gamma-norm apply only to --fn nil")
     if fn == "nil" and a is not None:
         raise click.UsageError("--a does not apply to --fn nil")
-    return [_eval_one(fn, p, r, c, gamma_norm, a, l) for p in points]
+    data = None
+    if fn == "nil":
+        data = _lattice_data(r, c, gamma_norm)
+    elif a is None:
+        raise click.UsageError(f"--fn {fn} requires --a")
+    return [_eval_one(fn, p, data, a) for p in points]
+
+
+def _error_boundary(command):
+    """Internal inconsistencies exit 3; ValueErrors become usage errors (exit 2).
+
+    Raised inside the command callback, a UsageError keeps the subcommand's
+    usage line.
+    """
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except _INTERNAL_ERRORS as exc:
+            click.echo(f"internal inconsistency: {exc}", err=True)
+            sys.exit(3)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
+
+    return run
 
 
 def _load_job_file(path) -> list:
@@ -185,17 +205,8 @@ def _load_job_file(path) -> list:
         extra = sorted(set(entry) - known)
         if extra:
             raise click.UsageError(f"job {i}: unknown fields {extra}")
-        jobs.append(
-            dict(
-                fn=fn,
-                points=points,
-                r=entry.get("r"),
-                c=entry.get("c"),
-                gamma_norm=entry.get("gamma_norm"),
-                a=entry.get("a"),
-                l=entry.get("l"),
-            )
-        )
+        params = {key: entry.get(key) for key in ("r", "c", "gamma_norm", "a", "l")}
+        jobs.append(dict(fn=fn, points=points, **params))
     return jobs
 
 
@@ -226,40 +237,24 @@ def main():
 @click.option("--s-list", "s_list_text", default=None, metavar="LIST",
               help="Points separated by ';' (each RE[,IM]); commas alone list real points.")
 @click.option("--job-file", type=click.Path(), default=None,
-              help="JSON array of eval requests, executed concurrently.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Concurrent workers for --job-file.")
-def eval_cmd(fn, r, c, gamma_norm, a, l, s_text, s_list_text, job_file, jobs):
+              help="JSON array of eval requests, run in order.")
+@_error_boundary
+def eval_cmd(fn, r, c, gamma_norm, a, l, s_text, s_list_text, job_file):
     """Evaluate an eta function; one NDJSON record per point, input order."""
     given = sum(x is not None for x in (s_text, s_list_text, job_file))
     if given > 1:
         raise click.UsageError("pass exactly one of --s, --s-list, --job-file")
-    if jobs < 1:
-        raise click.UsageError("--jobs must be >= 1")
-    try:
-        if job_file is not None:
-            requests = _load_job_file(job_file)
-            if jobs > 1 and len(requests) > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    futures = [
-                        pool.submit(_eval_request, **req) for req in requests
-                    ]
-                    blocks = [f.result() for f in futures]
-            else:
-                blocks = [_eval_request(**req) for req in requests]
-            records = [rec for block in blocks for rec in block]
-        else:
-            points = []
-            if s_text is not None:
-                points = [_parse_s(s_text)]
-            elif s_list_text is not None:
-                points = _parse_s_list(s_list_text)
-            records = _eval_request(fn, points, r, c, gamma_norm, a, l)
-    except _INTERNAL_ERRORS as exc:
-        click.echo(f"internal inconsistency: {exc}", err=True)
-        sys.exit(3)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if job_file is not None:
+        records = [
+            rec for req in _load_job_file(job_file) for rec in _eval_request(**req)
+        ]
+    else:
+        points = []
+        if s_text is not None:
+            points = [_parse_s(s_text)]
+        elif s_list_text is not None:
+            points = _parse_s_list(s_list_text)
+        records = _eval_request(fn, points, r, c, gamma_norm, a, l)
     sys.stdout.write(serialize.render_ndjson(records))
 
 
@@ -270,36 +265,31 @@ def eval_cmd(fn, r, c, gamma_norm, a, l, s_text, s_list_text, job_file, jobs):
               help="Squared lattice norm of the center generator.")
 @click.option("--l-max", type=int, required=True,
               help="Report values at s = -2l for l = 1..l_max.")
+@_error_boundary
 def special_values_cmd(r, c, gamma_norm, l_max):
     """Zero checks at s in {0,-1,-3,-5} plus the values at s = -2l."""
     if l_max < 0:
         raise click.UsageError("--l-max must be >= 0")
-    try:
-        data = _lattice_data(r, c, gamma_norm)
-        records = []
-        for row in eta_nil_special(data):
-            records.append(
-                serialize.eta_record(
-                    row["s"], row["value"], False, 0.0, None,
-                    abs_deviation=float(row["abs_deviation"]),
-                )
+    data = _lattice_data(r, c, gamma_norm)
+    records = []
+    for row in eta_nil_special(data):
+        records.append(
+            serialize.eta_record(
+                row["s"], row["value"], False, 0.0, None,
+                abs_deviation=float(row["abs_deviation"]),
             )
-        for l in range(1, l_max + 1):
-            result = eta_nil(complex(-2 * l, 0.0), data)
-            predicted = (
-                sign_prediction(l, data) if data.case_tag is CaseTag.GENERIC else 0
+        )
+    for l in range(1, l_max + 1):
+        result = eta_nil(complex(-2 * l, 0.0), data)
+        predicted = (
+            sign_prediction(l, data) if data.case_tag is CaseTag.GENERIC else 0
+        )
+        records.append(
+            serialize.eta_record(
+                result.s, result.value, result.is_pole, result.residue, None,
+                sign_predicted=predicted,
             )
-            records.append(
-                serialize.eta_record(
-                    result.s, result.value, result.is_pole, result.residue, None,
-                    sign_predicted=predicted,
-                )
-            )
-    except _INTERNAL_ERRORS as exc:
-        click.echo(f"internal inconsistency: {exc}", err=True)
-        sys.exit(3)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+        )
     sys.stdout.write(serialize.render_ndjson(records))
 
 
@@ -324,83 +314,71 @@ def special_values_cmd(r, c, gamma_norm, l_max):
               help="Oscillator modes per block (ignored for scalar).")
 @click.option("--trusted-count", type=int, default=None,
               help="Override the trusted-window size (default basis/8).")
+@_error_boundary
 def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55,
                  basis_size, trusted_count):
     """Eigenvalues as CSV on stdout; JSON diagnostics on stderr."""
-    try:
-        g = GradedMetric(g33, g44, g55)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    g = GradedMetric(g33, g44, g55)
     scalar_opts = alpha is not None or beta is not None
     schro_opts = hbar is not None
     generic_opts = lam is not None or mu is not None or nu is not None
-    try:
-        if rep == "scalar":
-            if schro_opts or generic_opts or not (alpha is not None and beta is not None):
-                raise click.UsageError("--rep scalar takes exactly --alpha and --beta")
-            mat = scalar_S(alpha, beta, g)
-            eigs = np.sort(np.linalg.eigvalsh(mat.entries))
-            sidecar = {
-                "rep": "scalar",
-                "alpha": float(alpha),
-                "beta": float(beta),
-                "metric": {"g33": g.g33, "g44": g.g44, "g55": g.g55},
-                "eigenvalue_count": int(eigs.size),
-            }
+    if rep == "scalar":
+        if schro_opts or generic_opts or not (alpha is not None and beta is not None):
+            raise click.UsageError("--rep scalar takes exactly --alpha and --beta")
+        mat = scalar_S(alpha, beta, g)
+        eigs = np.sort(np.linalg.eigvalsh(mat.entries))
+        sidecar = {
+            "rep": "scalar",
+            "alpha": float(alpha),
+            "beta": float(beta),
+            "metric": {"g33": g.g33, "g44": g.g44, "g55": g.g55},
+            "eigenvalue_count": int(eigs.size),
+        }
+    else:
+        if basis_size < 8:
+            raise click.UsageError("--basis-size must be >= 8")
+        if rep == "schroedinger":
+            if scalar_opts or generic_opts or hbar is None:
+                raise click.UsageError("--rep schroedinger takes exactly --hbar")
+            params = SchrodingerParams(hbar=hbar)
+            mat = schrodinger_S(params, g, basis_size)
+            unit = schrodinger_scale(params, g)
         else:
-            if basis_size < 8:
-                raise click.UsageError("--basis-size must be >= 8")
-            if rep == "schroedinger":
-                if scalar_opts or generic_opts or hbar is None:
-                    raise click.UsageError("--rep schroedinger takes exactly --hbar")
-                params = SchrodingerParams(hbar=hbar)
-                mat = schrodinger_S(params, g, basis_size)
-                unit = schrodinger_scale(params, g)
-            else:
-                if scalar_opts or schro_opts or lam is None or mu is None:
-                    raise click.UsageError(
-                        "--rep generic takes --lambda, --mu and optionally --nu"
-                    )
-                params = GenericRepParams(lam=lam, mu=mu, nu=0.0 if nu is None else nu)
-                mat = generic_S(params, g, basis_size)
-                unit = generic_scale(params, g)
-            eigs = hermitian_eigenvalues(mat)
-            kernel_eps = 1e-6 * unit
-            cfg = TruncationConfig(
-                basis_size=basis_size,
-                kernel_eps=kernel_eps,
-                trusted_count=(trusted_count if trusted_count is not None
-                               else max(1, basis_size // 8)),
-            )
-            trusted = sorted(trusted_window(eigs, cfg))
-            sidecar = {
-                "rep": rep,
-                "metric": {"g33": g.g33, "g44": g.g44, "g55": g.g55},
-                "basis_size": int(basis_size),
-                "spectral_unit": float(unit),
-                "kernel_eps": float(kernel_eps),
-                "kernel_count": int(np.count_nonzero(np.abs(eigs) < kernel_eps)),
-                "trusted_count": len(trusted),
-                "trusted": [float(t) for t in trusted],
-            }
-            if rep == "schroedinger":
-                sidecar["hbar"] = float(hbar)
-                if g.bg_proportional:
-                    sidecar["closed_form_comparison"] = {
-                        "count": len(trusted),
-                        "max_rel_error": closed_form_error(trusted, params, g),
-                    }
-            else:
-                sidecar["lambda"] = float(lam)
-                sidecar["mu"] = float(mu)
-                sidecar["nu"] = float(params.nu)
-                if g.bg_proportional and trusted:
-                    sidecar["pairing_symmetry"] = pairing_symmetry(trusted)
-    except _INTERNAL_ERRORS as exc:
-        click.echo(f"internal inconsistency: {exc}", err=True)
-        sys.exit(3)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+            if scalar_opts or schro_opts or lam is None or mu is None:
+                raise click.UsageError(
+                    "--rep generic takes --lambda, --mu and optionally --nu"
+                )
+            params = GenericRepParams(lam=lam, mu=mu, nu=0.0 if nu is None else nu)
+            mat = generic_S(params, g, basis_size)
+            unit = generic_scale(params, g)
+        cfg = default_truncation(basis_size, unit)
+        if trusted_count is not None:
+            cfg = dataclasses.replace(cfg, trusted_count=trusted_count)
+        eigs = hermitian_eigenvalues(mat)
+        trusted = sorted(trusted_window(eigs, cfg))
+        sidecar = {
+            "rep": rep,
+            "metric": {"g33": g.g33, "g44": g.g44, "g55": g.g55},
+            "basis_size": int(basis_size),
+            "spectral_unit": float(unit),
+            "kernel_eps": float(cfg.kernel_eps),
+            "kernel_count": int(np.count_nonzero(np.abs(eigs) < cfg.kernel_eps)),
+            "trusted_count": len(trusted),
+            "trusted": [float(t) for t in trusted],
+        }
+        if rep == "schroedinger":
+            sidecar["hbar"] = float(hbar)
+            if g.bg_proportional:
+                sidecar["closed_form_comparison"] = {
+                    "count": len(trusted),
+                    "max_rel_error": closed_form_error(trusted, params, g),
+                }
+        else:
+            sidecar["lambda"] = float(lam)
+            sidecar["mu"] = float(mu)
+            sidecar["nu"] = float(params.nu)
+            if g.bg_proportional and trusted:
+                sidecar["pairing_symmetry"] = pairing_symmetry(trusted)
     sys.stdout.write(serialize.spectrum_csv(eigs))
     sys.stderr.write(serialize.render_json(sidecar) + "\n")
 
@@ -411,17 +389,12 @@ def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55,
               help="Which acceptance suite to run.")
 @click.option("--basis-size", type=int, default=256, show_default=True,
               help="Basis size for eigensolver-backed criteria (<256 degrades tolerances).")
+@_error_boundary
 def verify_cmd(suite, basis_size):
     """Run an acceptance suite; NDJSON per criterion plus a summary line."""
     if basis_size < 16:
         raise click.UsageError("--basis-size must be >= 16")
-    try:
-        records = verification.run_suite(suite, basis_size)
-    except _INTERNAL_ERRORS as exc:
-        click.echo(f"internal inconsistency: {exc}", err=True)
-        sys.exit(3)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    records = verification.run_suite(suite, basis_size)
     n_passed = sum(1 for rec in records if rec["passed"])
     summary = {
         "suite": suite,

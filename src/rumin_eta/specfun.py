@@ -43,12 +43,14 @@ _PAIR_RADIUS = 0.1
 _PAIR_ORDER = 18
 # The series stops once a bound on its remaining terms falls below
 # 2^-56 * max(1, |sum|). Its terms carry relative errors of up to about
-# (40 + 2.5 |Im s|) eps (zeta and gamma at complex arguments), so it is
-# trusted only while (sum of |terms|) (16 + |Im s|) stays within
-# _MAX_CANCELLATION max(1, |sum|), an error of at most ~1.1e-12; elsewhere
-# the direct sum with Boole's tail takes over (see _polylog_unit).
+# (40 + 2.5 |Im s|) eps (zeta and gamma at complex arguments), so its
+# rounding error is at most that times the sum of |terms|. It is trusted
+# only while this estimate stays within _SERIES_TOL max(1, |sum|), half the
+# documented accuracy; elsewhere the direct sum with Boole's tail takes
+# over (see _polylog_unit).
 _LOG_EPS = math.log(2.0**-56)
-_MAX_CANCELLATION = 2e3
+_EPS = 2.0**-52
+_SERIES_TOL = 5e-12
 # The direct route stops its plain sum once the Abel bound on the rest is
 # below _DIRECT_TAIL, and raises rather than run for seconds beyond
 # _DIRECT_MAX_TERMS terms (see polylog_circle).
@@ -322,22 +324,28 @@ def _polylog_zeta_series(s, b):
     # "Note on fast polylogarithm computation", 2006), with mu = 2 pi i b,
     # 0 < |b| <= 1/2, so |mu| <= pi. Returns None where the sum cannot be
     # trusted: where its terms cancel too much for their rounding errors
-    # (see _MAX_CANCELLATION; the cancellation grows like e^{|b Im s|}, and
-    # the allowance shrinks like 1/|Im s|, so from |Im s| ~ 1000 even a
-    # tiny b fails) and where a term overflows.
+    # (see _SERIES_TOL; the cancellation grows like e^{|b Im s|}, and the
+    # per-term error like |Im s|, so with no cancellation at all the sum
+    # fails from |Im s| ~ 9000) and where a term overflows.
     mu = 2j * math.pi * b
     log_neg_mu = complex(math.log(2.0 * math.pi * abs(b)), -math.copysign(0.5 * math.pi, b))
     n = round(s.real)
     delta = s - n
     pair = n - 1 if abs(delta) < _PAIR_RADIUS else None
     # Tail bound for k > Re s + 1: the functional equation and
-    # |Gamma(x + iy)| <= Gamma(x) give |zeta(s-k) mu^k/k!| <= T_k with
-    # log T_k = sigma log(2 pi) - log(pi) + pi |Im s|/2 + log zeta(2)
-    #           + lgamma(k + 1 - sigma) - lgamma(k + 1) + k log|b|,
-    # and T_{k+1}/T_k <= |b| <= 1/2, so the terms after k sum to <= 2 T_{k+1}.
+    # |sin(pi z/2)| <= e^{pi |Im z|/2} give |zeta(s-k) mu^k/k!| <= T_k with
+    # log T_k = sigma log(2 pi) - log(pi) + log zeta(2) + G(k + 1 - sigma)
+    #           - lgamma(k + 1) + k log|b|,
+    # G(x) >= log|Gamma(x + it)| + pi t/2, t = |Im s|: the smaller of
+    # lgamma(x) + pi t/2 (from |Gamma(x + it)| <= Gamma(x)) and Stirling's
+    # (x - 1/2) log|z| - x + t atan(x/t) + log(2 pi)/2 + 1/(6|z|), z = x + it
+    # (remainder bound for Re z > 0), which keeps the sum from running on
+    # until zeta(s-k) overflows at large t. T_{k+1}/T_k <= |b| <= 1/2, so
+    # the terms after k sum to <= 2 T_{k+1}.
     sigma = s.real
+    t = abs(s.imag)
     log_t0 = (
-        sigma * math.log(2.0 * math.pi) - math.log(math.pi) + 0.5 * math.pi * abs(s.imag)
+        sigma * math.log(2.0 * math.pi) - math.log(math.pi)
         + math.log(math.pi**2 / 6.0) + math.log(2.0)
     )
     log_b = math.log(abs(b))
@@ -356,13 +364,18 @@ def _polylog_zeta_series(s, b):
             k += 1
             power *= mu / k
             if k > sigma + 2.0:
-                log_tail = log_t0 + math.lgamma(k + 1.0 - sigma) - math.lgamma(k + 1.0) + k * log_b
+                x = k + 1.0 - sigma
+                z = math.hypot(x, t)
+                stirling = (x - 0.5) * math.log(z) - x + t * math.atan2(x, t)
+                stirling += 0.5 * _LOG_2PI + 1.0 / (6.0 * z)
+                log_gamma = min(math.lgamma(x) + 0.5 * math.pi * t, stirling)
+                log_tail = log_t0 + log_gamma - math.lgamma(k + 1.0) + k * log_b
                 if log_tail < _LOG_EPS + math.log(max(1.0, abs(acc))):
                     break
     except OverflowError:
         return None
     # written so that a NaN from an overflowed term also fails
-    if not magnitude * (16.0 + abs(s.imag)) <= _MAX_CANCELLATION * max(1.0, abs(acc)):
+    if not magnitude * (40.0 + 2.5 * t) * _EPS <= _SERIES_TOL * max(1.0, abs(acc)):
         return None
     return acc
 
@@ -434,7 +447,7 @@ def polylog_circle(s, a):
 
     The series' terms cancel by about e^{|b Im s|}, and their rounding
     errors grow with |Im s|. Where that could cost accuracy (from
-    |b Im s| of about 3, and for any b from |Im s| of about 1000-2000),
+    |b Im s| of about 3, and for any b from |Im s| of about 9000),
     the value is instead the direct sum over
     n < N = 4 (|s| + 40)/(2 pi |b|) plus Boole's expansion of the rest in
     Hurwitz zeta values at integers, which does not cancel; or, where
@@ -443,9 +456,11 @@ def polylog_circle(s, a):
     Accurate to 1e-11 * max(1, |Li|) (measured against mpmath: at most
     2e-13 for a from 1e-5 to 0.999, Re s from 1.001 to 31, s within 1e-13
     to 0.2 of 2..7 and |Im s| up to 455; 2.5e-14 at |Im s| of 460 and 600
-    with a within 1e-4 of an integer). Raises ValueError where the direct
-    route would need more than 2^23 terms: only for |Im s| above about
-    1000 with a within about 1e-4 of an integer (closer for Re s > 2).
+    with a within 1e-4 of an integer; 1e-12 for Re s in {1.001, 1.5, 3},
+    a from 1e-6 to 1 - 1e-5 and |Im s| from 1000 to 9000, 2.9e-12 at
+    |Im s| = 20000). Raises ValueError where the direct route would need
+    more than 2^23 terms: only for |Im s| above about 5000 with a within
+    about 1e-3 of an integer.
     """
     s = complex(s)
     if s.real <= 1.0:

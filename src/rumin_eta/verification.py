@@ -59,7 +59,7 @@ from .specfun import (
 )
 from .tilde_eta import tilde_eta, tilde_eta_direct, tilde_eta_residue
 
-__all__ = ["SUITES", "run_criterion", "run_suite", "all_criteria"]
+__all__ = ["SUITES", "run_criterion", "run_suite"]
 
 # measured errors below this are treated as converged to rounding noise,
 # so refinement is not required to shrink them further
@@ -392,7 +392,3 @@ def run_suite(name: str, basis_size: int = 256) -> list:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return [run_criterion(cid, basis_size) for cid in SUITES[name]]
-
-
-def all_criteria(basis_size: int = 256) -> list:
-    return run_suite("all", basis_size)

@@ -7,8 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 import rumin_eta
-from rumin_eta import cli
+from rumin_eta import cli, nilmanifold
 from rumin_eta.nilmanifold import RouteDisagreement
+from rumin_eta.rep_oracle import SpectralPairingError
 from rumin_eta.specfun import eta_hurw
 
 CATALAN = 0.915965594177219
@@ -174,18 +175,73 @@ def test_validation_failures_exit_2(runner, args):
     assert result.exit_code == 2, result.output
 
 
-def test_internal_inconsistency_exits_3(runner, monkeypatch):
-    def boom(s, data):
-        raise RouteDisagreement("routes differ")
+_RAISERS = {
+    # command: (module, name, argv) of a library call the command makes
+    "eval": (cli, "eta_nil",
+             ["eval", "--fn", "nil", "--r", "4", "--c", "1", "--gamma-norm", "1",
+              "--s", "0"]),
+    "special-values": (nilmanifold, "eta_nil_neg_even",
+                       ["special-values", "--r", "4", "--c", "1", "--gamma-norm", "1",
+                        "--l-max", "1"]),
+    "spectrum": (cli, "hermitian_eigenvalues",
+                 ["spectrum", "--rep", "generic", "--lambda", "1", "--mu", "1",
+                  "--basis-size", "16"]),
+    "verify": (cli.verification, "run_suite", ["verify", "--suite", "tilde-eta"]),
+}
 
-    monkeypatch.setattr(cli, "eta_nil", boom)
+
+def _raise_from(monkeypatch, command, error):
+    module, name, argv = _RAISERS[command]
+
+    def boom(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(module, name, boom)
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_RAISERS))
+@pytest.mark.parametrize("error", [RouteDisagreement, SpectralPairingError],
+                         ids=["route", "pairing"])
+def test_internal_inconsistency_exits_3(runner, monkeypatch, command, error):
+    result = runner.invoke(cli.main, _raise_from(monkeypatch, command, error))
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert result.stderr == "internal inconsistency: forced\n"
+
+
+@pytest.mark.parametrize("command", sorted(_RAISERS))
+def test_library_value_error_exits_2(runner, monkeypatch, command):
+    # a usage error raised inside the command keeps the subcommand's usage line
+    result = runner.invoke(cli.main, _raise_from(monkeypatch, command, ValueError))
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("Usage: main " + command + " [OPTIONS]")
+    assert result.stderr.endswith("Error: forced\n")
+
+
+def test_invalid_trusted_count_exits_2_before_the_solve(runner, monkeypatch):
+    def solve(m):
+        pytest.fail("hermitian_eigenvalues ran for an invalid --trusted-count")
+
+    monkeypatch.setattr(cli, "hermitian_eigenvalues", solve)
     result = runner.invoke(
         cli.main,
-        ["eval", "--fn", "nil", "--r", "4", "--c", "1",
-         "--gamma-norm", "1", "--s", "0"],
+        ["spectrum", "--rep", "generic", "--lambda", "1", "--mu", "1",
+         "--basis-size", "1024", "--trusted-count", "0"],
     )
-    assert result.exit_code == 3
-    assert "internal inconsistency" in result.stderr
+    assert result.exit_code == 2, result.output
+    assert "trusted_count must satisfy" in result.stderr
+
+
+def test_eval_has_no_jobs_option(runner, tmp_path):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps([{"fn": "tilde", "a": 0.3, "s": 2}]), encoding="utf-8")
+    result = runner.invoke(
+        cli.main, ["eval", "--job-file", str(path), "--fn", "tilde", "--jobs", "2"]
+    )
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and "--jobs" in result.stderr
 
 
 def test_job_file_runs_and_orders_records(runner, tmp_path):
@@ -197,14 +253,10 @@ def test_job_file_runs_and_orders_records(runner, tmp_path):
     ]
     path = tmp_path / "jobs.json"
     path.write_text(json.dumps(jobs), encoding="utf-8")
-    serial = runner.invoke(cli.main, ["eval", "--job-file", str(path),
+    result = runner.invoke(cli.main, ["eval", "--job-file", str(path),
                                       "--fn", "tilde"])
-    threaded = runner.invoke(cli.main, ["eval", "--job-file", str(path),
-                                        "--fn", "tilde", "--jobs", "4"])
-    assert serial.exit_code == 0
-    # worker count must not affect bytes or ordering
-    assert serial.stdout == threaded.stdout
-    recs = records_of(serial.stdout)
+    assert result.exit_code == 0
+    recs = records_of(result.stdout)
     assert len(recs) == 4
     assert recs[0]["value"]["re"] == pytest.approx(0.23223304703363112)
     assert recs[1]["s"] == {"re": 2.0, "im": 0.0}

@@ -246,10 +246,28 @@ def test_polylog_circle_next_to_integer_a_at_large_imaginary_orders_against_mpma
 
 
 def test_polylog_circle_raises_where_neither_route_is_short():
-    # past |Im s| ~ 1000 the zeta series cannot be trusted, and a = 1e-5
-    # would need ~6e8 direct terms
+    # past |Im s| ~ 9000 the zeta series' per-term rounding alone exceeds
+    # its allowance, and a = 1e-5 would need ~1e9 direct terms
     with pytest.raises(ValueError, match="direct terms"):
-        polylog_circle(1.5 + 2000.0j, 1e-5)
+        polylog_circle(1.5 + 20000.0j, 1e-5)
+
+
+def test_polylog_circle_past_the_old_cancellation_limit_against_mpmath():
+    # the zeta series is trusted while (sum of |terms|) times the per-term
+    # error (40 + 2.5 |Im s|) eps stays within 5e-12 max(1, |Li|); a limit of
+    # 2e3/(16 + |Im s|) on the cancellation alone rejected every b from
+    # |Im s| ~ 2000, and the tail bound, with |Gamma(x + it)| <= Gamma(x),
+    # ran the sum on until zeta(s - k) overflowed from |Im s| ~ 1000. Both
+    # points below raised ValueError then (measured error now <= 4.1e-14)
+    mp = pytest.importorskip("mpmath")
+    points = [(1.5 + 2000.0j, 1e-5), (1.5 + 1300.0j, 1e-4)]
+    points += [(complex(re, t), a) for t in (1300.0, -3000.0, 5000.0)
+               for re in (1.001, 3.0) for a in (1e-6, 1e-4, 1.0 - 1e-5)]
+    with mp.workdps(30):
+        for s, a in points:
+            assert specfun._polylog_zeta_series(s, a - round(a)) is not None, (s, a)
+            want = _polylog_jonquiere(mp, s, a)
+            assert abs(polylog_circle(s, a) - want) <= 1e-11 * max(1.0, abs(want)), (s, a)
 
 
 def test_eta_hurw_reflected_region_large_imaginary_part_against_mpmath():
