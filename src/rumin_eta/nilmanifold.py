@@ -141,6 +141,11 @@ def eta_nil(s, d: LatticeCharacterData) -> EtaEvaluation:
         return EtaEvaluation(s=s, value=complex(value), is_pole=True, residue=residue)
     prefactor = d.r * (2.0 * math.pi / math.sqrt(d.gamma_norm)) ** (-s)
     hurw = eta_hurw(s - 1.0, a)
+    l = round(-s.real / 2.0)
+    if l >= 1 and (s - 1.0).real + 1.0 != s.real:
+        # s - 1 rounded: rescale by the exact distance to the zero at -2l - 1
+        # (a real s close enough to zero the denominator is snapped above)
+        hurw *= (s + 2 * l) / (s - 1.0 + (2 * l + 1))
     tilde = tilde_eta(s, 1.25)
     return EtaEvaluation(
         s=s, value=prefactor * hurw * tilde.value, is_pole=False, residue=0.0

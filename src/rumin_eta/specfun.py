@@ -113,8 +113,16 @@ def _log_sin_gamma(x, y):
         sign = math.copysign(1.0, z.imag)
         log_sin = -1j * sign * z + cmath.log(0.5j * sign)
     else:
-        log_sin = cmath.log(cmath.sin(z))
+        log_sin = cmath.log(_sin_half_pi(x))
     return log_sin + complex(_scipy_loggamma(complex(y)))
+
+
+def _sin_half_pi(x):
+    # sin(pi x/2) = (-1)^k sin(pi (x - 2k)/2), k = round(Re x/2): x - 2k is
+    # exact, so the relative accuracy holds next to the zeros at even x
+    k = round(x.real / 2.0)
+    value = cmath.sin(0.5 * math.pi * (x - 2.0 * k))
+    return -value if k % 2 else value
 
 
 def _em_parameters(s):
@@ -157,26 +165,52 @@ def _phi_expm1(z):
 
 
 def hurwitz_zeta(s, a):
-    """Hurwitz zeta zeta_H(s, a) for complex s != 1 and 0 < a <= 1.
+    """Hurwitz zeta sum_{n>=0} (n + a)^-s for complex s != 1 and a > 0.
 
-    Euler-Maclaurin with adaptive shift and Bernoulli order; matches the
-    direct series to about 1e-13 relative for Re s >= 2 and continues it
-    to the rest of the window.
+    Euler-Maclaurin from the shift a, with adaptive shift and Bernoulli
+    order. For Re s < -1/2 and a below the shift that head sum would cancel;
+    there the value is zeta_H(s, a0) minus the terms (a - j)^-s down to a0 in
+    (0, 1]: zeta(s) at a0 = 1, (2^s - 1) zeta(s) at a0 = 1/2, else Hurwitz's
+    formula in the polylogarithms of polylog_circle. Accurate to about 1e-12
+    relative (against mpmath: at most 6.4e-13 for a from 1e-3 to 40, Re s
+    from -8 to 10 and |Im s| up to 30; 1.8e-12 at s = -0.6 - 30i, a = 0.77,
+    from the polylogarithm). Raises ValueError for Re s below about -58.
     """
     s = complex(s)
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"hurwitz_zeta requires 0 < a <= 1, got a = {a:g}")
+    if not a > 0.0:
+        raise ValueError(f"hurwitz_zeta requires a > 0, got a = {a:g}")
     if s == 1.0:
         raise ValueError("hurwitz_zeta pole at s = 1")
     m_shift, order = _em_parameters(s)
-    acc = 0.0 + 0.0j
-    for n in range(m_shift):
-        acc += (n + a) ** (-s)
+    if s.real < -0.5 and a < m_shift:
+        k = math.ceil(a) - 1
+        return _hurwitz_unit(s, a - k) - sum([(a - j) ** (-s) for j in range(1, k + 1)], 0j)
+    acc = sum([(n + a) ** (-s) for n in range(m_shift)], 0j)
     w = m_shift + a
     acc += w ** (1.0 - s) / (s - 1.0)
     acc += 0.5 * w ** (-s)
     acc += _em_bernoulli_tail(s, w, order)
     return acc
+
+
+def _hurwitz_unit(s, a0):
+    # zeta_H(s, a0) for Re s < -1/2 and 0 < a0 <= 1 from zeta(s), or from
+    # Hurwitz's formula zeta_H(s, a0) = Gamma(t) (2 pi)^-t
+    # [e^{-i pi t/2} Li_t(e^{2 pi i a0}) + e^{i pi t/2} Li_t(e^{-2 pi i a0})],
+    # t = 1 - s, its prefactors formed in log space
+    if a0 == 1.0:
+        return riemann_zeta(s)
+    if a0 == 0.5:
+        return (2.0**s - 1.0) * riemann_zeta(s)
+    t = 1.0 - s
+    b = _centered(a0)
+    log_pref = complex(_scipy_loggamma(t)) - t * _LOG_2PI
+    half_turn = 0.5j * math.pi * t
+    value = (
+        cmath.exp(log_pref - half_turn) * _polylog_unit(t, b)
+        + cmath.exp(log_pref + half_turn) * _polylog_unit(t, -b)
+    )
+    return complex(value.real, 0.0) if s.imag == 0.0 else value
 
 
 @lru_cache(maxsize=16384)
@@ -198,13 +232,7 @@ def riemann_zeta(s):
         t = 1.0 - s
         zeta_t = hurwitz_zeta(t, 1.0)
         try:
-            value = (
-                2.0**s
-                * cmath.pi ** (s - 1.0)
-                * cmath.sin(cmath.pi * s / 2.0)
-                * gamma_fn(t)
-                * zeta_t
-            )
+            value = 2.0**s * cmath.pi ** (s - 1.0) * _sin_half_pi(s) * gamma_fn(t) * zeta_t
         except OverflowError:
             value = math.nan
         # zeta has no zeros here but the trivial ones: 0 means underflow
@@ -263,16 +291,17 @@ def eta_hurw(s, a):
         return 0.0 + 0.0j  # the zeros -B_{2l+2}(a) + B_{2l+2}(1 - a) = 0
     if s.real < -1.5:
         t = 1.0 - s
-        # Li_t at a and at 1 - a from b and -b: exact conjugates for real t
+        # Li_t at a and at 1 - a from b and -b: exact conjugates for real t;
+        # sin(pi t/2) = sin(pi (s + 1)/2), s + 1 exact where 1 - s may round
         b = _centered(a_red)
         diff = _polylog_unit(t, b) - _polylog_unit(t, -b)
         try:
-            pref = -2j * (2.0 * cmath.pi) ** (-t) * cmath.sin(cmath.pi * t / 2.0) * gamma_fn(t)
+            pref = -2j * (2.0 * cmath.pi) ** (-t) * _sin_half_pi(s + 1.0) * gamma_fn(t)
         except OverflowError:
             pref = math.nan
         if cmath.isfinite(pref) and pref != 0.0:
             return pref * diff
-        value = cmath.exp(cmath.log(-2j * diff) - t * _LOG_2PI + _log_sin_gamma(t, t))
+        value = cmath.exp(cmath.log(-2j * diff) - t * _LOG_2PI + _log_sin_gamma(s + 1.0, t))
         return complex(value.real, 0.0) if s.imag == 0.0 else value
     m_shift, order = _em_parameters(s)
     acc = 0.0 + 0.0j

@@ -7,13 +7,13 @@ here is
                     + sum_n sign(a - lambda_n) |a - lambda_n|^{-s},
 
 absolutely convergent for Re s > 1 and continued meromorphically in s.
-The continuation splits off finitely many terms, expands the remaining
-one-sided zeta sums binomially in a, and reduces everything to Riemann
-zeta values; the expansion remainders are summed exactly as convergent
-binomial tail series. Poles of intermediate zeta factors are carried
-symbolically (coefficient over s - s0) so that binomial zeros cancel them
-analytically; the function is regular except for simple poles at the
-negative even integers.
+The continuation splits off the terms n < m, expands the rest binomially
+in a into one-sided sums sum_{n>=m} lambda_n^{-sigma}, each a series in
+Hurwitz zeta values at m + 1/2 with nothing subtracted, and sums the
+expansion remainders exactly as convergent binomial tail series. Poles of
+intermediate zeta factors are carried symbolically (coefficient over
+s - s0) so that binomial zeros cancel them analytically; the function is
+regular except for simple poles at the negative even integers.
 
 Each binomial tail sum_{l >= l0} binom(x, l) z^l is sized before it is
 summed: from the exact |binom(x, l)| and a geometric bound on the terms
@@ -26,7 +26,6 @@ of the term ratios and one weighted sum, with no test inside a loop.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import riemann_zeta, riemann_zeta_regular
+from .specfun import _phi_expm1, hurwitz_zeta, riemann_zeta_regular
 
 __all__ = [
     "TildeEtaPoint",
@@ -49,14 +48,15 @@ __all__ = [
 _POLE_SNAP = 1e-12
 
 # The binomial tails are summed until a bound on their rest falls below
-# these (see _binomial_tail); _h_tail_odd covers _H_TAIL_COUNT lambda_n
+# these (see _h_tail_odd and _zeta_m); _h_tail_odd covers _H_TAIL_COUNT lambda_n
 # from the split index on, in blocks between the offsets _H_TAIL_EDGES.
 _H_TAIL_TOL = 1e-22
-_ZETA0_TAIL_TOL = 1e-24
 _H_TAIL_COUNT = 4096
 _H_TAIL_EDGES = (0, 16, 256, _H_TAIL_COUNT)
 _MAX_TAIL_TERMS = 2**16
-_ODD = [2.0 * n + 1.0 for n in range(1, 200)]
+_ZETA_M_TOL = 2.0**-56
+# zeta_H(p, m + 1/2), cached: the orders p = s + l + 2k recur across l and calls
+_hurwitz_half = lru_cache(maxsize=1024)(hurwitz_zeta)
 
 
 def _snapped_pole(s: complex) -> int | None:
@@ -98,7 +98,7 @@ def _validate_regular_a(a):
 
 
 def default_start_index(a):
-    """Smallest m with lambda_m > |a| + 1/2 (the default split point)."""
+    """Smallest m with lambda_m > |a| + 1/2 (the split point for Re s <= 0)."""
     target = abs(a) + 0.5
     if lambda_n(0) > target:
         return 0
@@ -148,25 +148,6 @@ def _binom_reduced(x, l, i0):
     return acc / math.factorial(l)
 
 
-def _odd_zeta_tail(sp):
-    # sum_{n>=1} (2n+1)^{-sp} = (1 - 2^{-sp}) zeta(sp) - 1
-    if sp.real >= 10.0:
-        return _odd_zeta_direct(sp)
-    return (1.0 - 2.0 ** (-sp)) * riemann_zeta(sp) - 1.0
-
-
-@lru_cache(maxsize=16384)
-def _odd_zeta_direct(sp):
-    # The same sum directly, through the first term below 1e-26 in modulus:
-    # the smallest odd number above 10^(26/Re sp), at most 399 for
-    # Re sp >= 10. One sum of libm powers in order; a numpy sum of
-    # exp(-sp log odd) moves the value by an ulp, which _zeta_m's
-    # cancellation amplifies ~1e4-fold.
-    count = math.floor((1e26 ** (1.0 / sp.real) - 1.0) / 2.0) + 1
-    power = -sp
-    return sum([odd**power for odd in _ODD[:count]], 0.0 + 0.0j)
-
-
 def _tail_lengths(x, b0, l0, z_max, limit):
     """Term counts for binomial tails sum_{l >= l0} binom(x, l) z^l.
 
@@ -204,19 +185,65 @@ def _tail_lengths(x, b0, l0, z_max, limit):
     )
 
 
-def _binomial_tail(x, l0, stride, z, weights, edges, tol):
-    """sum_n weights_n sum_l binom(x, l) z_n^l over l = l0, l0 + stride, ...
+def _zeta_m(s, l, m):
+    """One-sided sum_{n>=m} lambda_n^{-sigma} at sigma = s + l, pole-aware continuation.
 
-    z is real with |z_n| < 1 falling in n, and |weights_n z_n^l| must fall
-    in n for l >= l0, so that the first n of each block [edges[j],
-    edges[j+1]) bounds all of it. Each block gets its own term count from
-    _tail_lengths, with its whole rest held below tol, and is summed by one
-    cumprod of the term ratios down the l axis.
+    Expanded binomially in (9/8)(2n+1)^-2 and summed from m on, with no
+    subtraction: 2^{-sigma/2} sum_k binom(-sigma/2, k) (9/32)^k zeta_H(p, h),
+    p = sigma + 2k, h = m + 1/2, with ratio (9/32)/h^2 <= 1/8 once the n = 0
+    term is taken exactly. Within 1/2 of p = 1 the pole is split off:
+    zeta_H(p, h) - 1/(p - 1) = (2^p - 1) zeta_reg(p) + 2 log 2
+    phi((p - 1) log 2) - sum_{n<m} (n + 1/2)^-p. For Re p > 1 term k is at
+    most |binom(-sigma/2, k)| (9/32)^k h^{-Re p} (1 + h/(Re p - 1)), bounds
+    that fall by (9/32) h^-2 max(1, (|sigma/2| + k)/(k + 1)); the sum stops
+    once they hold the rest below _ZETA_M_TOL times the sum.
     """
+    sigma = s + l
+    regular = lambda_n(0) ** (-sigma) if m == 0 else 0j
+    m = max(m, 1)
+    h = m + 0.5
+    x = -sigma / 2.0
+    polar_coeff, sigma0 = 0j, None
+    acc, coeff, k = 0j, 1.0 + 0j, 0  # coeff = binom(x, k) (9/32)^k
+    while True:
+        p = s + (l + 2 * k)  # sigma + 2k, the same double for every l + 2k
+        if abs(p - 1.0) < 0.5:
+            polar_coeff, sigma0 = coeff, float(1 - 2 * k)
+            ln2 = math.log(2.0)
+            zeta_reg = (2.0**p - 1.0) * riemann_zeta_regular(p)
+            zeta_reg += 2.0 * ln2 * _phi_expm1((p - 1.0) * ln2)
+            acc += coeff * (zeta_reg - sum([(n + 0.5) ** (-p) for n in range(m)], 0j))
+        else:
+            acc += coeff * _hurwitz_half(p, m + 0.5)
+        coeff *= (x - k) / (k + 1.0) * (9.0 / 32.0)
+        k += 1
+        p_re = sigma.real + 2 * k
+        ratio = 9.0 / 32.0 / (h * h) * max(1.0, (abs(x) + k) / (k + 1.0))
+        if p_re > 1.0 and ratio < 1.0:
+            bound = abs(coeff) * h ** (-p_re) * (1.0 + h / (p_re - 1.0))
+            if bound <= _ZETA_M_TOL * abs(acc) * (1.0 - ratio):
+                break
+    pref = 2.0**x
+    return _PoleAware(regular + pref * acc, pref * polar_coeff, sigma0)
+
+
+def _h_tail_odd(s, a, m, order):
+    # h_{m,a,order}(s) - h_{m,-a,order}(s): twice the odd part of
+    # sum_lambda lambda^-s sum_{l > order} binom(-s, l) (a/lambda)^l over
+    # _H_TAIL_COUNT lambda_n from n = m. |a|^l lambda^{-Re s - l} falls with
+    # lambda for l > order > -Re s, so the first lambda of each block between
+    # the offsets _H_TAIL_EDGES sizes the whole block (_tail_lengths, rest
+    # below _H_TAIL_TOL), which is then one cumprod of the term ratios.
+    if a == 0.0:
+        return 0.0 + 0.0j
+    lam = _lambda_array(m, _H_TAIL_COUNT)
+    weights = np.exp(-s * np.log(lam))
+    z = a / lam
+    x, l0 = -s, order + 1
     b0 = _binom_complex(x, l0)
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    lo, hi = np.array(_H_TAIL_EDGES[:-1]), np.array(_H_TAIL_EDGES[1:])
     # a block whose weights underflow contributes nothing and gets no terms
-    limit = tol / np.fmax((hi - lo) * np.abs(weights[lo]), np.finfo(np.float64).tiny)
+    limit = _H_TAIL_TOL / np.fmax((hi - lo) * np.abs(weights[lo]), np.finfo(np.float64).tiny)
     counts = _tail_lengths(x, abs(b0), l0, np.abs(z[lo]), limit)
     total = 0.0 + 0.0j
     for start, stop, count in zip(lo, hi, counts):
@@ -227,76 +254,8 @@ def _binomial_tail(x, l0, stride, z, weights, edges, tol):
         terms[0] = b0 * z[start:stop] ** l0
         terms[1:] = np.multiply.outer((x - l) / (l + 1.0), z[start:stop])
         np.cumprod(terms, axis=0, out=terms)
-        total += complex(np.dot(terms[::stride].sum(axis=0), weights[start:stop]))
-    return total
-
-
-@lru_cache(maxsize=16384)
-def _zeta0(sigma):
-    """One-sided sum_{n>=0} lambda_n^{-sigma}, pole-aware continuation.
-
-    Expands lambda_n^{-sigma} = 2^{sigma/2} (2n+1)^{-sigma}
-    (1 + (9/8)(2n+1)^{-2})^{-sigma/2} binomially for n >= 1; the n = 0
-    term is kept exact because its binomial argument exceeds 1. Poles
-    (simple, at sigma in {1, -1, -3, ...}) come from the Riemann factors.
-    """
-    sigma = complex(sigma)
-    order = 6 + max(0, math.ceil(-sigma.real / 2.0))
-    pref = 2.0 ** (sigma / 2.0)
-    lam0 = lambda_n(0)
-    regular = lam0 ** (-sigma)
-    polar_coeff = 0.0 + 0.0j
-    sigma0 = None
-    k0 = round((1.0 - sigma.real) / 2.0)
-    if 0 <= k0 <= order and abs(sigma - (1.0 - 2.0 * k0)) < 0.5:
-        sigma0 = 1.0 - 2.0 * k0
-
-    b = 1.0 + 0.0j
-    zk = 1.0
-    for k in range(order + 1):
-        sp = sigma + 2.0 * k
-        factor = pref * b * zk
-        if sigma0 is not None and k == k0:
-            polar_coeff = factor * (1.0 - 2.0 ** (-sp))
-            regular += factor * ((1.0 - 2.0 ** (-sp)) * riemann_zeta_regular(sp) - 1.0)
-        else:
-            regular += factor * _odd_zeta_tail(sp)
-        b *= (-sigma / 2.0 - k) / (k + 1.0)
-        zk *= 9.0 / 8.0
-
-    # exact remainder: binomial tail series over n = 1..64, all |z| <= 1/8;
-    # its scaled terms (9/8)^k (2n+1)^{-Re sigma - 2k} fall with n for k > order
-    odd = 2.0 * np.arange(1, 65, dtype=np.float64) + 1.0
-    z = (9.0 / 8.0) / (odd * odd)
-    weights = np.exp(-sigma * np.log(odd))
-    regular += pref * _binomial_tail(
-        -sigma / 2.0, order + 1, 1, z, weights, (0, odd.size), _ZETA0_TAIL_TOL
-    )
-
-    return _PoleAware(regular, polar_coeff, sigma0)
-
-
-def _zeta_m(sigma, m):
-    z0 = _zeta0(sigma)
-    if m == 0:
-        return z0
-    head = 0.0 + 0.0j
-    for n in range(m):
-        head += lambda_n(n) ** (-sigma)
-    return _PoleAware(z0.regular - head, z0.polar_coeff, z0.sigma0)
-
-
-def _h_tail_odd(s, a, m, order):
-    # h_{m,a,order}(s) - h_{m,-a,order}(s): twice the odd part of the
-    # binomial tail beyond the expansion order, over _H_TAIL_COUNT lambda_n
-    # from n = m, in blocks over which |a|/lambda_n falls about tenfold.
-    # The scaled terms |a|^l lambda^{-Re s - l} fall with lambda for
-    # l > order > -Re s.
-    if a == 0.0:
-        return 0.0 + 0.0j
-    lam = _lambda_array(m, _H_TAIL_COUNT)
-    weights = np.exp(-s * np.log(lam))
-    return 2.0 * _binomial_tail(-s, order + 1, 2, a / lam, weights, _H_TAIL_EDGES, _H_TAIL_TOL)
+        total += complex(np.dot(terms[::2].sum(axis=0), weights[start:stop]))
+    return 2.0 * total
 
 
 def _signed_power(x, s):
@@ -307,19 +266,23 @@ def _signed_power(x, s):
 def tilde_eta(s, a, m=None):
     """Meromorphic continuation of the two-sided eta sum at s.
 
-    a must stay away from the singular set {+-lambda_n}. m overrides the
-    split point (lambda_m > |a| required); the value is independent of the
-    choice. At a pole (s a negative even integer, a != 0) the returned
-    point has is_pole set, the residue filled in, and a NaN value. Raises
-    ValueError where |a|/lambda_m is so close to 1 that the binomial tail
-    would need more than 2^16 terms (|a| above about 1000 by default, or an
-    m with lambda_m barely above |a|).
+    a must stay away from the singular set {+-lambda_n}. The terms n < m
+    are summed directly; the l-th terms of the expansion of the rest in a
+    grow like (|s| |a|/lambda_m)^l/l!, so by default lambda_m > |a| + 1/2
+    and, for Re s > 0, lambda_m > |s| |a| (for Re s <= 0 a larger m makes
+    the head cancel instead). An explicit m (lambda_m > |a|) overrides this
+    without changing the value. At a pole (s a negative even integer,
+    a != 0) is_pole is set, the residue filled in, and the value NaN.
+    Raises ValueError where the binomial tail would need more than 2^16
+    terms: by default for |a| above about 1000 with Re s <= 0 or |s| below
+    about 1, or for an m with lambda_m barely above |a|.
     """
     s = complex(s)
     a = float(a)
     _validate_regular_a(a)
     if m is None:
-        m = default_start_index(a)
+        # lambda_m > |a| + 1/2, and lambda_m > |s| |a| for Re s > 0
+        m = default_start_index(max(abs(a), abs(s) * abs(a) - 0.5) if s.real > 0.0 else a)
     else:
         m = int(m)
         if m < 0:
@@ -338,7 +301,7 @@ def tilde_eta(s, a, m=None):
 
     j = 0
     while (l := 2 * j + 1) <= order - 1:
-        zm = _zeta_m(s + l, m)
+        zm = _zeta_m(s, l, m)
         a_pow = a**l
         total += 2.0 * _binom_complex(-s, l) * a_pow * zm.regular
         if zm.sigma0 is not None:

@@ -126,12 +126,14 @@ def criterion_tilde_odd() -> dict:
 
 def criterion_tilde_direct() -> dict:
     """C3: continuation matches direct partial sums within 1e-8 + tail bound."""
+    points = [(s, a) for s in (1.5, 2.0, 3.0, 4.0 + 2.0j) for a in (0.3, 1.25)]
+    # |s| |a| from 38 to 100: the expansion in a grows like (|s| |a|)^l/l! first
+    points += [(3.0 + 30.0j, 1.25), (3.0 + 80.0j, 1.25), (3.0 + 10.0j, 7.3), (3.0, 30.3)]
     parts = []
-    for s in (1.5, 2.0, 3.0, 4.0 + 2.0j):
-        for a in (0.3, 1.25):
-            cont = tilde_eta(s, a).value
-            direct, tail = tilde_eta_direct(s, a, 40000)
-            parts.append(_part(f"s={s}, a={a:g}", abs(cont - direct), 1e-8 + tail))
+    for s, a in points:
+        cont = tilde_eta(s, a).value
+        direct, tail = tilde_eta_direct(s, a, 40000)
+        parts.append(_part(f"s={s}, a={a:g}", abs(cont - direct), 1e-8 + tail))
     return _record(
         "C3", "continuation vs tail-bounded direct summation for Re s > 1", parts
     )

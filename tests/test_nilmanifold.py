@@ -154,6 +154,21 @@ def test_sign_battery_matches_values():
             assert math.copysign(1.0, value) == sign_prediction(l, d), (r, c, l)
 
 
+def test_value_next_to_negative_even_integers_keeps_relative_accuracy():
+    # the pole of tilde_eta times the zero of eta_hurw at s - 1: within 1e-10
+    # of s = -2l the product tends to its value at -2l, with a slope of order
+    # one; at -1.99999999997585 and -3.99999999998902 s - 1 rounds
+    d = data(6, 4)
+    for s in (-2.0 + 2.4e-11, -2.0 - 5e-11, -1.9999999999758467, -4.0 + 3e-11,
+              -3.9999999999890234, -6.0 - 2e-11):
+        value = eta_nil(s, d).value
+        limit = eta_nil_neg_even(round(-s / 2.0), d)
+        assert abs(value - limit) <= 1e-9 * abs(limit), s
+    # next to s = 0, where s - 1 rounds to -1 exactly, no rescale applies
+    for s in (1e-17, -1e-17, 5e-17 + 1e-17j):
+        assert math.isfinite(abs(eta_nil(s, d).value)), s
+
+
 def test_two_route_value_consistency_across_l():
     # eta_nil_neg_even cross-checks its two internal routes and raises on
     # disagreement, so surviving the call is already a consistency check

@@ -55,22 +55,45 @@ def test_riemann_zeta_against_mpmath_grid():
 
 
 def test_hurwitz_zeta_against_mpmath():
+    # every a > 0: a in (0, 1] and beyond, through the Euler-Maclaurin head from
+    # a, and for Re s < -1/2 through riemann_zeta (a0 = 1), (2^s - 1) zeta(s)
+    # (a0 = 1/2) or Hurwitz's formula in polylogarithms
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-    for s, a in [(2.3, 0.25), (0.5, 0.7), (-1.5, 1.0), (3.0 + 1.0j, 0.4),
-                 (-0.5 + 2.0j, 0.9)]:
-        want = complex(mp.zeta(s, a))
-        got = hurwitz_zeta(s, a)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (s, a)
+    points = [(2.3, 0.25), (0.5, 0.7), (-1.5, 1.0), (3.0 + 1.0j, 0.4), (-0.5 + 2.0j, 0.9),
+              # off by 3.4e-7 and 1.4e-4 on the Euler-Maclaurin route alone
+              (-5.2 + 3.56j, 0.5), (-8.0 + 10.0j, 0.9)]
+    for a in (1e-3, 0.3, 0.5, 0.9, 1.0, 2.25, 3.7, 12.5, 40.0):
+        for re in (-8.0, -5.2, -2.2, -0.6, 0.3, 2.7, 10.0):
+            points += [(complex(re, im), a) for im in (0.0, 3.56, -10.0, 30.0)]
+    with mp.workdps(30):
+        for s, a in points:
+            want = complex(mp.zeta(mp.mpc(s), mp.mpf(a)))
+            # measured: at most 6.4e-13 (at s = -8 - 10i, a = 40)
+            assert abs(hurwitz_zeta(s, a) - want) <= 1e-12 * abs(want), (s, a)
 
 
 def test_hurwitz_zeta_rejects_bad_shift():
     with pytest.raises(ValueError):
         hurwitz_zeta(2.0, 0.0)
     with pytest.raises(ValueError):
-        hurwitz_zeta(2.0, 1.5)
+        hurwitz_zeta(2.0, -0.5)
     with pytest.raises(ValueError):
         hurwitz_zeta(1.0, 0.5)
+
+
+def test_sine_factor_keeps_relative_accuracy_next_to_its_zeros():
+    # sin(pi s/2) vanishes at even s; reduced exactly, the functional
+    # equations keep their relative accuracy within 1e-10 of those points
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for s in (-2.0 + 1e-11, -4.0 - 3e-11, -6.0 + 2e-10):
+            want = complex(mp.zeta(s))
+            assert abs(riemann_zeta(s) - want) <= 1e-14 * abs(want), s
+        # at -3.0000000000483147 the order 1 - s rounds
+        for s, a in [(-3.0 + 1e-11, 2.0 / 3.0), (-5.0 - 4e-11, 0.2), (-3.0 + 1e-11 + 1e-11j, 0.9),
+                     (-3.0000000000483147, 2.0 / 7.0)]:
+            want = complex(mp.zeta(s, a) - mp.zeta(s, 1 - mp.mpf(a)))
+            assert abs(eta_hurw(s, a) - want) <= 1e-14 * abs(want), (s, a)
 
 
 def test_eta_hurw_against_mpmath():

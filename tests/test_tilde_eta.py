@@ -10,9 +10,8 @@ from rumin_eta.tilde_eta import (
     _H_TAIL_COUNT,
     _binom_complex,
     _h_tail_odd,
-    _odd_zeta_tail,
     _tail_lengths,
-    _zeta0,
+    _zeta_m,
     default_start_index,
     lambda_n,
     tilde_eta,
@@ -234,43 +233,61 @@ def test_h_tail_odd_against_mpmath_double_sum():
             assert abs(got - want) <= 1e-14 * max(1.0, magnitude) + rest, (s, a)
 
 
-def test_zeta0_against_mpmath_double_sum():
-    # sum_n lambda_n^-sigma = lambda_0^-sigma + 2^{sigma/2} sum_k binom(-sigma/2, k)
-    # (9/8)^k sum_{n>=1} (2n+1)^{-sigma-2k}, summed in mpmath with the inner
-    # sums as 2^{-w} zeta(w, 3/2)
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(25):
-        for s, _ in TAIL_GRID:
-            for sigma in (s + 1.0, s + _order(s) - 1.0):
-                S = mp.mpc(sigma)
-                want = mp.mpf(17) ** (-S / 2) * 4**S
-                k = 0
-                while True:
-                    w = S + 2 * k
-                    term = mp.binomial(-S / 2, k) * mp.mpf(1.125) ** k * mp.zeta(w, 1.5) / 2**w
-                    want += 2 ** (S / 2) * term
-                    if k > 5 and abs(term) < 1e-24:
-                        break
-                    k += 1
-                want = complex(want)
-                z0 = _zeta0(sigma)
-                got = z0.regular
-                if z0.sigma0 is not None:
-                    got += z0.polar_coeff / (sigma - z0.sigma0)
-                # measured: at most 5.4e-13 (at sigma = 1.4 - 30i, from zeta itself)
-                assert abs(got - want) <= 5e-12 * max(1.0, abs(want)), sigma
+# (sigma, a): Re sigma from -5.5 to 30, |Im sigma| <= 80; sigma = -1 + 1e-6i
+# sits next to the pole of the k = 1 Hurwitz term
+ZETA_M_POINTS = [
+    (-5.5 + 0.0j, 0.97), (-5.5 - 30.0j, 1.2), (-2.3 + 7.5j, 0.05), (-1.0 + 1e-6j, 1.25),
+    (0.4 - 30.0j, 7.3), (1.0 + 0.3j, 1.25), (1.3 + 80.0j, 1.25), (3.1 + 0.0j, 30.3),
+    (4.0 - 80.0j, 1.25), (7.0 + 10.0j, 4.0), (15.0 + 2.0j, 1.25), (30.0 - 80.0j, 1.25),
+    (30.0 + 0.0j, 30.3),
+]
 
 
-def test_odd_zeta_tail_direct_branch_against_mpmath():
+def test_zeta_m_against_mpmath_double_sum():
+    # sum_{n>=m} lambda_n^-sigma = lambda_0^-sigma + 2^{sigma/2} sum_k binom(-sigma/2, k)
+    # (9/8)^k sum_{n>=1} (2n+1)^{-sigma-2k} - sum_{0<n<m} lambda_n^-sigma, summed
+    # in mpmath with the inner sums as 2^{-w} zeta(w, 3/2), with enough digits
+    # for the head subtraction, at m = 0, 1, the default split point for a
+    # and one with lambda_m > |s| |a| (s = sigma - 1), as tilde_eta takes for
+    # Re s > 0
     mp = pytest.importorskip("mpmath")
-    # (1 - 2^-sp) zeta(sp) - 1 cancels to 3^-sp: 19 of its digits at Re sp = 40
-    with mp.workdps(60):
-        for sp in (10.0 + 0.0j, 10.0 - 7.0j, 10.0 + 30.0j, 15.0 + 30.0j, 15.0 - 2.0j,
-                   40.0 + 3.0j, 40.0 - 30.0j):
-            S = mp.mpc(sp)
-            want = complex((1 - mp.mpf(2) ** (-S)) * mp.zeta(S) - 1)
-            # measured: at most 2e-15 relative
-            assert abs(_odd_zeta_tail(sp) - want) <= 1e-14 * abs(want) + 1e-26, sp
+    for sigma, a in ZETA_M_POINTS:
+        ms = sorted({0, 1, default_start_index(a), default_start_index(abs(sigma - 1.0) * a)})
+        lost = max(0.0, sigma.real * math.log10(lambda_n(ms[-1]) / lambda_n(0)))
+        with mp.workdps(25 + int(lost)):
+            S = mp.mpc(sigma)
+            zeta_0 = mp.mpf(17) ** (-S / 2) * 4**S
+            k = 0
+            while True:
+                w = S + 2 * k
+                term = 2 ** (S / 2) * mp.binomial(-S / 2, k) * mp.mpf(1.125) ** k * mp.zeta(w, 1.5) / 2**w
+                zeta_0 += term
+                if k > 5 and abs(term) < mp.mpf(10) ** (-20 - lost) * abs(zeta_0):
+                    break
+                k += 1
+            for m in ms:
+                head = sum(mp.sqrt(8 * (2 * n + 1) ** 2 + 9) ** (-S) * 4**S for n in range(m))
+                want = complex(zeta_0 - head)
+                zm = _zeta_m(sigma, 0, m)
+                got = zm.regular
+                if zm.sigma0 is not None:
+                    got += zm.polar_coeff / (sigma - zm.sigma0)
+                # measured: at most 1.8e-13 (at sigma = 1.3 + 80i, m = 71)
+                assert abs(got - want) <= 1e-12 * abs(want), (sigma, m)
+
+
+@pytest.mark.parametrize("re", [1.5, 3.0, 6.0])
+def test_continuation_matches_direct_sum_at_large_s_and_shift(re):
+    """Re s in {1.5, 3, 6} x Im s in {0, 30, -80} x a in {1.25, -4, 7.3, -30.3}:
+    where the a-expansion's terms grow like (|s| |a|)^l/l!, within
+    1e-14 max(1, |value|) of 400000 direct terms plus their tail bound."""
+    for im in (0.0, 30.0, -80.0):
+        for a in (1.25, -4.0, 7.3, -30.3):
+            s = complex(re, im)
+            cont = tilde_eta(s, a).value
+            direct, tail = tilde_eta_direct(s, a, 400000)
+            # measured: at most 1.1e-15 max(1, |value|) beyond the tail
+            assert abs(cont - direct) <= 1e-14 * max(1.0, abs(cont)) + tail, (s, a)
 
 
 @settings(max_examples=150, deadline=None)
