@@ -26,18 +26,15 @@ from .rep_oracle import (
     IDENTITY_METRIC,
     SchrodingerParams,
     SpectralPairingError,
-    TruncationConfig,
     closed_form_error,
     closed_form_schrodinger_spectrum,
-    default_truncation,
     generic_S,
-    generic_scale,
     hermitian_eigenvalues,
     hodge_star3,
+    oracle_window,
     pairing_symmetry,
     scalar_S,
     schrodinger_S,
-    schrodinger_scale,
     spectral_eta_partial,
     trusted_window,
 )
@@ -74,11 +71,9 @@ __all__ = [
     "SchrodingerParams",
     "SpectralPairingError",
     "TildeEtaPoint",
-    "TruncationConfig",
     "classify_case",
     "closed_form_error",
     "closed_form_schrodinger_spectrum",
-    "default_truncation",
     "eta_direct_sum",
     "eta_hurw",
     "eta_hurw_deriv_neg_odd",
@@ -86,7 +81,6 @@ __all__ = [
     "eta_nil_neg_even",
     "eta_nil_special",
     "generic_S",
-    "generic_scale",
     "hermitian_eigenvalues",
     "hodge_star3",
     "hurwitz_zeta",
@@ -94,13 +88,13 @@ __all__ = [
     "im_polylog_even_quad",
     "lambda_n",
     "multiplicity",
+    "oracle_window",
     "pairing_symmetry",
     "polylog_circle",
     "polylog_circle_direct",
     "riemann_zeta",
     "scalar_S",
     "schrodinger_S",
-    "schrodinger_scale",
     "sign_prediction",
     "spectral_eta_partial",
     "tilde_eta",

@@ -12,9 +12,9 @@ parameters; 3 internal inconsistency detected during computation.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
+import math
 import sys
 
 import click
@@ -35,29 +35,27 @@ from .rep_oracle import (
     SchrodingerParams,
     SpectralPairingError,
     closed_form_error,
-    default_truncation,
-    generic_S,
-    generic_scale,
-    hermitian_eigenvalues,
+    oracle_window,
     pairing_symmetry,
     scalar_S,
-    schrodinger_S,
-    schrodinger_scale,
-    trusted_window,
 )
-from .specfun import eta_hurw, im_polylog_even, polylog_circle
+from .specfun import eta_hurw, polylog_circle
 from .tilde_eta import tilde_eta
 
 _INTERNAL_ERRORS = (SpectralPairingError, RouteDisagreement)
 
 
+def _finite_s(re, im=0.0) -> complex:
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise click.UsageError(f"s must be finite, got {complex(re, im)!r}")
+    return complex(re, im)
+
+
 def _parse_s(text: str) -> complex:
     parts = [p.strip() for p in str(text).split(",")]
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) <= 2:
+            return _finite_s(*map(float, parts))
     except ValueError:
         pass
     raise click.UsageError(f"cannot parse s value {text!r}; expected RE or RE,IM")
@@ -76,15 +74,11 @@ def _parse_s_list(text: str) -> list:
 
 
 def _json_s_value(raw) -> complex:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(float(raw), 0.0)
     if isinstance(raw, str):
         return _parse_s(raw)
-    if isinstance(raw, list) and len(raw) == 2:
-        try:
-            return complex(float(raw[0]), float(raw[1]))
-        except (TypeError, ValueError):
-            pass
+    parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw]
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        return _finite_s(*map(float, parts))
     raise click.UsageError(f"cannot parse job s value {raw!r}")
 
 
@@ -99,30 +93,16 @@ def _lattice_data(r, c, gamma_norm) -> LatticeCharacterData:
 
 def _eval_one(fn, point, data, a):
     """One evaluation record for the requested function at one point."""
-    if fn == "nil":
-        result = eta_nil(point, data)
-        return serialize.eta_record(
-            result.s, result.value, result.is_pole, result.residue, None
-        )
-    if fn == "tilde":
-        result = tilde_eta(point, a)
+    if fn in ("nil", "tilde"):
+        result = eta_nil(point, data) if fn == "nil" else tilde_eta(point, a)
         return serialize.eta_record(
             result.s, result.value, result.is_pole, result.residue, None
         )
     if fn == "hurw-eta":
         value = eta_hurw(point, a)
-        return serialize.eta_record(point, value, False, 0.0, None)
-    if fn == "polylog-im":
-        if point.imag == 0.0 and point.real == round(point.real) and point.real >= 2:
-            order = int(round(point.real))
-            if order % 2 == 0:
-                value = complex(im_polylog_even((order - 2) // 2, a), 0.0)
-                return serialize.eta_record(point, value, False, 0.0, None)
-        if point.real <= 1.0:
-            raise click.UsageError("--fn polylog-im requires Re s > 1")
+    else:
         value = complex(polylog_circle(point, a).imag, 0.0)
-        return serialize.eta_record(point, value, False, 0.0, None)
-    raise click.UsageError(f"unknown --fn {fn!r}")
+    return serialize.eta_record(point, value, False, 0.0, None)
 
 
 def _eval_request(fn, points, r, c, gamma_norm, a, l):
@@ -142,6 +122,8 @@ def _eval_request(fn, points, r, c, gamma_norm, a, l):
         raise click.UsageError("--r/--c/--gamma-norm apply only to --fn nil")
     if fn == "nil" and a is not None:
         raise click.UsageError("--a does not apply to --fn nil")
+    if a is not None and not math.isfinite(a):
+        raise click.UsageError(f"--a must be finite, got {a!r}")
     data = None
     if fn == "nil":
         data = _lattice_data(r, c, gamma_norm)
@@ -153,8 +135,9 @@ def _eval_request(fn, points, r, c, gamma_norm, a, l):
 def _error_boundary(command):
     """Internal inconsistencies exit 3; ValueErrors become usage errors (exit 2).
 
-    Raised inside the command callback, a UsageError keeps the subcommand's
-    usage line.
+    So do OverflowErrors, which the library raises where a value exceeds
+    the double range.  Raised inside the command callback, a UsageError
+    keeps the subcommand's usage line.
     """
 
     @functools.wraps(command)
@@ -164,7 +147,7 @@ def _error_boundary(command):
         except _INTERNAL_ERRORS as exc:
             click.echo(f"internal inconsistency: {exc}", err=True)
             sys.exit(3)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise click.UsageError(str(exc))
 
     return run
@@ -206,6 +189,14 @@ def _load_job_file(path) -> list:
         if extra:
             raise click.UsageError(f"job {i}: unknown fields {extra}")
         params = {key: entry.get(key) for key in ("r", "c", "gamma_norm", "a", "l")}
+        for key, value in params.items():
+            if key in ("r", "c", "l"):
+                kind, ok = "an integer", isinstance(value, int)
+            else:
+                kind = "a finite number"
+                ok = isinstance(value, (int, float)) and abs(value) < math.inf
+            if value is not None and (isinstance(value, bool) or not ok):
+                raise click.UsageError(f"job {i}: {key} must be {kind}, got {value!r}")
         jobs.append(dict(fn=fn, points=points, **params))
     return jobs
 
@@ -312,11 +303,8 @@ def special_values_cmd(r, c, gamma_norm, l_max):
               help="Metric weight of the second top direction.")
 @click.option("--basis-size", type=int, default=256, show_default=True,
               help="Oscillator modes per block (ignored for scalar).")
-@click.option("--trusted-count", type=int, default=None,
-              help="Override the trusted-window size (default basis/8).")
 @_error_boundary
-def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55,
-                 basis_size, trusted_count):
+def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55, basis_size):
     """Eigenvalues as CSV on stdout; JSON diagnostics on stderr."""
     g = GradedMetric(g33, g44, g55)
     scalar_opts = alpha is not None or beta is not None
@@ -325,8 +313,7 @@ def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55,
     if rep == "scalar":
         if schro_opts or generic_opts or not (alpha is not None and beta is not None):
             raise click.UsageError("--rep scalar takes exactly --alpha and --beta")
-        mat = scalar_S(alpha, beta, g)
-        eigs = np.sort(np.linalg.eigvalsh(mat.entries))
+        eigs = np.linalg.eigvalsh(scalar_S(alpha, beta, g).entries)
         sidecar = {
             "rep": "scalar",
             "alpha": float(alpha),
@@ -335,36 +322,27 @@ def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55,
             "eigenvalue_count": int(eigs.size),
         }
     else:
-        if basis_size < 8:
-            raise click.UsageError("--basis-size must be >= 8")
         if rep == "schroedinger":
             if scalar_opts or generic_opts or hbar is None:
                 raise click.UsageError("--rep schroedinger takes exactly --hbar")
             params = SchrodingerParams(hbar=hbar)
-            mat = schrodinger_S(params, g, basis_size)
-            unit = schrodinger_scale(params, g)
         else:
             if scalar_opts or schro_opts or lam is None or mu is None:
                 raise click.UsageError(
                     "--rep generic takes --lambda, --mu and optionally --nu"
                 )
             params = GenericRepParams(lam=lam, mu=mu, nu=0.0 if nu is None else nu)
-            mat = generic_S(params, g, basis_size)
-            unit = generic_scale(params, g)
-        cfg = default_truncation(basis_size, unit)
-        if trusted_count is not None:
-            cfg = dataclasses.replace(cfg, trusted_count=trusted_count)
-        eigs = hermitian_eigenvalues(mat)
-        trusted = sorted(trusted_window(eigs, cfg))
+        eigs, unit, kernel_eps, trusted = oracle_window(params, g, basis_size)
+        trusted = trusted.tolist()
         sidecar = {
             "rep": rep,
             "metric": {"g33": g.g33, "g44": g.g44, "g55": g.g55},
             "basis_size": int(basis_size),
             "spectral_unit": float(unit),
-            "kernel_eps": float(cfg.kernel_eps),
-            "kernel_count": int(np.count_nonzero(np.abs(eigs) < cfg.kernel_eps)),
+            "kernel_eps": float(kernel_eps),
+            "kernel_count": int(np.count_nonzero(np.abs(eigs) < kernel_eps)),
             "trusted_count": len(trusted),
-            "trusted": [float(t) for t in trusted],
+            "trusted": trusted,
         }
         if rep == "schroedinger":
             sidecar["hbar"] = float(hbar)

@@ -130,15 +130,8 @@ def eta_nil(s, d: LatticeCharacterData) -> EtaEvaluation:
     # snapped like tilde_eta, whose pole the Hurwitz factor cancels there
     pole = _snapped_pole(s)
     if pole is not None:
-        l = -pole // 2
-        scale_sq = (2.0 * math.pi) ** 2 / d.gamma_norm
-        residue = (
-            d.r
-            * scale_sq**l
-            * (eta_hurw(-2 * l - 1.0, a) * tilde_eta_residue(l, 1.25)).real
-        )
-        value = eta_nil_neg_even(l, d)
-        return EtaEvaluation(s=s, value=complex(value), is_pole=True, residue=residue)
+        value = eta_nil_neg_even(-pole // 2, d)
+        return EtaEvaluation(s=s, value=complex(value), is_pole=True, residue=0.0)
     prefactor = d.r * (2.0 * math.pi / math.sqrt(d.gamma_norm)) ** (-s)
     hurw = eta_hurw(s - 1.0, a)
     l = round(-s.real / 2.0)

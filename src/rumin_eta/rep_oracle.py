@@ -6,8 +6,10 @@ harmonic oscillator basis, windowed to the leading ``basis_size`` modes.
 Products of generators are never formed by multiplying truncated factors;
 every block uses the exact band formulas of the full operator, which keeps
 each truncation exactly Hermitian and confines the truncation error to the
-top Hermite levels.  Only the ``trusted_count`` smallest-magnitude nonzero
-eigenvalues of a truncation should be compared against exact spectra.
+top Hermite levels.  Only the trusted window of a truncation, its
+basis_size/8 smallest-magnitude eigenvalues off the kernel, should be
+compared against exact spectra; ``oracle_window`` builds, solves and cuts
+a Schrodinger or generic truncation in one call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "GradedMetric",
     "SchrodingerParams",
     "GenericRepParams",
-    "TruncationConfig",
     "HermitianOperatorMatrix",
     "SpectralPairingError",
     "IDENTITY_METRIC",
@@ -37,9 +38,7 @@ __all__ = [
     "spectral_eta_partial",
     "trusted_window",
     "pairing_symmetry",
-    "schrodinger_scale",
-    "generic_scale",
-    "default_truncation",
+    "oracle_window",
 ]
 
 
@@ -103,24 +102,6 @@ class GenericRepParams:
                 raise ValueError(f"{name} must be finite")
         if self.lam == 0.0 and self.mu == 0.0:
             raise ValueError("(lam, mu) must not be (0, 0)")
-
-
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Truncation size, kernel threshold, and trusted interior window."""
-
-    basis_size: int
-    kernel_eps: float
-    trusted_count: int
-
-    def __post_init__(self):
-        if self.basis_size < 8:
-            raise ValueError("basis_size must be at least 8")
-        if not (math.isfinite(self.kernel_eps) and self.kernel_eps > 0.0):
-            raise ValueError("kernel_eps must be positive")
-        # edge eigenvalues of a truncated unbounded operator are spurious
-        if not (1 <= self.trusted_count * 8 <= self.basis_size):
-            raise ValueError("trusted_count must satisfy 1 <= trusted_count <= basis_size/8")
 
 
 class HermitianOperatorMatrix:
@@ -614,12 +595,12 @@ def spectral_eta_partial(eigs, s, kernel_eps: float):
     return complex(np.sum(np.sign(kept) * np.exp(-s * np.log(np.abs(kept)))))
 
 
-def trusted_window(eigs, config: TruncationConfig) -> np.ndarray:
-    """The trusted_count smallest-magnitude eigenvalues off the kernel."""
+def trusted_window(eigs, kernel_eps: float, count: int) -> np.ndarray:
+    """The count smallest-magnitude eigenvalues with |ev| >= kernel_eps, ascending."""
     arr = np.asarray(eigs, dtype=np.float64)
-    nonzero = arr[np.abs(arr) >= config.kernel_eps]
+    nonzero = arr[np.abs(arr) >= kernel_eps]
     order = np.argsort(np.abs(nonzero), kind="stable")
-    return nonzero[order[: config.trusted_count]]
+    return np.sort(nonzero[order[:count]])
 
 
 def pairing_symmetry(trusted) -> float:
@@ -637,21 +618,24 @@ def pairing_symmetry(trusted) -> float:
     return float(np.max(np.abs(arr + arr[::-1])) / np.max(np.abs(arr)))
 
 
-def schrodinger_scale(params: SchrodingerParams, g: GradedMetric) -> float:
-    """The frequency 2*pi*|hbar|/sqrt(g33) that sets the spectral unit."""
-    return 2.0 * math.pi * abs(params.hbar) / math.sqrt(g.g33)
+def oracle_window(params, g: GradedMetric, basis_size: int):
+    """Build and solve one truncation, and cut out its trusted window.
 
-
-def generic_scale(params: GenericRepParams, g: GradedMetric) -> float:
-    """The analogous spectral unit 2*pi*(lam^2+mu^2)^(1/3)/sqrt(g33)."""
-    d = (params.lam**2 + params.mu**2) ** (1.0 / 3.0)
-    return 2.0 * math.pi * d / math.sqrt(g.g33)
-
-
-def default_truncation(basis_size: int, spectral_unit: float) -> TruncationConfig:
-    """Kernel cut well below the smallest nonzero eigenvalue; N/8 trusted."""
-    return TruncationConfig(
-        basis_size=basis_size,
-        kernel_eps=1e-6 * spectral_unit,
-        trusted_count=max(1, basis_size // 8),
-    )
+    ``params`` picks the family: SchrodingerParams builds ``schrodinger_S``
+    with spectral unit 2*pi*|hbar|/sqrt(g33), GenericRepParams builds
+    ``generic_S`` with 2*pi*(lam^2 + mu^2)^(1/3)/sqrt(g33).  Eigenvalues
+    with |ev| < kernel_eps = 1e-6*unit, far below the smallest nonzero one,
+    are the kernel.  The window is the basis_size//8 smallest |ev| off it:
+    the edge eigenvalues of a truncated unbounded operator are spurious.
+    Returns (eigenvalues, unit, kernel_eps, window), both arrays ascending.
+    """
+    if isinstance(params, SchrodingerParams):
+        mat = schrodinger_S(params, g, basis_size)
+        freq = abs(params.hbar)
+    else:
+        mat = generic_S(params, g, basis_size)
+        freq = (params.lam**2 + params.mu**2) ** (1.0 / 3.0)
+    unit = 2.0 * math.pi * freq / math.sqrt(g.g33)
+    kernel_eps = 1e-6 * unit
+    eigs = hermitian_eigenvalues(mat)
+    return eigs, unit, kernel_eps, trusted_window(eigs, kernel_eps, basis_size // 8)

@@ -37,16 +37,10 @@ from .rep_oracle import (
     SchrodingerParams,
     closed_form_error,
     closed_form_schrodinger_spectrum,
-    default_truncation,
-    generic_S,
-    generic_scale,
-    hermitian_eigenvalues,
+    oracle_window,
     pairing_symmetry,
     scalar_S,
-    schrodinger_S,
-    schrodinger_scale,
     spectral_eta_partial,
-    trusted_window,
 )
 from .specfun import (
     eta_hurw,
@@ -202,10 +196,8 @@ def criterion_hurw_battery() -> dict:
 def _schrodinger_window_error(basis_size: int, k: int = 8) -> float:
     params = SchrodingerParams(hbar=1.0)
     g = GradedMetric(1.0, 1.0, 1.0)
-    mat = schrodinger_S(params, g, basis_size)
-    eigs = hermitian_eigenvalues(mat)
-    cfg = default_truncation(basis_size, schrodinger_scale(params, g))
-    trusted = sorted(trusted_window(eigs, cfg), key=abs)[:k]
+    *_, window = oracle_window(params, g, basis_size)
+    trusted = sorted(window, key=abs)[:k]
     if not trusted:
         return math.inf
     return closed_form_error(trusted, params, g)
@@ -277,11 +269,8 @@ def criterion_generic_symmetry(basis_size: int = 256) -> dict:
     parts = []
     for lam, mu, nu, g44 in [(1.0, 1.0, 0.0, 1.0), (0.7, -1.3, 0.4, 1.7)]:
         params = GenericRepParams(lam=lam, mu=mu, nu=nu)
-        g = GradedMetric(1.0, g44, g44)
-        mat = generic_S(params, g, basis_size)
-        eigs = hermitian_eigenvalues(mat)
-        cfg = default_truncation(basis_size, generic_scale(params, g))
-        err = pairing_symmetry(trusted_window(eigs, cfg))
+        *_, window = oracle_window(params, GradedMetric(1.0, g44, g44), basis_size)
+        err = pairing_symmetry(window)
         parts.append(
             _part(f"pairing lam={lam:g}, mu={mu:g}, nu={nu:g}, g44={g44:g}", err, tol)
         )

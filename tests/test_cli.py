@@ -7,10 +7,10 @@ import pytest
 from click.testing import CliRunner
 
 import rumin_eta
-from rumin_eta import cli, nilmanifold
+from rumin_eta import cli, nilmanifold, rep_oracle
 from rumin_eta.nilmanifold import RouteDisagreement
 from rumin_eta.rep_oracle import SpectralPairingError
-from rumin_eta.specfun import eta_hurw
+from rumin_eta.specfun import eta_hurw, im_polylog_even
 
 CATALAN = 0.915965594177219
 
@@ -78,6 +78,15 @@ def test_eval_polylog_im_l_shorthand(runner):
     (rec,) = records_of(result.stdout)
     assert rec["s"] == {"re": 2.0, "im": 0.0}
     assert rec["value"]["re"] == pytest.approx(CATALAN, abs=1e-12)
+
+
+def test_eval_polylog_im_even_orders_are_im_polylog_even(runner):
+    result = runner.invoke(
+        cli.main, ["eval", "--fn", "polylog-im", "--a", "0.3", "--s-list", "2;4;6"]
+    )
+    assert result.exit_code == 0
+    got = [rec["value"] for rec in records_of(result.stdout)]
+    assert got == [{"re": im_polylog_even(l, 0.3), "im": 0.0} for l in (0, 1, 2)]
 
 
 def test_eval_polylog_im_generic_point_matches_series(runner):
@@ -168,11 +177,26 @@ def test_eval_byte_determinism(runner):
         ["verify", "--suite", "all", "--basis-size", "8"],
         ["special-values", "--r", "4", "--c", "1", "--gamma-norm", "1",
          "--l-max", "-1"],
+        # values beyond the double range, and non-finite input
+        ["eval", "--fn", "nil", "--r", "4", "--c", "1", "--gamma-norm", "1",
+         "--s=-180"],
+        ["special-values", "--r", "4", "--c", "1", "--gamma-norm", "1",
+         "--l-max", "90"],
+        ["eval", "--fn", "hurw-eta", "--a", "0.3", "--s=-400"],
+        ["eval", "--fn", "tilde", "--a", "0.3", "--s", "1e10"],
+        ["eval", "--fn", "hurw-eta", "--a", "inf", "--s", "2"],
+        ["eval", "--fn", "hurw-eta", "--a", "nan", "--s", "2"],
+        ["eval", "--fn", "tilde", "--a", "0.3", "--s", "inf"],
+        ["eval", "--fn", "tilde", "--a", "0.3", "--s", "nan"],
+        ["eval", "--fn", "tilde", "--a", "0.3", "--s-list", "2;1,-inf"],
+        ["eval", "--fn", "polylog-im", "--a", "1", "--s", "4"],
     ],
 )
 def test_validation_failures_exit_2(runner, args):
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
 
 
 _RAISERS = {
@@ -183,7 +207,7 @@ _RAISERS = {
     "special-values": (nilmanifold, "eta_nil_neg_even",
                        ["special-values", "--r", "4", "--c", "1", "--gamma-norm", "1",
                         "--l-max", "1"]),
-    "spectrum": (cli, "hermitian_eigenvalues",
+    "spectrum": (rep_oracle, "hermitian_eigenvalues",
                  ["spectrum", "--rep", "generic", "--lambda", "1", "--mu", "1",
                   "--basis-size", "16"]),
     "verify": (cli.verification, "run_suite", ["verify", "--suite", "tilde-eta"]),
@@ -218,20 +242,6 @@ def test_library_value_error_exits_2(runner, monkeypatch, command):
     assert result.stdout == ""
     assert result.stderr.startswith("Usage: main " + command + " [OPTIONS]")
     assert result.stderr.endswith("Error: forced\n")
-
-
-def test_invalid_trusted_count_exits_2_before_the_solve(runner, monkeypatch):
-    def solve(m):
-        pytest.fail("hermitian_eigenvalues ran for an invalid --trusted-count")
-
-    monkeypatch.setattr(cli, "hermitian_eigenvalues", solve)
-    result = runner.invoke(
-        cli.main,
-        ["spectrum", "--rep", "generic", "--lambda", "1", "--mu", "1",
-         "--basis-size", "1024", "--trusted-count", "0"],
-    )
-    assert result.exit_code == 2, result.output
-    assert "trusted_count must satisfy" in result.stderr
 
 
 def test_eval_has_no_jobs_option(runner, tmp_path):
@@ -272,6 +282,19 @@ def test_job_file_runs_and_orders_records(runner, tmp_path):
         [{"fn": "tilde", "a": 0.3, "s": 1, "s_list": "1,2"}],
         [{"fn": "tilde", "a": 0.3, "s": 1, "surprise": 7}],
         [{"fn": "tilde", "a": 0.3, "s": True}],
+        # each field has one type: an int for r, c and l, a finite real for
+        # gamma_norm and a; never a bool or a string
+        [{"fn": "hurw-eta", "a": "0.3", "s": 2}],
+        [{"fn": "nil", "r": "4", "c": 1, "gamma_norm": 1.0, "s": 2}],
+        [{"fn": "nil", "r": 4, "c": 1, "gamma_norm": "x", "s": 2}],
+        [{"fn": "tilde", "a": "0.3", "s": 2}],
+        [{"fn": "tilde", "a": True, "s": 2}],
+        [{"fn": "polylog-im", "a": 0.3, "l": 1.5}],
+        [{"fn": "nil", "r": 4.0, "c": 1, "gamma_norm": 1.0, "s": 2}],
+        [{"fn": "tilde", "a": 0.3, "s": 2}, {"fn": "tilde", "a": float("nan"), "s": 2}],
+        [{"fn": "tilde", "a": 0.3, "s": float("inf")}],
+        [{"fn": "tilde", "a": 0.3, "s_list": [2, [1, float("nan")]]}],
+        [{"fn": "tilde", "a": 0.3, "s": [True, "2"]}],
     ],
 )
 def test_bad_job_files_exit_2(runner, tmp_path, doc):
@@ -280,6 +303,16 @@ def test_bad_job_files_exit_2(runner, tmp_path, doc):
     result = runner.invoke(cli.main, ["eval", "--job-file", str(path),
                                       "--fn", "tilde"])
     assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+def test_job_field_type_errors_name_the_job(runner, tmp_path):
+    jobs = [{"fn": "tilde", "a": 0.3, "s": 2}, {"fn": "polylog-im", "a": 0.3, "l": 1.5}]
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps(jobs), encoding="utf-8")
+    result = runner.invoke(cli.main, ["eval", "--job-file", str(path), "--fn", "tilde"])
+    assert result.exit_code == 2
+    assert result.stderr.endswith("Error: job 1: l must be an integer, got 1.5\n")
 
 
 def test_special_values_rows(runner):
@@ -347,16 +380,14 @@ def test_spectrum_generic_pairing_diagnostic(runner):
     assert sidecar["pairing_symmetry"] <= 1e-9
 
 
-def test_spectrum_trusted_count_override(runner):
-    base = ["spectrum", "--rep", "generic", "--lambda", "1", "--mu", "1",
-            "--basis-size", "32"]
-    result = runner.invoke(cli.main, base + ["--trusted-count", "3"])
-    assert result.exit_code == 0, result.output
-    assert json.loads(result.stderr)["trusted_count"] == 3
-    # the window must hold at least one value and at most basis/8
-    for count in ("0", "5"):
-        result = runner.invoke(cli.main, base + ["--trusted-count", count])
-        assert result.exit_code == 2, result.output
+def test_spectrum_has_no_trusted_count_option(runner):
+    result = runner.invoke(
+        cli.main,
+        ["spectrum", "--rep", "generic", "--lambda", "1", "--mu", "1",
+         "--basis-size", "32", "--trusted-count", "3"],
+    )
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and "--trusted-count" in result.stderr
 
 
 def test_verify_suite_summary_and_exit(runner):

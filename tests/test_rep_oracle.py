@@ -18,20 +18,17 @@ from rumin_eta.rep_oracle import (
     IDENTITY_METRIC,
     SchrodingerParams,
     SpectralPairingError,
-    TruncationConfig,
     closed_form_error,
     closed_form_schrodinger_spectrum,
-    default_truncation,
     generic_S,
-    generic_scale,
     h2_weights,
     h3_weights,
     hermitian_eigenvalues,
     hodge_star3,
+    oracle_window,
     pairing_symmetry,
     scalar_S,
     schrodinger_S,
-    schrodinger_scale,
     spectral_eta_partial,
     trusted_window,
 )
@@ -56,10 +53,9 @@ def test_params_validation():
         SchrodingerParams(hbar=1.0, orientation_sign=2)
     with pytest.raises(ValueError):
         GenericRepParams(lam=0.0, mu=0.0, nu=1.0)
-    with pytest.raises(ValueError):
-        TruncationConfig(basis_size=4, kernel_eps=1e-6, trusted_count=1)
-    with pytest.raises(ValueError):
-        TruncationConfig(basis_size=64, kernel_eps=1e-6, trusted_count=9)
+    for params in (SchrodingerParams(hbar=1.0), GenericRepParams(1.0, 1.0, 0.0)):
+        with pytest.raises(ValueError, match="basis_size must be at least 8"):
+            oracle_window(params, IDENTITY_METRIC, 4)
 
 
 def test_hermitian_wrapper_rejects_nonhermitian():
@@ -150,11 +146,10 @@ def test_closed_form_list_structure():
 def test_truncated_spectrum_hits_closed_form():
     params = SchrodingerParams(hbar=1.0)
     n = 96
-    eigs = hermitian_eigenvalues(schrodinger_S(params, IDENTITY_METRIC, n))
-    cfg = default_truncation(n, schrodinger_scale(params, IDENTITY_METRIC))
-    trusted = sorted(trusted_window(eigs, cfg), key=abs)
+    *_, window = oracle_window(params, IDENTITY_METRIC, n)
+    trusted = sorted(window, key=abs)
     exact = sorted(closed_form_schrodinger_spectrum(params, IDENTITY_METRIC, 24), key=abs)
-    assert len(trusted) == cfg.trusted_count
+    assert len(trusted) == n // 8
     for t, e in zip(trusted[:8], exact):
         assert t == pytest.approx(e, rel=1e-11)
 
@@ -162,14 +157,17 @@ def test_truncated_spectrum_hits_closed_form():
 def test_trusted_window_drops_kernel_and_edges():
     params = SchrodingerParams(hbar=1.0)
     n = 48
-    eigs = hermitian_eigenvalues(schrodinger_S(params, IDENTITY_METRIC, n))
-    cfg = default_truncation(n, schrodinger_scale(params, IDENTITY_METRIC))
-    kernel = [e for e in eigs if abs(e) < cfg.kernel_eps]
+    eigs, unit, kernel_eps, trusted = oracle_window(params, IDENTITY_METRIC, n)
+    assert unit == TWO_PI and kernel_eps == 1e-6 * TWO_PI
+    kernel = [e for e in eigs if abs(e) < kernel_eps]
     # the kernel carries about one zero mode per oscillator level
     assert n - 4 <= len(kernel) <= n + 4
-    trusted = trusted_window(eigs, cfg)
-    assert all(abs(t) >= cfg.kernel_eps for t in trusted)
-    assert len(trusted) == cfg.trusted_count
+    assert all(abs(t) >= kernel_eps for t in trusted)
+    assert len(trusted) == n // 8
+    assert np.all(np.diff(trusted) > 0.0)
+    # nothing off the kernel and outside the window is smaller in magnitude
+    rest = [e for e in eigs if abs(e) >= kernel_eps and e not in trusted]
+    assert max(abs(trusted)) <= min(abs(e) for e in rest)
 
 
 def test_spectral_eta_partial_matches_series():
@@ -198,9 +196,7 @@ def test_generic_spectrum_symmetric_for_balanced_metric():
     params = GenericRepParams(1.0, 1.0, 0.0)
     g = GradedMetric(1.0, 1.0, 1.0)
     n = 64
-    eigs = hermitian_eigenvalues(generic_S(params, g, n))
-    cfg = default_truncation(n, generic_scale(params, g))
-    trusted = np.sort(np.asarray(trusted_window(eigs, cfg)))
+    *_, trusted = oracle_window(params, g, n)
     folded = trusted + trusted[::-1]
     assert np.max(np.abs(folded)) <= 1e-9 * np.max(np.abs(trusted))
 
@@ -559,6 +555,24 @@ def test_band_solver_accuracy_against_extended_precision(n):
         assert float(np.max(np.abs(got - ref))) <= 5e-15 * rho
 
 
+def test_oracle_window_matches_the_former_pipeline():
+    # the spectral units, kernel cut and window that spectrum, C6 and C8
+    # assembled themselves before oracle_window
+    g = GradedMetric(1.3, 0.8, 1.1)
+    for build, params, freq in (
+        (schrodinger_S, SchrodingerParams(hbar=-0.7), 0.7),
+        (generic_S, GenericRepParams(1.0, 0.5, 0.3), 1.25 ** (1.0 / 3.0)),
+    ):
+        for n in (16, 40):
+            eigs, unit, kernel_eps, window = oracle_window(params, g, n)
+            assert np.array_equal(eigs, hermitian_eigenvalues(build(params, g, n)))
+            assert unit == 2.0 * math.pi * freq / math.sqrt(g.g33)
+            assert kernel_eps == 1e-6 * unit
+            nonzero = eigs[np.abs(eigs) >= kernel_eps]
+            former = sorted(nonzero[np.argsort(np.abs(nonzero), kind="stable")[: n // 8]])
+            assert window.tolist() == former
+
+
 def _pairing_as_cli_computed(trusted):
     # the spectrum sidecar's formula before it moved into pairing_symmetry
     arr = np.asarray(sorted(trusted))
@@ -583,9 +597,8 @@ def test_pairing_symmetry_matches_both_former_formulas():
             (GenericRepParams(1.0, 1.0, 0.0), IDENTITY_METRIC),
             (GenericRepParams(0.7, -1.3, 0.4), GradedMetric(1.0, 1.7, 1.7)),
         ):
-            eigs = hermitian_eigenvalues(generic_S(params, g, n))
-            cfg = TruncationConfig(n, 1e-6 * generic_scale(params, g), count)
-            windows.append(list(trusted_window(eigs, cfg)))
+            eigs, _, kernel_eps, _ = oracle_window(params, g, n)
+            windows.append(list(trusted_window(eigs, kernel_eps, count)))
     for window in windows:
         got = pairing_symmetry(window)
         assert got == _pairing_as_cli_computed(window) == _pairing_as_c8_computed(window)
@@ -611,8 +624,8 @@ def test_closed_form_error_matches_both_former_formulas():
     for n, hbar, g in ((32, 1.0, IDENTITY_METRIC), (64, -0.7, GradedMetric(1.3, 0.6, 0.6)),
                        (96, 1.9, GradedMetric(0.5, 2.0, 2.0))):
         params = SchrodingerParams(hbar=hbar)
-        eigs = hermitian_eigenvalues(schrodinger_S(params, g, n))
-        trusted = sorted(trusted_window(eigs, default_truncation(n, schrodinger_scale(params, g))))
+        *_, window = oracle_window(params, g, n)
+        trusted = list(window)
         got = closed_form_error(trusted, params, g)
         assert got == _closed_form_as_cli_computed(trusted, params, g)
         window = sorted(trusted, key=abs)[:8]
