@@ -35,6 +35,7 @@ from .rep_oracle import (
     SchrodingerParams,
     SpectralPairingError,
     closed_form_error,
+    hermitian_eigenvalues,
     oracle_window,
     pairing_symmetry,
     scalar_S,
@@ -92,17 +93,19 @@ def _lattice_data(r, c, gamma_norm) -> LatticeCharacterData:
 
 
 def _eval_one(fn, point, data, a):
-    """One evaluation record for the requested function at one point."""
-    if fn in ("nil", "tilde"):
-        result = eta_nil(point, data) if fn == "nil" else tilde_eta(point, a)
-        return serialize.eta_record(
-            result.s, result.value, result.is_pole, result.residue, None
-        )
-    if fn == "hurw-eta":
-        value = eta_hurw(point, a)
-    else:
-        value = complex(polylog_circle(point, a).imag, 0.0)
-    return serialize.eta_record(point, value, False, 0.0, None)
+    """One evaluation record; an error names the function and the point."""
+    try:
+        if fn in ("nil", "tilde"):
+            result = eta_nil(point, data) if fn == "nil" else tilde_eta(point, a)
+            fields = (result.s, result.value, result.is_pole, result.residue)
+        elif fn == "hurw-eta":
+            fields = (point, eta_hurw(point, a), False, 0.0)
+        else:
+            fields = (point, complex(polylog_circle(point, a).imag, 0.0), False, 0.0)
+    except (ValueError, OverflowError) as exc:
+        text = repr(point.real) if point.imag == 0.0 else f"{point.real!r},{point.imag!r}"
+        raise click.UsageError(f"--fn {fn} at s = {text}: {exc}") from exc
+    return serialize.eta_record(*fields, None)
 
 
 def _eval_request(fn, points, r, c, gamma_norm, a, l):
@@ -313,7 +316,7 @@ def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55, basis_size)
     if rep == "scalar":
         if schro_opts or generic_opts or not (alpha is not None and beta is not None):
             raise click.UsageError("--rep scalar takes exactly --alpha and --beta")
-        eigs = np.linalg.eigvalsh(scalar_S(alpha, beta, g).entries)
+        eigs = hermitian_eigenvalues(scalar_S(alpha, beta, g))
         sidecar = {
             "rep": "scalar",
             "alpha": float(alpha),

@@ -153,36 +153,42 @@ def eta_nil_neg_even(l: int, d: LatticeCharacterData) -> float:
     * sum_j C(2l, 2j+1) C(2l-2j, l-j) (9/64)^{l-j} (5/4)^{2j+1};
     route two multiplies the residue of the shifted series by the derivative
     of the two-sided Hurwitz eta at the adjacent odd point.  Both must agree
-    to 1e-9 relative or the computation refuses to return.
+    to 1e-9 relative or the computation refuses to return.  Raises
+    OverflowError where either route is not finite (inf - inf is NaN).
     """
     if d.case_tag is not CaseTag.GENERIC:
         raise ValueError("the value formula at negative even integers needs the generic case")
     if l < 1:
         raise ValueError("l must be a positive integer")
     a = (d.c % d.r) / d.r
-    comb_sum = 0.0
-    for j in range(l):
-        comb_sum += (
-            math.comb(2 * l, 2 * j + 1)
-            * math.comb(2 * l - 2 * j, l - j)
-            * (9.0 / 64.0) ** (l - j)
-            * 1.25 ** (2 * j + 1)
+    try:
+        comb_sum = 0.0
+        for j in range(l):
+            comb_sum += (
+                math.comb(2 * l, 2 * j + 1)
+                * math.comb(2 * l - 2 * j, l - j)
+                * (9.0 / 64.0) ** (l - j)
+                * 1.25 ** (2 * j + 1)
+            )
+        direct = (
+            (-1.0) ** l
+            * math.sqrt(2.0)
+            * d.r
+            / (2.0 * math.pi * d.gamma_norm**l)
+            * math.factorial(2 * l + 1)
+            * im_polylog_even(l, a)
+            * comb_sum
         )
-    direct = (
-        (-1.0) ** l
-        * math.sqrt(2.0)
-        * d.r
-        / (2.0 * math.pi * d.gamma_norm**l)
-        * math.factorial(2 * l + 1)
-        * im_polylog_even(l, a)
-        * comb_sum
-    )
-    factored = (
-        d.r
-        * ((2.0 * math.pi) ** 2 / d.gamma_norm) ** l
-        * tilde_eta_residue(l, 1.25)
-        * eta_hurw_deriv_neg_odd(l, a)
-    )
+        factored = (
+            d.r
+            * ((2.0 * math.pi) ** 2 / d.gamma_norm) ** l
+            * tilde_eta_residue(l, 1.25)
+            * eta_hurw_deriv_neg_odd(l, a)
+        )
+    except OverflowError:
+        direct = factored = math.inf
+    if not (math.isfinite(direct) and math.isfinite(factored)):
+        raise OverflowError(f"value at s = {-2 * l}: a route overflows the double range")
     tolerance = 1e-9 * max(abs(direct), abs(factored))
     if abs(direct - factored) > tolerance:
         raise RouteDisagreement(

@@ -2,10 +2,11 @@
 
 Everything here is scalar-oriented: complex arguments go through cmath;
 only the direct-sum reference polylog_circle_direct is vectorized. The
-Hurwitz and Riemann zeta functions use Euler-Maclaurin summation with an
-adaptive shift and Bernoulli order so that the stated accuracy holds on the
-whole continuation window, not just for large Re s. Polylogarithms on the
-unit circle come from a short series in Riemann zeta values.
+Hurwitz and Riemann zeta functions and eta_hurw share one Euler-Maclaurin
+sum, each with its own pole term, whose adaptive shift and Bernoulli order
+keep the stated accuracy on the whole continuation window, not just for
+large Re s. Polylogarithms on the unit circle come from a short series in
+Riemann zeta values.
 """
 
 from __future__ import annotations
@@ -150,6 +151,14 @@ def _em_bernoulli_tail(s, w, order):
     return acc
 
 
+def _em_sum(s, a, m_shift, order, pole):
+    # Euler-Maclaurin for sum_{n>=0} (n + a)^-s from w = m_shift + a, with
+    # pole the caller's form of the integral term w^{1-s}/(s-1)
+    head = sum([(n + a) ** (-s) for n in range(m_shift)], 0j)
+    w = m_shift + a
+    return head + pole + 0.5 * w ** (-s) + _em_bernoulli_tail(s, w, order)
+
+
 def _phi_expm1(z):
     # (exp(z) - 1)/z with full relative accuracy: exp(z) - 1 itself loses
     # eps/|z| to cancellation, expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y
@@ -185,12 +194,16 @@ def hurwitz_zeta(s, a):
     if s.real < -0.5 and a < m_shift:
         k = math.ceil(a) - 1
         return _hurwitz_unit(s, a - k) - sum([(a - j) ** (-s) for j in range(1, k + 1)], 0j)
-    acc = sum([(n + a) ** (-s) for n in range(m_shift)], 0j)
-    w = m_shift + a
-    acc += w ** (1.0 - s) / (s - 1.0)
-    acc += 0.5 * w ** (-s)
-    acc += _em_bernoulli_tail(s, w, order)
-    return acc
+    return _em_sum(s, a, m_shift, order, (m_shift + a) ** (1.0 - s) / (s - 1.0))
+
+
+def _hurwitz_regular(s, a):
+    # zeta_H(s, a) - 1/(s-1), stable arbitrarily close to s = 1: the pole
+    # term (w^{1-s} - 1)/(s - 1) = -log(w) phi((1-s) log w) does not cancel
+    s = complex(s)
+    m_shift, order = _em_parameters(s)
+    q = math.log(m_shift + a)
+    return _em_sum(s, a, m_shift, order, -q * _phi_expm1((1.0 - s) * q))
 
 
 def _hurwitz_unit(s, a0):
@@ -247,18 +260,7 @@ def riemann_zeta(s):
 @lru_cache(maxsize=16384)
 def riemann_zeta_regular(s):
     """zeta(s) - 1/(s-1): the entire part, stable arbitrarily close to s = 1."""
-    s = complex(s)
-    m_shift, order = _em_parameters(s)
-    acc = 0.0 + 0.0j
-    for n in range(m_shift):
-        acc += (n + 1.0) ** (-s)
-    w = float(m_shift + 1)
-    # (w^{1-s} - 1)/(s - 1) without cancellation at s = 1
-    q = math.log(w)
-    acc += -q * _phi_expm1((1.0 - s) * q)
-    acc += 0.5 * w ** (-s)
-    acc += _em_bernoulli_tail(s, w, order)
-    return acc
+    return _hurwitz_regular(s, 1.0)
 
 
 def _centered(a_red):
@@ -304,17 +306,13 @@ def eta_hurw(s, a):
         value = cmath.exp(cmath.log(-2j * diff) - t * _LOG_2PI + _log_sin_gamma(s + 1.0, t))
         return complex(value.real, 0.0) if s.imag == 0.0 else value
     m_shift, order = _em_parameters(s)
-    acc = 0.0 + 0.0j
-    for n in range(m_shift):
-        acc += (n + a_red) ** (-s) - (n + 1.0 - a_red) ** (-s)
-    wa = m_shift + a_red
-    wb = m_shift + 1.0 - a_red
-    # (wa^{1-s} - wb^{1-s})/(s-1) = -wb^{1-s} * q * phi((1-s) q), q = log(wa/wb)
-    q = math.log1p((2.0 * a_red - 1.0) / wb)
-    acc += -(wb ** (1.0 - s)) * q * _phi_expm1((1.0 - s) * q)
-    acc += 0.5 * (wa ** (-s) - wb ** (-s))
-    acc += _em_bernoulli_tail(s, wa, order) - _em_bernoulli_tail(s, wb, order)
-    return acc
+    # both pole terms, (wa^{1-s} - wb^{1-s})/(s-1) = -wb^{1-s} q phi((1-s) q),
+    # q = log(wa/wb) from the shifts the two sums use, in the sum at a
+    b = 1.0 - a_red
+    wa, wb = m_shift + a_red, m_shift + b
+    q = math.log1p((wa - wb) / wb)
+    pole = -(wb ** (1.0 - s)) * q * _phi_expm1((1.0 - s) * q)
+    return _em_sum(s, a_red, m_shift, order, pole) - _em_sum(s, b, m_shift, order, 0.0)
 
 
 def _pole_pair(m, delta, log_neg_mu):

@@ -12,7 +12,8 @@ in a into one-sided sums sum_{n>=m} lambda_n^{-sigma}, each a series in
 Hurwitz zeta values at m + 1/2 with nothing subtracted, and sums the
 expansion remainders exactly as convergent binomial tail series. Poles of
 intermediate zeta factors are carried symbolically (coefficient over
-s - s0) so that binomial zeros cancel them analytically; the function is
+s - s0) so that binomial zeros cancel them analytically; next to p = 1 the
+rest, zeta_H(p, m + 1/2) - 1/(p - 1), is taken directly. The function is
 regular except for simple poles at the negative even integers.
 
 Each binomial tail sum_{l >= l0} binom(x, l) z^l is sized before it is
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import _phi_expm1, hurwitz_zeta, riemann_zeta_regular
+from .specfun import _hurwitz_regular, hurwitz_zeta
 
 __all__ = [
     "TildeEtaPoint",
@@ -55,8 +56,10 @@ _H_TAIL_COUNT = 4096
 _H_TAIL_EDGES = (0, 16, 256, _H_TAIL_COUNT)
 _MAX_TAIL_TERMS = 2**16
 _ZETA_M_TOL = 2.0**-56
-# zeta_H(p, m + 1/2), cached: the orders p = s + l + 2k recur across l and calls
+# zeta_H(p, m + 1/2) and, within 1/2 of p = 1, that less its pole 1/(p - 1),
+# cached: the orders p = s + l + 2k recur across l and calls
 _hurwitz_half = lru_cache(maxsize=1024)(hurwitz_zeta)
+_hurwitz_half_regular = lru_cache(maxsize=1024)(_hurwitz_regular)
 
 
 def _snapped_pole(s: complex) -> int | None:
@@ -80,17 +83,21 @@ def _lambda_array(start, count):
     return np.sqrt(8.0 * u * u + 9.0) / 4.0
 
 
-def _nearest_singular_index(a_abs):
-    # lambda_n = a  <=>  (2n+1)^2 = (16 a^2 - 9)/8
-    if 16.0 * a_abs * a_abs <= 9.0:
-        return 0
-    u = math.sqrt((16.0 * a_abs * a_abs - 9.0) / 8.0)
-    return max(0, round((u - 1.0) / 2.0))
+def _first_above(x):
+    # smallest n with lambda_n > x, from the guess lambda_n = x <=> (2n+1)^2 = (16 x^2 - 9)/8
+    n = 0 if 16.0 * x * x <= 9.0 else round((math.sqrt((16.0 * x * x - 9.0) / 8.0) - 1.0) / 2.0)
+    while n > 0 and lambda_n(n - 1) > x:
+        n -= 1
+    while lambda_n(n) <= x:
+        n += 1
+    return n
+
 
 def _validate_regular_a(a):
+    # the lambda_n nearest |a| are the two either side of it
     a_abs = abs(a)
-    n0 = _nearest_singular_index(a_abs)
-    for n in (max(0, n0 - 1), n0, n0 + 1):
+    n0 = _first_above(a_abs)
+    for n in (max(0, n0 - 1), n0):
         if abs(lambda_n(n) - a_abs) <= 1e-12 * max(1.0, a_abs):
             raise ValueError(
                 f"a = {a:.17g} coincides with a singular point +-lambda_{n}"
@@ -99,15 +106,7 @@ def _validate_regular_a(a):
 
 def default_start_index(a):
     """Smallest m with lambda_m > |a| + 1/2 (the split point for Re s <= 0)."""
-    target = abs(a) + 0.5
-    if lambda_n(0) > target:
-        return 0
-    m = _nearest_singular_index(target) + 1
-    while m > 0 and lambda_n(m - 1) > target:
-        m -= 1
-    while lambda_n(m) <= target:
-        m += 1
-    return m
+    return _first_above(abs(a) + 0.5)
 
 
 @dataclass(frozen=True)
@@ -191,9 +190,9 @@ def _zeta_m(s, l, m):
     Expanded binomially in (9/8)(2n+1)^-2 and summed from m on, with no
     subtraction: 2^{-sigma/2} sum_k binom(-sigma/2, k) (9/32)^k zeta_H(p, h),
     p = sigma + 2k, h = m + 1/2, with ratio (9/32)/h^2 <= 1/8 once the n = 0
-    term is taken exactly. Within 1/2 of p = 1 the pole is split off:
-    zeta_H(p, h) - 1/(p - 1) = (2^p - 1) zeta_reg(p) + 2 log 2
-    phi((p - 1) log 2) - sum_{n<m} (n + 1/2)^-p. For Re p > 1 term k is at
+    term is taken exactly. Within 1/2 of p = 1 the pole 1/(p - 1) is split
+    off and the rest, zeta_H(p, h) - 1/(p - 1), comes straight from the
+    Euler-Maclaurin sum. For Re p > 1 term k is at
     most |binom(-sigma/2, k)| (9/32)^k h^{-Re p} (1 + h/(Re p - 1)), bounds
     that fall by (9/32) h^-2 max(1, (|sigma/2| + k)/(k + 1)); the sum stops
     once they hold the rest below _ZETA_M_TOL times the sum.
@@ -209,12 +208,9 @@ def _zeta_m(s, l, m):
         p = s + (l + 2 * k)  # sigma + 2k, the same double for every l + 2k
         if abs(p - 1.0) < 0.5:
             polar_coeff, sigma0 = coeff, float(1 - 2 * k)
-            ln2 = math.log(2.0)
-            zeta_reg = (2.0**p - 1.0) * riemann_zeta_regular(p)
-            zeta_reg += 2.0 * ln2 * _phi_expm1((p - 1.0) * ln2)
-            acc += coeff * (zeta_reg - sum([(n + 0.5) ** (-p) for n in range(m)], 0j))
+            acc += coeff * _hurwitz_half_regular(p, h)
         else:
-            acc += coeff * _hurwitz_half(p, m + 0.5)
+            acc += coeff * _hurwitz_half(p, h)
         coeff *= (x - k) / (k + 1.0) * (9.0 / 32.0)
         k += 1
         p_re = sigma.real + 2 * k
@@ -381,10 +377,6 @@ def tilde_eta_at_zero(a):
     """Closed-form value at s = 0: 2 sign(a) #{n : lambda_n < |a|} - sqrt(2) a."""
     a = float(a)
     _validate_regular_a(a)
-    a_abs = abs(a)
-    # first index with lambda_n >= |a| equals the count of smaller ones
-    count = _nearest_singular_index(a_abs) + 2
-    while count > 0 and lambda_n(count - 1) >= a_abs:
-        count -= 1
-    return 2.0 * math.copysign(1.0, a) * count - math.sqrt(2.0) * a
+    # no lambda_n equals |a|, so the first above it counts the smaller ones
+    return 2.0 * math.copysign(1.0, a) * _first_above(abs(a)) - math.sqrt(2.0) * a
 

@@ -151,6 +151,18 @@ def test_eval_byte_determinism(runner):
     assert first.stdout.count("\n") == 3
 
 
+# the eval cases below that fail inside an evaluation, and how the message
+# names the call
+_FAILED_CALLS = {
+    "eval --fn polylog-im --a 0.3 --s 0.5": "--fn polylog-im at s = 0.5",
+    "eval --fn nil --r 4 --c 1 --gamma-norm 1 --s=-180": "--fn nil at s = -180.0",
+    "eval --fn hurw-eta --a 0.3 --s=-400": "--fn hurw-eta at s = -400.0",
+    "eval --fn tilde --a 0.3 --s 1e10": "--fn tilde at s = 10000000000.0",
+    "eval --fn polylog-im --a 1 --s 4": "--fn polylog-im at s = 4.0",
+    "eval --fn nil --r 4 --c 1 --gamma-norm 1 --s=-152": "--fn nil at s = -152.0",
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -190,6 +202,10 @@ def test_eval_byte_determinism(runner):
         ["eval", "--fn", "tilde", "--a", "0.3", "--s", "nan"],
         ["eval", "--fn", "tilde", "--a", "0.3", "--s-list", "2;1,-inf"],
         ["eval", "--fn", "polylog-im", "--a", "1", "--s", "4"],
+        ["eval", "--fn", "nil", "--r", "4", "--c", "1", "--gamma-norm", "1",
+         "--s=-152"],
+        ["special-values", "--r", "4", "--c", "1", "--gamma-norm", "1",
+         "--l-max", "80"],
     ],
 )
 def test_validation_failures_exit_2(runner, args):
@@ -197,6 +213,9 @@ def test_validation_failures_exit_2(runner, args):
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
+    call = _FAILED_CALLS.get(" ".join(args))
+    if call is not None:
+        assert "\nError: " + call + ": " in result.stderr, result.stderr
 
 
 _RAISERS = {
@@ -241,7 +260,9 @@ def test_library_value_error_exits_2(runner, monkeypatch, command):
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     assert result.stderr.startswith("Usage: main " + command + " [OPTIONS]")
-    assert result.stderr.endswith("Error: forced\n")
+    # eval names the function and the point that failed
+    call = "--fn nil at s = 0.0: " if command == "eval" else ""
+    assert result.stderr.endswith("Error: " + call + "forced\n")
 
 
 def test_eval_has_no_jobs_option(runner, tmp_path):

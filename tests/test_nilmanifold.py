@@ -177,6 +177,15 @@ def test_two_route_value_consistency_across_l():
         assert math.isfinite(value)
 
 
+def test_value_beyond_the_double_range_raises():
+    # from l = 75 the product overflows to inf (inf - inf would pass the
+    # route comparison), from l = 85 its factorial no longer converts
+    assert math.isfinite(eta_nil_neg_even(74, D41))
+    for l in (75, 84, 85):
+        with pytest.raises(OverflowError, match=f"s = {-2 * l}:"):
+            eta_nil_neg_even(l, D41)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     r=st.integers(min_value=2, max_value=9),

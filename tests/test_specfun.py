@@ -320,14 +320,26 @@ def test_polylog_circle_direct_bounds_its_tail():
 
 def test_riemann_zeta_regular_next_to_the_pole_against_mpmath():
     # (exp(z) - 1)/z in the correction term loses eps/|z| unless it is
-    # formed from expm1; the worst case sits near |z| = 1e-4
+    # formed from expm1; the worst case sits near |z| = 1e-4. The shifts a
+    # are those tilde_eta's one-sided sums take zeta_H(s, a) - 1/(s-1) at,
+    # riemann_zeta_regular being a = 1.
     mp = pytest.importorskip("mpmath")
+    radii = (1e-12, 1e-8, 3.6e-5, 1e-4, 1e-3, 0.05, 0.2, 0.49)
+    steps = [r * u for r in radii for u in (1.0, -1.0, 1j, -1j, cmath.exp(0.7j))]
     with mp.workdps(30):
         for d in (3.6e-5, -3.6e-5, 3.6e-5j, 1e-3, 1e-8, 0.0):
             s = 1.0 + d
             z = mp.mpc(s)
             want = complex(mp.euler if d == 0 else mp.zeta(z) - 1 / (z - 1))
             assert abs(riemann_zeta_regular(s) - want) <= 4e-15, d
+        for a in (1.0, 1.5, 3.5, 40.5):
+            for d in steps + [0.0]:
+                s = 1.0 + d
+                z = mp.mpc(s)
+                want = complex(-mp.digamma(a) if d == 0 else mp.zeta(z, a) - 1 / (z - 1))
+                # measured: at most 1.6e-15 max(1, |want|), at a = 1
+                got = specfun._hurwitz_regular(s, a)
+                assert abs(got - want) <= 4e-15 * max(1.0, abs(want)), (a, d)
 
 
 def test_polylog_circle_domain_errors():
