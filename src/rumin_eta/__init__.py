@@ -10,7 +10,6 @@ from .nilmanifold import (
     CaseTag,
     EtaEvaluation,
     LatticeCharacterData,
-    RouteDisagreement,
     classify_case,
     eta_direct_sum,
     eta_nil,
@@ -67,7 +66,6 @@ __all__ = [
     "HermitianOperatorMatrix",
     "IDENTITY_METRIC",
     "LatticeCharacterData",
-    "RouteDisagreement",
     "SchrodingerParams",
     "SpectralPairingError",
     "TildeEtaPoint",

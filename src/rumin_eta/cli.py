@@ -7,7 +7,7 @@ byte-identical documents; records are only emitted after every requested
 computation has succeeded.
 
 Exit codes: 0 success; 1 verification failure; 2 invalid usage or
-parameters; 3 internal inconsistency detected during computation.
+parameters; 3 the oracle's eigenvalues failed their consistency checks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from . import serialize, verification
 from .nilmanifold import (
     CaseTag,
     LatticeCharacterData,
-    RouteDisagreement,
     eta_nil,
     eta_nil_special,
     sign_prediction,
@@ -42,9 +41,6 @@ from .rep_oracle import (
 )
 from .specfun import eta_hurw, polylog_circle
 from .tilde_eta import tilde_eta
-
-_INTERNAL_ERRORS = (SpectralPairingError, RouteDisagreement)
-
 
 def _finite_s(re, im=0.0) -> complex:
     if not (math.isfinite(re) and math.isfinite(im)):
@@ -136,18 +132,20 @@ def _eval_request(fn, points, r, c, gamma_norm, a, l):
 
 
 def _error_boundary(command):
-    """Internal inconsistencies exit 3; ValueErrors become usage errors (exit 2).
+    """A SpectralPairingError exits 3; ValueErrors become usage errors (exit 2).
 
-    So do OverflowErrors, which the library raises where a value exceeds
-    the double range.  Raised inside the command callback, a UsageError
-    keeps the subcommand's usage line.
+    The oracle raises SpectralPairingError where its eigenvalues fail their
+    consistency checks, the one internal inconsistency the library detects.
+    OverflowErrors, which the library raises where a value exceeds the
+    double range, are usage errors too.  Raised inside the command callback,
+    a UsageError keeps the subcommand's usage line.
     """
 
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except _INTERNAL_ERRORS as exc:
+        except SpectralPairingError as exc:
             click.echo(f"internal inconsistency: {exc}", err=True)
             sys.exit(3)
         except (ValueError, OverflowError) as exc:

@@ -16,17 +16,17 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
-from .specfun import eta_hurw, eta_hurw_deriv_neg_odd, im_polylog_even
-from .tilde_eta import _snapped_pole, tilde_eta, tilde_eta_residue
+from .specfun import eta_hurw, im_polylog_even
+from .tilde_eta import _snapped_pole, tilde_eta, tilde_eta_direct, tilde_eta_residue
 
 __all__ = [
     "CaseTag",
     "LatticeCharacterData",
     "EtaEvaluation",
-    "RouteDisagreement",
     "classify_case",
     "multiplicity",
     "eta_nil",
@@ -43,13 +43,6 @@ class CaseTag(Enum):
     CENTER_NONTRIVIAL = "CenterNontrivial"
     COMMUTATOR_TRIVIAL = "CommutatorTrivial"
     GENERIC = "Generic"
-
-
-class RouteDisagreement(RuntimeError):
-    """The two independent value routes differ beyond tolerance.
-
-    Signals an implementation bug, never bad input.
-    """
 
 
 @dataclass(frozen=True)
@@ -146,15 +139,16 @@ def eta_nil(s, d: LatticeCharacterData) -> EtaEvaluation:
 
 
 def eta_nil_neg_even(l: int, d: LatticeCharacterData) -> float:
-    """Value at s = -2l (l >= 1) in the generic case, by two routes.
+    """Value at s = -2l (l >= 1) in the generic case.
 
-    Route one evaluates the closed form
-    (-1)^l sqrt(2) r / (2 pi gamma_norm^l) * (2l+1)! * Im Li_{2l+2}(e^{2 pi i c/r})
-    * sum_j C(2l, 2j+1) C(2l-2j, l-j) (9/64)^{l-j} (5/4)^{2j+1};
-    route two multiplies the residue of the shifted series by the derivative
-    of the two-sided Hurwitz eta at the adjacent odd point.  Both must agree
-    to 1e-9 relative or the computation refuses to return.  Raises
-    OverflowError where either route is not finite (inf - inf is NaN).
+    The residue of the shifted series times the derivative of the two-sided
+    Hurwitz eta at the adjacent odd point -2l-1:
+    (-1)^l r (2l+1)! / (2 pi gamma_norm^l) * Im Li_{2l+2}(e^{2 pi i c/r})
+    * tilde_eta_residue(l, 5/4).  The product is formed exactly from its
+    floating-point factors, so the final conversion is its only rounding
+    and raises OverflowError exactly where the value leaves the double
+    range, even where gamma_norm^l or (2l+1)! alone would not fit.  (From
+    l = 326 tilde_eta_residue raises OverflowError first, whatever gamma_norm.)
     """
     if d.case_tag is not CaseTag.GENERIC:
         raise ValueError("the value formula at negative even integers needs the generic case")
@@ -162,40 +156,16 @@ def eta_nil_neg_even(l: int, d: LatticeCharacterData) -> float:
         raise ValueError("l must be a positive integer")
     a = (d.c % d.r) / d.r
     try:
-        comb_sum = 0.0
-        for j in range(l):
-            comb_sum += (
-                math.comb(2 * l, 2 * j + 1)
-                * math.comb(2 * l - 2 * j, l - j)
-                * (9.0 / 64.0) ** (l - j)
-                * 1.25 ** (2 * j + 1)
-            )
-        direct = (
-            (-1.0) ** l
-            * math.sqrt(2.0)
-            * d.r
-            / (2.0 * math.pi * d.gamma_norm**l)
-            * math.factorial(2 * l + 1)
-            * im_polylog_even(l, a)
-            * comb_sum
+        value = (
+            Fraction(d.r * math.factorial(2 * l + 1))
+            / Fraction(d.gamma_norm) ** l
+            * Fraction(im_polylog_even(l, a))
+            * Fraction(tilde_eta_residue(l, 1.25))
+            / Fraction(2.0 * math.pi)
         )
-        factored = (
-            d.r
-            * ((2.0 * math.pi) ** 2 / d.gamma_norm) ** l
-            * tilde_eta_residue(l, 1.25)
-            * eta_hurw_deriv_neg_odd(l, a)
-        )
-    except OverflowError:
-        direct = factored = math.inf
-    if not (math.isfinite(direct) and math.isfinite(factored)):
-        raise OverflowError(f"value at s = {-2 * l}: a route overflows the double range")
-    tolerance = 1e-9 * max(abs(direct), abs(factored))
-    if abs(direct - factored) > tolerance:
-        raise RouteDisagreement(
-            f"value at s = {-2 * l}: closed form {direct!r} vs "
-            f"residue-derivative product {factored!r}"
-        )
-    return direct
+        return float(-value if l % 2 else value)
+    except OverflowError as exc:
+        raise OverflowError(f"value at s = {-2 * l}: {exc}") from None
 
 
 def eta_nil_special(d: LatticeCharacterData) -> list:
@@ -220,7 +190,8 @@ def eta_direct_sum(s, d: LatticeCharacterData, lattice_cutoff: int, spectrum_cut
     for lattice mode k is the |c + rk|-fold copy of the closed-form spectrum
     scaled by 2 pi (c + rk)/(r sqrt(gamma_norm)), so the double sum is the
     product of a signed lattice power sum and the shifted-series partial
-    sum.  Requires Re s > 5, where the double sum converges absolutely.
+    sum tilde_eta_direct(s, 5/4, spectrum_cutoff).  Requires Re s > 5,
+    where the double sum converges absolutely.
     """
     s = complex(s)
     if s.real <= 5.0:
@@ -241,24 +212,12 @@ def eta_direct_sum(s, d: LatticeCharacterData, lattice_cutoff: int, spectrum_cut
     modes = modes[modes != 0.0]
     k_sum = complex(np.sum(np.sign(modes) * np.exp((1.0 - s) * np.log(np.abs(modes)))))
 
-    n = np.arange(spectrum_cutoff, dtype=np.float64)
-    lam = np.sqrt(8.0 * (2.0 * n + 1.0) ** 2 + 9.0) / 4.0
-    plus = 1.25 + lam
-    minus = 1.25 - lam
-    n_sum = complex(
-        np.sum(np.exp(-s * np.log(plus)))
-        + np.sum(np.sign(minus) * np.exp(-s * np.log(np.abs(minus))))
-    )
+    n_sum, n_tail = tilde_eta_direct(s, 1.25, spectrum_cutoff)
 
     # lattice tail: sum over |c + rk| > m0 of m^(1-p), integral comparison
     m0 = d.r * lattice_cutoff - abs(d.c % d.r)
     q = p - 1.0
     k_tail = 2.0 * (m0 ** (-q) + m0 ** (1.0 - q) / (q - 1.0))
-    # spectrum tail: increments of lam exceed delta, integral comparison
-    lam_next = math.sqrt(8.0 * (2.0 * spectrum_cutoff + 1.0) ** 2 + 9.0) / 4.0
-    gap = float(lam[-1]) - 1.25
-    delta = lam_next - float(lam[-1])
-    n_tail = 2.0 * (gap ** (-p) + gap ** (1.0 - p) / (delta * (p - 1.0)))
 
     value = scale ** (-s) * k_sum * n_sum
     tail = scale ** (-p) * (k_tail * (abs(n_sum) + n_tail) + abs(k_sum) * n_tail)

@@ -170,20 +170,46 @@ def test_value_next_to_negative_even_integers_keeps_relative_accuracy():
 
 
 def test_two_route_value_consistency_across_l():
-    # eta_nil_neg_even cross-checks its two internal routes and raises on
-    # disagreement, so surviving the call is already a consistency check
-    for l in (1, 2, 3, 4):
-        value = eta_nil_neg_even(l, D41)
-        assert math.isfinite(value)
+    # eta_nil just off s = -2l runs the general product, through eta_hurw's
+    # reflection branch and tilde_eta's polar term; the mean of the two
+    # sides is the continuation to -2l up to a second-order term ~1e-14
+    for d in (D41, data(5, 2), data(7, 3), data(6, 4, 2.5), data(9, 2, 0.3)):
+        for l in range(1, 6):
+            closed = eta_nil_neg_even(l, d)
+            continued = 0.5 * (eta_nil(-2 * l - 1e-7, d).value
+                               + eta_nil(-2 * l + 1e-7, d).value)
+            assert abs(continued - closed) <= 1e-12 * abs(closed), (d, l)
+
+
+def _neg_even_mpmath(mp, l, d):
+    a = mp.mpf(d.c % d.r) / d.r
+    im_li = mp.im(mp.polylog(2 * l + 2, mp.expjpi(2 * a)))
+    comb_sum = mp.fsum(
+        mp.binomial(2 * l, 2 * j + 1) * mp.binomial(2 * l - 2 * j, l - j)
+        * mp.mpf(9) ** (l - j) / mp.mpf(64) ** (l - j) * mp.mpf(5 / 4) ** (2 * j + 1)
+        for j in range(l)
+    )
+    return ((-1) ** l * mp.sqrt(2) * d.r * mp.factorial(2 * l + 1) * im_li * comb_sum
+            / (2 * mp.pi * mp.mpf(d.gamma_norm) ** l))
 
 
 def test_value_beyond_the_double_range_raises():
-    # from l = 75 the product overflows to inf (inf - inf would pass the
-    # route comparison), from l = 85 its factorial no longer converts
+    # from l = 75 the value itself overflows
     assert math.isfinite(eta_nil_neg_even(74, D41))
     for l in (75, 84, 85):
         with pytest.raises(OverflowError, match=f"s = {-2 * l}:"):
             eta_nil_neg_even(l, D41)
+    # gamma^l and (2l+1)! are formed exactly, so neither overflows or
+    # underflows on its own: at gamma = 1e6 the values stay in range
+    mp = pytest.importorskip("mpmath")
+    d = data(4, 1, 1e6)
+    for l in range(52, 121):
+        with mp.workdps(30):
+            expected = _neg_even_mpmath(mp, l, d)
+        assert abs(eta_nil_neg_even(l, d) - expected) <= 1e-14 * abs(expected), l
+    # gamma^200 underflows to zero in floating point; the value overflows
+    with pytest.raises(OverflowError, match="s = -400:"):
+        eta_nil_neg_even(200, data(4, 1, 1e-3))
 
 
 @settings(max_examples=20, deadline=None)
