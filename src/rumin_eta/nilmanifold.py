@@ -128,10 +128,11 @@ def eta_nil(s, d: LatticeCharacterData) -> EtaEvaluation:
     prefactor = d.r * (2.0 * math.pi / math.sqrt(d.gamma_norm)) ** (-s)
     hurw = eta_hurw(s - 1.0, a)
     l = round(-s.real / 2.0)
-    if l >= 1 and (s - 1.0).real + 1.0 != s.real:
+    if l >= 0 and (s - 1.0).real + 1.0 != s.real:
         # s - 1 rounded: rescale by the exact distance to the zero at -2l - 1
-        # (a real s close enough to zero the denominator is snapped above)
-        hurw *= (s + 2 * l) / (s - 1.0 + (2 * l + 1))
+        # (0 only for a real s snapped above, or at l = 0 with hurw = 0)
+        shifted = s - 1.0 + (2 * l + 1)
+        hurw *= (s + 2 * l) / shifted if shifted != 0.0 else 1.0
     tilde = tilde_eta(s, 1.25)
     return EtaEvaluation(
         s=s, value=prefactor * hurw * tilde.value, is_pole=False, residue=0.0
@@ -148,7 +149,7 @@ def eta_nil_neg_even(l: int, d: LatticeCharacterData) -> float:
     floating-point factors, so the final conversion is its only rounding
     and raises OverflowError exactly where the value leaves the double
     range, even where gamma_norm^l or (2l+1)! alone would not fit.  (From
-    l = 326 tilde_eta_residue raises OverflowError first, whatever gamma_norm.)
+    l = 515 tilde_eta_residue raises OverflowError first, whatever gamma_norm.)
     """
     if d.case_tag is not CaseTag.GENERIC:
         raise ValueError("the value formula at negative even integers needs the generic case")

@@ -5,8 +5,9 @@ only the direct-sum reference polylog_circle_direct is vectorized. The
 Hurwitz and Riemann zeta functions and eta_hurw share one Euler-Maclaurin
 sum, each with its own pole term, whose adaptive shift and Bernoulli order
 keep the stated accuracy on the whole continuation window, not just for
-large Re s. Polylogarithms on the unit circle come from a short series in
-Riemann zeta values.
+large Re s. Left of that window all three share one functional equation,
+Hurwitz's formula in polylogarithms on the unit circle, which come from a
+short series in Riemann zeta values.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ _PAIR_ORDER = 18
 # over (see _polylog_unit).
 _LOG_EPS = math.log(2.0**-56)
 _EPS = 2.0**-52
+_DBL_MIN = 2.0**-1022
 _SERIES_TOL = 5e-12
 # The direct route stops its plain sum once the Abel bound on the rest is
 # below _DIRECT_TAIL, and raises rather than run for seconds beyond
@@ -102,28 +104,40 @@ def gamma_fn(s):
     return complex(_scipy_gamma(s))
 
 
-def _log_sin_gamma(x, y):
-    # log(sin(pi x/2) Gamma(y)) for the functional equations, where the
-    # factors themselves over- or underflow: sin grows like e^{pi |Im x|/2}
-    # (cmath.sin overflows from |Im x| ~ 452) while Gamma falls like
-    # e^{-pi |Im y|/2}, and Gamma overflows from Re y ~ 171.
-    z = 0.5 * math.pi * x
-    if abs(z.imag) > 20.0:
-        # sin z = (i e/2) e^{-i e z} (1 - e^{2 i e z}) with e the sign of
-        # Im z, and the last factor is 1 to double precision
-        sign = math.copysign(1.0, z.imag)
-        log_sin = -1j * sign * z + cmath.log(0.5j * sign)
-    else:
-        log_sin = cmath.log(_sin_half_pi(x))
-    return log_sin + complex(_scipy_loggamma(complex(y)))
-
-
 def _sin_half_pi(x):
     # sin(pi x/2) = (-1)^k sin(pi (x - 2k)/2), k = round(Re x/2): x - 2k is
     # exact, so the relative accuracy holds next to the zeros at even x
     k = round(x.real / 2.0)
     value = cmath.sin(0.5 * math.pi * (x - 2.0 * k))
     return -value if k % 2 else value
+
+
+def _reflect(s, even, odd):
+    # (2 pi)^-t Gamma(t) [sin(pi s/2) even - i sin(pi (s+1)/2) odd], t = 1 - s:
+    # Hurwitz's formula, with even +- odd = 2 Li_t(e^{+-2 pi i a}) for zeta_H(s, a),
+    # even = 2 zeta(t), odd = 0 for zeta and even = 0 for eta_hurw; real for real s.
+    # Where the product over- or underflows (Gamma(t) from Re t ~ 171, or from
+    # |Im t| ~ 450, where the sines overflow) it is formed in log space, for
+    # |Im z| > 20, z = pi s/2, as e^{-i e z} (i e/2) [(even - e odd) - e^{2 i e z}
+    # (even + e odd)], e = sign Im z: for zeta_H both terms may be of one size.
+    t = 1.0 - s
+    try:
+        bracket = _sin_half_pi(s) * even - 1j * _sin_half_pi(s + 1.0) * odd
+        value = (2.0 * math.pi) ** (-t) * gamma_fn(t) * bracket
+        in_range = _DBL_MIN <= abs(value) < math.inf  # False for NaN too
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        z, log_trig = 0.5 * math.pi * s, 0j
+        if abs(z.imag) > 20.0:  # also wherever the sines overflowed
+            sign = math.copysign(1.0, z.imag)
+            bracket = (even - sign * odd) - cmath.exp(2j * sign * z) * (even + sign * odd)
+            log_trig = -1j * sign * z + cmath.log(0.5j * sign)
+        if bracket == 0.0:
+            return 0j  # the trivial zeros of zeta, where the factor overflows
+        log_pref = complex(_scipy_loggamma(complex(t))) - t * _LOG_2PI
+        value = cmath.exp(log_pref + log_trig + cmath.log(bracket))
+    return complex(value.real, 0.0) if s.imag == 0.0 else value
 
 
 def _em_parameters(s):
@@ -133,8 +147,6 @@ def _em_parameters(s):
     re, im = s.real, s.imag
     m_shift = 16 + math.ceil(abs(im)) + max(0, math.ceil(-re))
     order = max(8, math.ceil((2.0 - re) / 2.0) + 3)
-    if 2 * order > MAX_BERNOULLI:
-        raise ValueError(f"Re s = {re:g} below the supported continuation window")
     return m_shift, order
 
 
@@ -154,6 +166,8 @@ def _em_bernoulli_tail(s, w, order):
 def _em_sum(s, a, m_shift, order, pole):
     # Euler-Maclaurin for sum_{n>=0} (n + a)^-s from w = m_shift + a, with
     # pole the caller's form of the integral term w^{1-s}/(s-1)
+    if 2 * order > MAX_BERNOULLI:
+        raise ValueError(f"Re s = {s.real:g} below the supported continuation window")
     head = sum([(n + a) ** (-s) for n in range(m_shift)], 0j)
     w = m_shift + a
     return head + pole + 0.5 * w ** (-s) + _em_bernoulli_tail(s, w, order)
@@ -179,11 +193,14 @@ def hurwitz_zeta(s, a):
     Euler-Maclaurin from the shift a, with adaptive shift and Bernoulli
     order. For Re s < -1/2 and a below the shift that head sum would cancel;
     there the value is zeta_H(s, a0) minus the terms (a - j)^-s down to a0 in
-    (0, 1]: zeta(s) at a0 = 1, (2^s - 1) zeta(s) at a0 = 1/2, else Hurwitz's
-    formula in the polylogarithms of polylog_circle. Accurate to about 1e-12
-    relative (against mpmath: at most 6.4e-13 for a from 1e-3 to 40, Re s
-    from -8 to 10 and |Im s| up to 30; 1.8e-12 at s = -0.6 - 30i, a = 0.77,
-    from the polylogarithm). Raises ValueError for Re s below about -58.
+    (0, 1], by Hurwitz's formula: from zeta(1 - s) at a0 = 1, as
+    (2^s - 1) zeta(s) at a0 = 1/2, else from the polylogarithms of
+    polylog_circle. Accurate to about 1e-12 relative (against mpmath: at
+    most 6.4e-13 for a from 1e-3 to 40, Re s from -8 to 10 and |Im s| up to
+    30; 1.8e-12 at s = -0.6 - 30i, a = 0.77, from the polylogarithm).
+    Raises ValueError only where the Euler-Maclaurin route needs Re s below
+    about -58, that is for a at or above its shift 16 + |Im s| - Re s, and
+    OverflowError where the value exceeds the double range.
     """
     s = complex(s)
     if not a > 0.0:
@@ -207,53 +224,25 @@ def _hurwitz_regular(s, a):
 
 
 def _hurwitz_unit(s, a0):
-    # zeta_H(s, a0) for Re s < -1/2 and 0 < a0 <= 1 from zeta(s), or from
-    # Hurwitz's formula zeta_H(s, a0) = Gamma(t) (2 pi)^-t
-    # [e^{-i pi t/2} Li_t(e^{2 pi i a0}) + e^{i pi t/2} Li_t(e^{-2 pi i a0})],
-    # t = 1 - s, its prefactors formed in log space
-    if a0 == 1.0:
-        return riemann_zeta(s)
+    # zeta_H(s, a0) for Re s < -1/2 and 0 < a0 <= 1 by Hurwitz's formula
+    # (see _reflect), from zeta(1 - s) at a0 = 1, else from the polylogarithms
+    # Li_{1-s}(e^{+-2 pi i a0}); at a0 = 1/2 it is (2^s - 1) zeta(s)
     if a0 == 0.5:
         return (2.0**s - 1.0) * riemann_zeta(s)
-    t = 1.0 - s
-    b = _centered(a0)
-    log_pref = complex(_scipy_loggamma(t)) - t * _LOG_2PI
-    half_turn = 0.5j * math.pi * t
-    value = (
-        cmath.exp(log_pref - half_turn) * _polylog_unit(t, b)
-        + cmath.exp(log_pref + half_turn) * _polylog_unit(t, -b)
-    )
-    return complex(value.real, 0.0) if s.imag == 0.0 else value
+    if a0 == 1.0:
+        return _reflect(s, 2.0 * hurwitz_zeta(1.0 - s, 1.0), 0.0)
+    t, b = 1.0 - s, _centered(a0)
+    plus, minus = _polylog_unit(t, b), _polylog_unit(t, -b)
+    return _reflect(s, plus + minus, plus - minus)
 
 
 @lru_cache(maxsize=16384)
 def riemann_zeta(s):
-    """Riemann zeta for complex s != 1.
+    """Riemann zeta for complex s != 1: hurwitz_zeta(s, 1).
 
-    Euler-Maclaurin for Re s >= -1/2; the functional equation otherwise
-    (the alternating sums in the left half plane would cancel
-    catastrophically in doubles), its factor sin(pi s/2) Gamma(1-s)
-    (2 pi)^s formed in log space where it over- or underflows as a
-    product. Raises OverflowError where zeta(s) exceeds the double range.
+    Exactly 0 at the trivial zeros. Raises OverflowError where zeta(s)
+    exceeds the double range.
     """
-    s = complex(s)
-    if s == 1.0:
-        raise ValueError("riemann_zeta pole at s = 1")
-    if s.real < -0.5:
-        if s.imag == 0.0 and s.real == round(s.real) and round(s.real) % 2 == 0:
-            return 0.0 + 0.0j
-        t = 1.0 - s
-        zeta_t = hurwitz_zeta(t, 1.0)
-        try:
-            value = 2.0**s * cmath.pi ** (s - 1.0) * _sin_half_pi(s) * gamma_fn(t) * zeta_t
-        except OverflowError:
-            value = math.nan
-        # zeta has no zeros here but the trivial ones: 0 means underflow
-        if not cmath.isfinite(value) or value == 0.0:
-            value = cmath.exp(s * _LOG_2PI - math.log(math.pi) + _log_sin_gamma(s, t)) * zeta_t
-            if s.imag == 0.0:
-                value = complex(value.real, 0.0)
-        return value
     return hurwitz_zeta(s, 1.0)
 
 
@@ -275,13 +264,13 @@ def eta_hurw(s, a):
     analytically, so values near and at s = 1 are regular. Periodic in a
     with period 1 and odd under a -> -a; a must not be an integer.
 
-    Euler-Maclaurin covers Re s >= -3/2; further left the paired head sums
-    cancel catastrophically in doubles, so the value comes from the
-    functional equation instead, through polylogs on the unit circle
-    evaluated as in polylog_circle. Its prefactor
-    -2i (2 pi)^{s-1} sin(pi (1-s)/2) Gamma(1-s) is formed in log space
-    where it over- or underflows as a product (Re s below about -171).
-    Raises OverflowError where the value exceeds the double range.
+    Euler-Maclaurin covers Re s >= -3/2 off the disk |s + 1| < 1/2;
+    further left the paired head sums cancel catastrophically in doubles,
+    and on the disk they cancel down to the zero at s = -1. There the value
+    comes from the functional equation instead, through polylogs on the unit
+    circle evaluated as in polylog_circle, with the factor
+    sin(pi (s + 1)/2) exact at that zero. Raises OverflowError where the
+    value exceeds the double range.
     """
     s = complex(s)
     a_red = a - math.floor(a)
@@ -291,20 +280,10 @@ def eta_hurw(s, a):
         return 0.0 + 0.0j  # the two Hurwitz terms are the same function
     if s.imag == 0.0 and s.real <= -1.0 and s.real == round(s.real) and round(s.real) % 2 != 0:
         return 0.0 + 0.0j  # the zeros -B_{2l+2}(a) + B_{2l+2}(1 - a) = 0
-    if s.real < -1.5:
-        t = 1.0 - s
-        # Li_t at a and at 1 - a from b and -b: exact conjugates for real t;
-        # sin(pi t/2) = sin(pi (s + 1)/2), s + 1 exact where 1 - s may round
-        b = _centered(a_red)
-        diff = _polylog_unit(t, b) - _polylog_unit(t, -b)
-        try:
-            pref = -2j * (2.0 * cmath.pi) ** (-t) * _sin_half_pi(s + 1.0) * gamma_fn(t)
-        except OverflowError:
-            pref = math.nan
-        if cmath.isfinite(pref) and pref != 0.0:
-            return pref * diff
-        value = cmath.exp(cmath.log(-2j * diff) - t * _LOG_2PI + _log_sin_gamma(s + 1.0, t))
-        return complex(value.real, 0.0) if s.imag == 0.0 else value
+    if s.real < -1.5 or abs(s + 1.0) < 0.5:
+        # Li_t at a and at 1 - a from b and -b: exact conjugates for real t
+        t, b = 1.0 - s, _centered(a_red)
+        return _reflect(s, 0.0, 2.0 * (_polylog_unit(t, b) - _polylog_unit(t, -b)))
     m_shift, order = _em_parameters(s)
     # both pole terms, (wa^{1-s} - wb^{1-s})/(s-1) = -wb^{1-s} q phi((1-s) q),
     # q = log(wa/wb) from the shifts the two sums use, in the sum at a

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -259,32 +260,23 @@ def _signed_power(x, s):
     return math.copysign(1.0, x) * abs(x) ** (-s)
 
 
-def tilde_eta(s, a, m=None):
+def tilde_eta(s, a):
     """Meromorphic continuation of the two-sided eta sum at s.
 
     a must stay away from the singular set {+-lambda_n}. The terms n < m
     are summed directly; the l-th terms of the expansion of the rest in a
-    grow like (|s| |a|/lambda_m)^l/l!, so by default lambda_m > |a| + 1/2
-    and, for Re s > 0, lambda_m > |s| |a| (for Re s <= 0 a larger m makes
-    the head cancel instead). An explicit m (lambda_m > |a|) overrides this
-    without changing the value. At a pole (s a negative even integer,
-    a != 0) is_pole is set, the residue filled in, and the value NaN.
-    Raises ValueError where the binomial tail would need more than 2^16
-    terms: by default for |a| above about 1000 with Re s <= 0 or |s| below
-    about 1, or for an m with lambda_m barely above |a|.
+    grow like (|s| |a|/lambda_m)^l/l!, so lambda_m > |a| + 1/2 and, for
+    Re s > 0, lambda_m > |s| |a| (for Re s <= 0 a larger m makes the head
+    cancel instead). At a pole (s a negative even integer, a != 0) is_pole
+    is set, the residue filled in, and the value NaN. Raises ValueError
+    where the binomial tail would need more than 2^16 terms: for |a| above
+    about 1000 with Re s <= 0 or |s| below about 1.
     """
     s = complex(s)
     a = float(a)
     _validate_regular_a(a)
-    if m is None:
-        # lambda_m > |a| + 1/2, and lambda_m > |s| |a| for Re s > 0
-        m = default_start_index(max(abs(a), abs(s) * abs(a) - 0.5) if s.real > 0.0 else a)
-    else:
-        m = int(m)
-        if m < 0:
-            raise ValueError("m must be non-negative")
-        if lambda_n(m) <= abs(a):
-            raise ValueError(f"split index m = {m} needs lambda_m > |a|")
+    # lambda_m > |a| + 1/2, and lambda_m > |s| |a| for Re s > 0
+    m = default_start_index(max(abs(a), abs(s) * abs(a) - 0.5) if s.real > 0.0 else a)
 
     order = 2 * math.ceil(abs(s.real)) + 6
     total = 0.0 + 0.0j
@@ -358,19 +350,24 @@ def tilde_eta_direct(s, a, n_terms):
 
 
 def tilde_eta_residue(l, a):
-    """Residue at s = -2l (l >= 1) from the closed combinatorial formula."""
+    """Residue at s = -2l (l >= 1) from the closed combinatorial formula.
+
+    Summed exactly in rationals, so the final conversion is the only
+    rounding and raises OverflowError only where the residue itself leaves
+    the double range.
+    """
     l = int(l)
     if l < 1:
         raise ValueError("residues live at s = -2l with l >= 1")
-    acc = 0.0
-    for j in range(l):
-        acc += (
-            math.comb(2 * l, 2 * j + 1)
-            * math.comb(2 * (l - j), l - j)
-            * (9.0 / 64.0) ** (l - j)
-            * a ** (2 * j + 1)
-        )
-    return math.sqrt(2.0) * acc
+    a = Fraction(a)
+    acc = sum(
+        math.comb(2 * l, 2 * j + 1)
+        * math.comb(2 * (l - j), l - j)
+        * Fraction(9, 64) ** (l - j)
+        * a ** (2 * j + 1)
+        for j in range(l)
+    )
+    return float(Fraction(math.sqrt(2.0)) * acc)
 
 
 def tilde_eta_at_zero(a):

@@ -1,5 +1,6 @@
 """Nilmanifold eta function: case split, closed form, and the double sum."""
 
+import cmath
 import math
 
 import pytest
@@ -17,6 +18,8 @@ from rumin_eta.nilmanifold import (
     multiplicity,
     sign_prediction,
 )
+from rumin_eta.specfun import eta_hurw_deriv_neg_odd
+from rumin_eta.tilde_eta import tilde_eta, tilde_eta_at_zero
 
 D41 = LatticeCharacterData(r=4, c=1, gamma_norm=1.0, case_tag=CaseTag.GENERIC)
 
@@ -169,6 +172,29 @@ def test_value_next_to_negative_even_integers_keeps_relative_accuracy():
         assert math.isfinite(abs(eta_nil(s, d).value)), s
 
 
+def test_value_next_to_zero_keeps_relative_accuracy():
+    # eta_hurw(s - 1, c/r) next to its zero at -1, with s - 1 rounded and
+    # rescaled by the exact distance s to that zero
+    mp = pytest.importorskip("mpmath")
+    for r, c, gamma in ((4, 1, 1.0), (6, 4, 1.0), (7, 3, 2.5), (5, 2, 0.7)):
+        d = data(r, c, gamma)
+        a = mp.mpf(c % r) / r
+        for rho in (1e-14, 1.65e-12, 3.3e-10, 1e-6, 0.01, 0.2, 0.45):
+            for s in (rho, -rho, rho * cmath.exp(2.1j)):
+                with mp.workdps(30):
+                    z = mp.mpc(s) - 1
+                    hurw = mp.zeta(z, a) - mp.zeta(z, 1 - a)
+                    want = complex(r * (2 * mp.pi / mp.sqrt(gamma)) ** (-mp.mpc(s)) * hurw
+                                   * mp.mpc(tilde_eta(s, 1.25).value))
+                assert abs(eta_nil(s, d).value - want) <= 1e-13 * abs(want), (d, s)
+    # the slope at s = 0: eta_nil(s)/s -> r eta_hurw'(-1, c/r) tilde_eta(0, 5/4),
+    # here up to the O(s) curvature
+    d = data(6, 4)
+    slope = 6 * eta_hurw_deriv_neg_odd(0, 4 / 6) * tilde_eta_at_zero(1.25)
+    for s in (1e-12, -1e-12, 1e-12j):
+        assert abs(eta_nil(s, d).value / s - slope) <= 1e-10 * abs(slope), s
+
+
 def test_two_route_value_consistency_across_l():
     # eta_nil just off s = -2l runs the general product, through eta_hurw's
     # reflection branch and tilde_eta's polar term; the mean of the two
@@ -204,6 +230,12 @@ def test_value_beyond_the_double_range_raises():
     mp = pytest.importorskip("mpmath")
     d = data(4, 1, 1e6)
     for l in range(52, 121):
+        with mp.workdps(30):
+            expected = _neg_even_mpmath(mp, l, d)
+        assert abs(eta_nil_neg_even(l, d) - expected) <= 1e-14 * abs(expected), l
+    # the residue is summed exactly: at l = 326 its integer combinatorics
+    # alone exceed the double range
+    for l in (326, 400):
         with mp.workdps(30):
             expected = _neg_even_mpmath(mp, l, d)
         assert abs(eta_nil_neg_even(l, d) - expected) <= 1e-14 * abs(expected), l

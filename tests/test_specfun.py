@@ -421,6 +421,38 @@ def test_eta_hurw_far_left_against_mpmath():
     assert eta_hurw(-172.5, 0.3).imag == 0.0
 
 
+def test_hurwitz_zeta_far_left_and_at_large_imaginary_part_against_mpmath():
+    # Hurwitz's formula in polylogarithms, with Gamma(1 - s) overflowing from
+    # Re s ~ -171 and sin(pi s/2) from |Im s| ~ 452; the Euler-Maclaurin
+    # route it replaces would need Re s >= -58
+    mp = pytest.importorskip("mpmath")
+    points = [(s, a) for s in (-59.5, -172.5, -200.5, -180.0 + 0.5j) for a in (0.3, 0.77, 2.25)]
+    points += [(s, a) for s in (-3.0 + 453.0j, -3.0 - 453.0j, -0.7 + 600.0j, -50.0 - 800.0j)
+               for a in (0.3, 0.77, 2.25)]
+    with mp.workdps(30):
+        for s, a in points:
+            want = complex(mp.zeta(mp.mpc(s), mp.mpf(a)))
+            assert abs(hurwitz_zeta(s, a) - want) <= 1e-12 * abs(want), (s, a)
+    assert hurwitz_zeta(-200.5, 0.77).imag == 0.0
+    # a at or above the shift 16 + |Im s| - Re s still takes the Euler-Maclaurin route
+    with pytest.raises(ValueError, match="continuation window"):
+        hurwitz_zeta(-60.0, 100.0)
+
+
+def test_eta_hurw_next_to_its_zero_at_minus_one_keeps_relative_accuracy():
+    # on the disk |s + 1| < 1/2 the Euler-Maclaurin head sums cancel down to
+    # the zero at s = -1; the functional equation keeps the relative accuracy
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for a in (0.05, 0.3, 0.77):
+            for rho in (1e-12, 1e-4, 0.1, 0.25, 0.45):
+                for k in range(4):
+                    s = -1.0 + rho * cmath.exp(1j * (0.3 + 1.6 * k))
+                    z = mp.mpc(s)
+                    want = complex(mp.zeta(z, a) - mp.zeta(z, 1 - mp.mpf(a)))
+                    assert abs(eta_hurw(s, a) - want) <= 1e-13 * abs(want), (s, a)
+
+
 def test_eta_hurw_raises_beyond_the_double_range():
     # |eta_hurw(-400.5, 0.3)| is about 1e548
     with pytest.raises(OverflowError):

@@ -131,6 +131,20 @@ def test_residue_formula_combinatorial():
             assert tilde_eta_residue(l, a) == pytest.approx(SQRT2 * acc, rel=1e-13), (l, a)
 
 
+def test_residue_formula_beyond_the_float_combinatorics_against_mpmath():
+    # from l = 326 the integer factors' product alone exceeds the double
+    # range; the sum is exact, so only the final conversion rounds
+    mp = pytest.importorskip("mpmath")
+    for l in range(326, 401, 7):
+        with mp.workdps(30):
+            want = mp.sqrt(2) * mp.fsum(
+                mp.binomial(2 * l, 2 * j + 1) * mp.binomial(2 * l - 2 * j, l - j)
+                * (mp.mpf(9) / 64) ** (l - j) * mp.mpf(1.25) ** (2 * j + 1)
+                for j in range(l)
+            )
+        assert abs(tilde_eta_residue(l, 1.25) - want) <= 1e-15 * want, l
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     sigma=st.floats(min_value=1.2, max_value=5.0),
