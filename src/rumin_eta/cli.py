@@ -33,11 +33,12 @@ from .rep_oracle import (
     GradedMetric,
     SchrodingerParams,
     SpectralPairingError,
+    _truncation,
     closed_form_error,
     hermitian_eigenvalues,
-    oracle_window,
     pairing_symmetry,
     scalar_S,
+    trusted_window,
 )
 from .specfun import eta_hurw, polylog_circle
 from .tilde_eta import tilde_eta
@@ -333,8 +334,9 @@ def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55, basis_size)
                     "--rep generic takes --lambda, --mu and optionally --nu"
                 )
             params = GenericRepParams(lam=lam, mu=mu, nu=0.0 if nu is None else nu)
-        eigs, unit, kernel_eps, trusted = oracle_window(params, g, basis_size)
-        trusted = trusted.tolist()
+        mat, unit, kernel_eps = _truncation(params, g, basis_size)
+        eigs = hermitian_eigenvalues(mat)
+        trusted = trusted_window(eigs, kernel_eps, basis_size // 8).tolist()
         sidecar = {
             "rep": rep,
             "metric": {"g33": g.g33, "g44": g.g44, "g55": g.g55},

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .specfun import eta_hurw, im_polylog_even
-from .tilde_eta import _snapped_pole, tilde_eta, tilde_eta_direct, tilde_eta_residue
+from .tilde_eta import _residue_exact, _snapped_pole, tilde_eta, tilde_eta_direct
 
 __all__ = [
     "CaseTag",
@@ -146,10 +146,10 @@ def eta_nil_neg_even(l: int, d: LatticeCharacterData) -> float:
     Hurwitz eta at the adjacent odd point -2l-1:
     (-1)^l r (2l+1)! / (2 pi gamma_norm^l) * Im Li_{2l+2}(e^{2 pi i c/r})
     * tilde_eta_residue(l, 5/4).  The product is formed exactly from its
-    floating-point factors, so the final conversion is its only rounding
-    and raises OverflowError exactly where the value leaves the double
-    range, even where gamma_norm^l or (2l+1)! alone would not fit.  (From
-    l = 515 tilde_eta_residue raises OverflowError first, whatever gamma_norm.)
+    floating-point factors and the exact residue, so the final conversion
+    is its only rounding and raises OverflowError exactly where the value
+    leaves the double range, even where gamma_norm^l, (2l+1)! or the
+    residue alone would not fit.
     """
     if d.case_tag is not CaseTag.GENERIC:
         raise ValueError("the value formula at negative even integers needs the generic case")
@@ -161,7 +161,7 @@ def eta_nil_neg_even(l: int, d: LatticeCharacterData) -> float:
             Fraction(d.r * math.factorial(2 * l + 1))
             / Fraction(d.gamma_norm) ** l
             * Fraction(im_polylog_even(l, a))
-            * Fraction(tilde_eta_residue(l, 1.25))
+            * _residue_exact(l, 1.25)
             / Fraction(2.0 * math.pi)
         )
         return float(-value if l % 2 else value)

@@ -8,12 +8,14 @@ every block uses the exact band formulas of the full operator, which keeps
 each truncation exactly Hermitian and confines the truncation error to the
 top Hermite levels.  Only the trusted window of a truncation, its
 basis_size/8 smallest-magnitude eigenvalues off the kernel, should be
-compared against exact spectra; ``oracle_window`` builds, solves and cuts
-a Schrodinger or generic truncation in one call.
+compared against exact spectra; ``oracle_window`` builds a Schrodinger or
+generic truncation and bisects only that window.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,13 +43,18 @@ __all__ = [
     "oracle_window",
 ]
 
+_EPS = float(np.finfo(np.float64).eps)
+_SAFMIN = float(np.finfo(np.float64).tiny)
+
 
 class SpectralPairingError(RuntimeError):
     """Eigenvalues failed the spectral consistency check.
 
-    The computed spectrum must reproduce the trace and the squared Frobenius
-    norm of the matrix to rounding; a violation means the solver or the
-    Hermitian structure is broken, not that the input was invalid.
+    The tridiagonal of each band block and the computed spectrum must
+    reproduce the trace and the squared Frobenius norm of the matrix to
+    rounding, and each bisected window eigenvalue must sit where the Sturm
+    counts put it; a violation means the solver or the Hermitian structure
+    is broken, not that the input was invalid.
     """
 
 
@@ -509,24 +516,188 @@ def closed_form_error(trusted, params: SchrodingerParams, g: GradedMetric) -> fl
     return float(max(abs(t - e) / abs(e) for t, e in zip(by_abs, exact)))
 
 
-def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending (LAPACK ?sbevx/?hbevx).
+@functools.lru_cache(maxsize=None)
+def _band_reducer(routine: str):
+    """LAPACK's dsbtrd or zhbtrd, called through ctypes.
 
-    Each band block of the matrix is solved on its own, real ones by
-    dsbevx and complex ones by zhbevx, and the eigenvalues are merged.
-    ``schrodinger_S``, written in the basis (e_j, i*e_j, e_j), is two real
-    blocks of half-width 5, one per oscillator level parity; ``generic_S``
-    is one complex block of half-width 14.  LAPACK reduces a band to
-    tridiagonal form in O(kd * dim^2) instead of the dense O(dim^3).
-    Asking for the eigenvalues in (-inf, inf] rather than for all of them
-    makes it find them by bisection (dstebz, abstol 0), which returns them
-    in ascending order and is more accurate than the all-eigenvalue QR path
-    (dsterf).  The oracle's bands put the highest oscillator level, where
-    the entries are largest, first: the reduction starts there.  Against
-    extended-precision Rayleigh quotients at N = 512 this errs by 8.7e-15
-    (Schrodinger, skewed metric), 1.1e-14 (proportional) and 1.1e-15
-    (generic) of the spectral radius, where the lowest level first errs by
-    up to 3.1e-14.
+    scipy.linalg.lapack wraps neither, but scipy.linalg.cython_lapack, which
+    it imports, exports every routine of the same LAPACK as a PyCapsule.
+    """
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__[routine]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )(capsule, name(capsule))
+    ptr, num = ctypes.c_void_p, ctypes.POINTER(ctypes.c_int)
+    # (vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info)
+    return ctypes.CFUNCTYPE(
+        None, ctypes.c_char_p, ctypes.c_char_p, num, num, ptr, num, ptr, ptr, ptr, num, ptr, num
+    )(address)
+
+
+def _reduce_band(routine: str, ab: np.ndarray):
+    """LAPACK's reduction of one lower band to a real tridiagonal: (d, e, info).
+
+    ``routine`` is dsbtrd for a real band and zhbtrd for a complex one; it
+    runs with vect='N' on a copy, so the band is left as it is.
+    """
+    kd1, n = ab.shape
+    band = np.array(ab, dtype=np.complex128 if routine == "zhbtrd" else np.float64, order="F")
+    d = np.zeros(n)
+    e = np.zeros(max(n - 1, 1))
+    work = np.zeros(n + 1, dtype=band.dtype)  # work[n:] stands in for the unused q
+    info = ctypes.c_int(0)
+    n_, kd_, ldab_, ldq_ = (ctypes.c_int(v) for v in (n, kd1 - 1, kd1, 1))
+    _band_reducer(routine)(
+        b"N", b"L", ctypes.byref(n_), ctypes.byref(kd_), band.ctypes.data, ctypes.byref(ldab_),
+        d.ctypes.data, e.ctypes.data, work[n:].ctypes.data, ctypes.byref(ldq_),
+        work.ctypes.data, ctypes.byref(info),
+    )
+    return d, e[: n - 1], info.value
+
+
+def _band_sums(ab: np.ndarray):
+    """Trace and squared Frobenius norm of the matrix of one lower band."""
+    # each subdiagonal stands for two entries; the padding is zero.  The
+    # squared norm comes straight from the entries: squaring a rounded
+    # norm would spend part of the bound at small dims
+    fro_sq = 2.0 * float(np.vdot(ab, ab).real) - float(np.vdot(ab[0], ab[0]).real)
+    return float(np.sum(ab[0].real)), fro_sq
+
+
+def _check_sums(what: str, trace, fro_sq, want_trace, want_fro_sq, dim: int):
+    """Raise unless trace and fro_sq meet the band's to (dim + 16)*eps."""
+    fro = math.sqrt(want_fro_sq)
+    tol = (dim + 16) * _EPS
+    trace_err = abs(trace - want_trace)
+    norm_err = abs(fro_sq - want_fro_sq)
+    if not (trace_err <= tol * fro and norm_err <= tol * want_fro_sq):
+        raise SpectralPairingError(
+            f"{what} miss the trace by {trace_err:.3e} and the squared "
+            f"Frobenius norm by {norm_err:.3e} at norm {fro:.3e}"
+        )
+
+
+def _tridiagonal(ab: np.ndarray):
+    """The real tridiagonal (d, e) unitarily similar to one lower band.
+
+    dsbtrd (real band) or zhbtrd (complex band) chases the band down to
+    tridiagonal form with plane rotations in O(kd * dim^2); zhbtrd then makes
+    the off-diagonal real by a diagonal unitary.  A nonzero info raises.
+
+    A unitary similarity keeps the trace and the squared Frobenius norm,
+    so d must reproduce the band's trace to tol*||S||_F, and
+    ||d||^2 + 2||e||^2 its squared norm to tol*||S||_F^2, with
+    tol = (dim + 16)*eps, the bound the eigenvalue sums of
+    ``hermitian_eigenvalues`` meet.  The bound is a first-order estimate:
+    the computed (d, e) is exactly similar to S + E, where E collects the
+    rounding of the plane rotations an entry passes through (Wilkinson;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
+    19.6).  The bulge chases of the dim columns pass an entry about dim
+    times, each rotation with relative error ~eps, so |tr E| and
+    2|<S, E>|/||S||_F stay near dim*eps*||S||_F unless the errors align;
+    the four rounded sums of the check add at most 16 eps.  Measured: the
+    oracle's bands up to N = 2048 spend at most 0.11 of the bound, seeded
+    random Hermitian matrices of dimension 2 to 256, plain and graded by up
+    to e^12, at most 0.52.
+    """
+    routine = "zhbtrd" if np.iscomplexobj(ab) else "dsbtrd"
+    d, e, info = _reduce_band(routine, ab)
+    if info != 0:
+        raise SpectralPairingError(f"{routine} returned info={info}")
+    trace, fro_sq = _band_sums(ab)
+    _check_sums(
+        f"{routine}'s tridiagonal entries", float(np.sum(d)),
+        float(np.dot(d, d)) + 2.0 * float(np.dot(e, e)), trace, fro_sq, d.size,
+    )
+    return d, e
+
+
+def _sbevx_scale(ab: np.ndarray) -> float:
+    """The factor ?sbevx and ?hbevx scale a band by before reducing it.
+
+    They scale a band whose largest |entry| lies outside [sqrt(safmin/eps),
+    min(sqrt(eps/safmin), safmin^(-1/4))], about [1.0e-146, 8.2e76], into
+    it, so that the reduction and the bisection neither over- nor underflow,
+    and divide the eigenvalues by the factor after.  Inside it is 1.
+    """
+    anrm = float(np.max(np.abs(ab)))
+    rmin = math.sqrt(_SAFMIN / _EPS)
+    rmax = min(1.0 / rmin, 1.0 / math.sqrt(math.sqrt(_SAFMIN)))
+    if 0.0 < anrm < rmin:
+        return rmin / anrm
+    return rmax / anrm if anrm > rmax else 1.0
+
+
+def _bisect(d: np.ndarray, e: np.ndarray, lo: int = 0, hi: int = 0) -> np.ndarray:
+    """Eigenvalues lo..hi (1-based, ascending) of the tridiagonal (d, e).
+
+    Bisection on Sturm counts by LAPACK's dstebz with abstol 0, ascending.
+    Without an index range it finds every eigenvalue in (-inf, inf], the
+    call ?sbevx and ?hbevx make; with one, it bisects only the interval
+    that holds eigenvalues lo..hi.  A failure or a missing eigenvalue raises.
+    """
+    import scipy.linalg.lapack  # deferred: only oracle commands pay for the import
+
+    want = hi - lo + 1 if lo else d.size
+    args = (2, 0.0, 0.0, lo, hi) if lo else (1, -np.inf, np.inf, 0, 0)
+    # the wrapper takes e of size 1 when d has size 1
+    count, w, _, _, info = scipy.linalg.lapack.dstebz(
+        d, e if e.size else np.zeros(1), *args, 0.0, b"E"
+    )
+    if info != 0 or count != want:
+        raise SpectralPairingError(
+            f"dstebz returned info={info} and {count} of {want} eigenvalues"
+        )
+    return w[:count]
+
+
+def _sturm_counts(d: np.ndarray, e: np.ndarray, x) -> np.ndarray:
+    """How many eigenvalues of the tridiagonal (d, e) lie at or below each x.
+
+    Kahan's count as dstebz's bisection (dlaebz) takes it, operation for
+    operation: off-diagonals with e_j^2 below |d_j d_(j+1)| eps^2 + safmin
+    count as zero, and a pivot at or below pivmin = safmin * max(1, max
+    e_j^2) counts as negative and becomes min(pivot, -pivmin), which is
+    -pivmin for |pivot| <= pivmin and the pivot otherwise.  This count is
+    monotone in x (Demmel, Dhillon and Ren, ETNA 3, 1995).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e2 = e * e
+    e2[np.abs(d[1:] * d[:-1]) * _EPS**2 + _SAFMIN > e2] = 0.0
+    pivmin = _SAFMIN * max(1.0, float(np.max(e2, initial=0.0)))
+    count = np.zeros(x.shape, dtype=np.int64)
+    q = np.ones_like(x)
+    for dj, e2j in zip(d.tolist(), [0.0] + e2.tolist()):
+        q = dj - e2j / q - x
+        q[np.abs(q) <= pivmin] = -pivmin
+        count += q < 0.0
+    return count
+
+
+def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, ascending.
+
+    Each band block is reduced to a real tridiagonal by dsbtrd (real) or
+    zhbtrd (complex) and checked (``_tridiagonal``); dstebz then finds every
+    eigenvalue in (-inf, inf] by bisection with abstol 0, and the blocks'
+    eigenvalues are merged.  These are the calls LAPACK's dsbevx and
+    zhbevx make for the same request, with the same scaling of bands whose
+    entries would over- or underflow (``_sbevx_scale``), so the eigenvalues
+    are theirs, bit for bit.  ``schrodinger_S``, written in the basis
+    (e_j, i*e_j, e_j), is two real blocks of half-width 5, one per
+    oscillator level parity; ``generic_S`` is one complex block of
+    half-width 14.  The reduction
+    costs O(kd * dim^2) instead of the dense O(dim^3); bisection is more
+    accurate than the all-eigenvalue QR path (dsterf).  The oracle's bands
+    put the highest oscillator level, where the entries are largest, first:
+    the reduction starts there.  Against extended-precision Rayleigh
+    quotients at N = 512 this errs by 8.7e-15 (Schrodinger, skewed metric),
+    1.1e-14 (proportional) and 1.1e-15 (generic) of the spectral radius,
+    where the lowest level first errs by up to 3.1e-14.
 
     A LAPACK failure or a missing eigenvalue raises.  The eigenvalues must
     reproduce the trace to tol*||S||_F and the squared Frobenius norm to
@@ -549,37 +720,16 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     9 and 25 eps; they exceed dim*eps alone at dimensions 2 to 5 (plain)
     and 2 to 16 (graded).
     """
-    import scipy.linalg.lapack  # deferred: only oracle commands pay for the import
-
     parts = []
     trace = fro_sq = 0.0
-    for idx, ab in m.blocks:
-        routine = "zhbevx" if np.iscomplexobj(ab) else "dsbevx"
-        (solver,) = scipy.linalg.lapack.get_lapack_funcs((routine[1:],), (ab,))
-        w, _, count, _, info = solver(
-            ab, -np.inf, np.inf, 1, idx.size, compute_v=0, range=1, lower=1,
-            abstol=0.0, overwrite_ab=0,
-        )
-        if info != 0 or count != idx.size:
-            raise SpectralPairingError(
-                f"{routine} returned info={info} and {count} of {idx.size} eigenvalues"
-            )
-        parts.append(w)
-        trace += float(np.sum(ab[0].real))
-        # each subdiagonal stands for two entries; the padding is zero.  The
-        # squared norm comes straight from the entries: squaring a rounded
-        # norm would spend part of the bound at small dims
-        fro_sq += 2.0 * float(np.vdot(ab, ab).real) - float(np.vdot(ab[0], ab[0]).real)
+    for _, ab in m.blocks:
+        sigma = _sbevx_scale(ab)
+        parts.append(_bisect(*_tridiagonal(ab * sigma)) * (1.0 / sigma))
+        block_trace, block_fro_sq = _band_sums(ab)
+        trace += block_trace
+        fro_sq += block_fro_sq
     w = np.sort(np.concatenate(parts))
-    fro = math.sqrt(fro_sq)
-    tol = (m.dim + 16) * np.finfo(np.float64).eps
-    trace_err = abs(float(np.sum(w)) - trace)
-    norm_err = abs(float(np.dot(w, w)) - fro_sq)
-    if not (trace_err <= tol * fro and norm_err <= tol * fro_sq):
-        raise SpectralPairingError(
-            f"eigenvalues miss the trace by {trace_err:.3e} and the squared "
-            f"Frobenius norm by {norm_err:.3e} at norm {fro:.3e}"
-        )
+    _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), trace, fro_sq, m.dim)
     return w
 
 
@@ -618,16 +768,14 @@ def pairing_symmetry(trusted) -> float:
     return float(np.max(np.abs(arr + arr[::-1])) / np.max(np.abs(arr)))
 
 
-def oracle_window(params, g: GradedMetric, basis_size: int):
-    """Build and solve one truncation, and cut out its trusted window.
+def _truncation(params, g: GradedMetric, basis_size: int):
+    """The oracle's truncation of one representation: (matrix, unit, kernel_eps).
 
     ``params`` picks the family: SchrodingerParams builds ``schrodinger_S``
     with spectral unit 2*pi*|hbar|/sqrt(g33), GenericRepParams builds
     ``generic_S`` with 2*pi*(lam^2 + mu^2)^(1/3)/sqrt(g33).  Eigenvalues
     with |ev| < kernel_eps = 1e-6*unit, far below the smallest nonzero one,
-    are the kernel.  The window is the basis_size//8 smallest |ev| off it:
-    the edge eigenvalues of a truncated unbounded operator are spurious.
-    Returns (eigenvalues, unit, kernel_eps, window), both arrays ascending.
+    are the kernel.
     """
     if isinstance(params, SchrodingerParams):
         mat = schrodinger_S(params, g, basis_size)
@@ -636,6 +784,75 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
         mat = generic_S(params, g, basis_size)
         freq = (params.lam**2 + params.mu**2) ** (1.0 / 3.0)
     unit = 2.0 * math.pi * freq / math.sqrt(g.g33)
-    kernel_eps = 1e-6 * unit
-    eigs = hermitian_eigenvalues(mat)
-    return eigs, unit, kernel_eps, trusted_window(eigs, kernel_eps, basis_size // 8)
+    return mat, unit, 1e-6 * unit
+
+
+def oracle_window(params, g: GradedMetric, basis_size: int):
+    """Build one truncation and bisect only its trusted window.
+
+    The truncation, its spectral unit and kernel_eps are those of
+    ``_truncation``.  The window is the basis_size//8 smallest |ev| off the
+    kernel, ascending: the edge eigenvalues of a truncated unbounded
+    operator are spurious.  Returns (unit, kernel_eps, kernel_count, window).
+
+    Each band block is reduced once (``_tridiagonal``, with its trace and
+    Frobenius check).  Sturm counts at -kernel_eps and +kernel_eps give the
+    numbers n- and n+ of eigenvalues at or below them; the kernel holds
+    n+ - n-, about a third of the spectrum.  dstebz bisects only indices
+    n- - w + 1 .. n- and n+ + 1 .. n+ + w, w = basis_size//8, never the
+    kernel or the spurious edges, and the w smallest |ev| of all blocks'
+    candidates are the window, as ``trusted_window`` cuts it from the full
+    spectrum.  The window is the same set of indices as that of
+    ``hermitian_eigenvalues``, and each value is checked on its own:
+
+    - it lies on its side of the kernel, at or below -kernel_eps for an
+      index up to n-, above +kernel_eps for an index past n+;
+    - the Sturm counts bracket it: at most k - 1 eigenvalues lie at or
+      below lambda_k - delta and at least k at or below lambda_k + delta,
+      with delta = 2 eps G and G = max_j |d_j| + |e_(j-1)| + |e_j|, the
+      Gershgorin bound of the tridiagonal.
+
+    A NaN counts no eigenvalue below it and fails the bracket.  Any
+    violation raises SpectralPairingError.
+
+    Why c = 2 in delta = c eps G: dstebz stops when its interval [a, b],
+    with count(a) < k <= count(b), is narrower than max(eps B, 2 eps
+    max(|a|, |b|)), where B <= G (1 + 2.1 dim eps) is the Gershgorin bound
+    as dstebz widens it.  It returns the rounded midpoint, so the value is
+    within eps G (1 + 2.1 dim eps) + eps |lambda_k|/2 < 2 eps G of a and of
+    b while dim < 10^14, and the count is monotone.  The jump of the count
+    to k therefore lies within delta of the window value and of the value
+    the full solve bisects from its own starting interval, so the two
+    differ by at most 2 delta = 4 eps G <= 4 sqrt(3) eps rho, rho the
+    spectral radius (each row of a tridiagonal has at most three entries).
+    On the oracle's matrices up to N = 512 they differ by at most
+    0.91 eps G, up to 4e-12 relative to the value.
+    """
+    mat, unit, kernel_eps = _truncation(params, g, basis_size)
+    count = basis_size // 8
+    kernel_count = 0
+    values = []
+    for _, ab in mat.blocks:
+        d, e = _tridiagonal(ab)
+        below, above = (int(c) for c in _sturm_counts(d, e, [-kernel_eps, kernel_eps]))
+        kernel_count += above - below
+        ranges = [(max(below - count, 0) + 1, below), (above + 1, min(above + count, d.size))]
+        ranges = [(lo, hi) for lo, hi in ranges if lo <= hi]
+        w = np.concatenate([_bisect(d, e, lo, hi) for lo, hi in ranges] + [np.empty(0)])
+        k = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges] + [np.empty(0, int)])
+        pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
+        delta = 2.0 * _EPS * float(np.max(np.abs(d) + pad[:-1] + pad[1:]))
+        at = _sturm_counts(d, e, np.concatenate([w - delta, w + delta]))
+        bad = (
+            np.where(k <= below, w > -kernel_eps, w <= kernel_eps)
+            | (at[: w.size] >= k)
+            | (at[w.size :] < k)
+        )
+        if np.any(bad):
+            raise SpectralPairingError(
+                f"bisected eigenvalues {w[bad]} fail their Sturm counts {below}, {above} "
+                f"at -+{kernel_eps:.3e} or their bracket of {delta:.3e}"
+            )
+        values.append(w)
+    window = trusted_window(np.sort(np.concatenate(values)), kernel_eps, count)
+    return unit, kernel_eps, kernel_count, window

@@ -349,12 +349,10 @@ def tilde_eta_direct(s, a, n_terms):
     return value, float(tail)
 
 
-def tilde_eta_residue(l, a):
-    """Residue at s = -2l (l >= 1) from the closed combinatorial formula.
+def _residue_exact(l, a) -> Fraction:
+    """The closed combinatorial residue at s = -2l (l >= 1), as a Fraction.
 
-    Summed exactly in rationals, so the final conversion is the only
-    rounding and raises OverflowError only where the residue itself leaves
-    the double range.
+    Exact for the double a and the double sqrt(2).
     """
     l = int(l)
     if l < 1:
@@ -367,7 +365,17 @@ def tilde_eta_residue(l, a):
         * a ** (2 * j + 1)
         for j in range(l)
     )
-    return float(Fraction(math.sqrt(2.0)) * acc)
+    return Fraction(math.sqrt(2.0)) * acc
+
+
+def tilde_eta_residue(l, a):
+    """Residue at s = -2l (l >= 1) from the closed combinatorial formula.
+
+    Summed exactly in rationals, so the final conversion is the only
+    rounding and raises OverflowError only where the residue itself leaves
+    the double range.
+    """
+    return float(_residue_exact(l, a))
 
 
 def tilde_eta_at_zero(a):

@@ -45,13 +45,14 @@ from .rep_oracle import (
 )
 from .specfun import (
     eta_hurw,
+    eta_hurw_deriv_neg_odd,
     gamma_fn,
     im_polylog_even,
     im_polylog_even_quad,
     polylog_circle,
     polylog_circle_direct,
 )
-from .tilde_eta import tilde_eta, tilde_eta_direct, tilde_eta_residue
+from .tilde_eta import tilde_eta, tilde_eta_at_zero, tilde_eta_direct, tilde_eta_residue
 
 __all__ = ["SUITES", "run_criterion", "run_suite"]
 
@@ -283,7 +284,7 @@ def criterion_generic_symmetry(basis_size: int = 256) -> dict:
 
 
 def criterion_nil_generic() -> dict:
-    """C9: the (4,1) values, the s=-2 closed form, and the double sum."""
+    """C9: the (4,1) values, the s=-2 closed form, the slope at s=0, and the double sum."""
     d = LatticeCharacterData(r=4, c=1, gamma_norm=1.0, case_tag=CaseTag.GENERIC)
     parts = []
     for s in (0.0, -1.0, -3.0):
@@ -295,13 +296,23 @@ def criterion_nil_generic() -> dict:
     continued = 0.5 * (eta_nil(-2.0 - 1e-7, d).value + eta_nil(-2.0 + 1e-7, d).value)
     rel = abs(continued - closed) / abs(closed)
     parts.append(_part("closed form vs continuation at s=-2", rel, 1e-9))
+    # eta_nil vanishes at s = 0 with slope r * eta_hurw'(-1, c/r) * tilde_eta(0, 5/4);
+    # a central difference misses it by h^2/6 times the third derivative,
+    # 2.4-4.5 h^2 relative on (4,1,1), (6,4,1) and (7,3,2.5): 10 h^2 bounds it
+    h = 1e-3
+    slope = d.r * eta_hurw_deriv_neg_odd(0, (d.c % d.r) / d.r) * tilde_eta_at_zero(1.25)
+    central = (eta_nil(h, d).value - eta_nil(-h, d).value) / (2.0 * h)
+    parts.append(
+        _part("slope at s=0 vs central difference, h=1e-3",
+              abs(central - slope) / abs(slope), 10.0 * h * h)
+    )
     prod = eta_nil(6.0, d).value
     summed, tail = eta_direct_sum(6.0, d, 4000, 4000)
     parts.append(_part("double sum vs product at s=6", abs(prod - summed), 1e-6 + tail))
     return _record(
         "C9",
         "generic nilmanifold: special values, s=-2 closed form vs continuation, "
-        "direct double sum",
+        "slope at s=0, direct double sum",
         parts,
         value_at_minus_2=float(closed),
     )

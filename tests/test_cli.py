@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import rumin_eta
-from rumin_eta import cli, nilmanifold, rep_oracle
+from rumin_eta import cli, nilmanifold
 from rumin_eta.rep_oracle import SpectralPairingError
 from rumin_eta.specfun import eta_hurw, im_polylog_even
 
@@ -229,7 +229,7 @@ _RAISERS = {
     "special-values": (nilmanifold, "eta_nil_neg_even",
                        ["special-values", "--r", "4", "--c", "1", "--gamma-norm", "1",
                         "--l-max", "1"]),
-    "spectrum": (rep_oracle, "hermitian_eigenvalues",
+    "spectrum": (cli, "hermitian_eigenvalues",
                  ["spectrum", "--rep", "generic", "--lambda", "1", "--mu", "1",
                   "--basis-size", "16"]),
     "verify": (cli.verification, "run_suite", ["verify", "--suite", "tilde-eta"]),

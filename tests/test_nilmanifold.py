@@ -19,7 +19,7 @@ from rumin_eta.nilmanifold import (
     sign_prediction,
 )
 from rumin_eta.specfun import eta_hurw_deriv_neg_odd
-from rumin_eta.tilde_eta import tilde_eta, tilde_eta_at_zero
+from rumin_eta.tilde_eta import tilde_eta, tilde_eta_at_zero, tilde_eta_residue
 
 D41 = LatticeCharacterData(r=4, c=1, gamma_norm=1.0, case_tag=CaseTag.GENERIC)
 
@@ -242,6 +242,20 @@ def test_value_beyond_the_double_range_raises():
     # gamma^200 underflows to zero in floating point; the value overflows
     with pytest.raises(OverflowError, match="s = -400:"):
         eta_nil_neg_even(200, data(4, 1, 1e-3))
+
+
+def test_value_where_the_residue_leaves_the_double_range_against_mpmath():
+    # from l = 515 the residue of tilde_eta alone overflows a double; the
+    # product takes it exactly, so the value at gamma = 1e6 stays in range
+    mp = pytest.importorskip("mpmath")
+    d = data(4, 1, 1e6)
+    with pytest.raises(OverflowError):
+        tilde_eta_residue(515, 1.25)
+    for l in (515, 600):
+        with mp.workdps(30):
+            expected = _neg_even_mpmath(mp, l, d)
+        assert abs(eta_nil_neg_even(l, d) - expected) <= 1e-14 * abs(expected), l
+    assert eta_nil_neg_even(515, d) == pytest.approx(-1.035e-121, rel=1e-3)
 
 
 @settings(max_examples=20, deadline=None)

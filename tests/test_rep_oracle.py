@@ -35,6 +35,7 @@ from rumin_eta.rep_oracle import (
 from rumin_eta.tilde_eta import tilde_eta_direct
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(np.float64).eps
 
 
 def test_metric_validation():
@@ -157,9 +158,12 @@ def test_truncated_spectrum_hits_closed_form():
 def test_trusted_window_drops_kernel_and_edges():
     params = SchrodingerParams(hbar=1.0)
     n = 48
-    eigs, unit, kernel_eps, trusted = oracle_window(params, IDENTITY_METRIC, n)
+    mat, unit, kernel_eps = rep_oracle._truncation(params, IDENTITY_METRIC, n)
+    eigs = hermitian_eigenvalues(mat)
+    trusted = trusted_window(eigs, kernel_eps, n // 8)
     assert unit == TWO_PI and kernel_eps == 1e-6 * TWO_PI
     kernel = [e for e in eigs if abs(e) < kernel_eps]
+    assert oracle_window(params, IDENTITY_METRIC, n)[:3] == (unit, kernel_eps, len(kernel))
     # the kernel carries about one zero mode per oscillator level
     assert n - 4 <= len(kernel) <= n + 4
     assert all(abs(t) >= kernel_eps for t in trusted)
@@ -227,22 +231,19 @@ def test_hermitian_eigenvalues_does_not_mutate_input():
 
 
 def _patch_lapack(monkeypatch, change):
-    """Make every LAPACK routine fetched by name return change(its results)."""
-    fetch = scipy.linalg.lapack.get_lapack_funcs
-
-    def spoiled(f):
-        return lambda *a, **kw: change(f(*a, **kw))
-
-    monkeypatch.setattr(
-        scipy.linalg.lapack,
-        "get_lapack_funcs",
-        lambda *a, **kw: tuple(spoiled(f) for f in fetch(*a, **kw)),
-    )
+    """Make the bisection, LAPACK's dstebz, return change(its results)."""
+    stebz = scipy.linalg.lapack.dstebz
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", lambda *a, **kw: change(stebz(*a, **kw)))
 
 
 def _patch_solver(monkeypatch, spoil):
-    """Make the band solver return spoil(eigenvalues)."""
-    _patch_lapack(monkeypatch, lambda out: (spoil(out[0]),) + tuple(out[1:]))
+    """Make the bisection return spoil(the eigenvalues it found)."""
+
+    def change(out):
+        count, w = out[:2]
+        return (count, np.concatenate([spoil(w[:count]), w[count:]])) + tuple(out[2:])
+
+    _patch_lapack(monkeypatch, change)
 
 
 def _shift_top(w):
@@ -268,9 +269,14 @@ def _nan_one(w):
 
 
 _SPOILED_MATRICES = {
-    # two real parity blocks (dsbevx) and one complex block (zhbevx)
+    # two real parity blocks (dsbtrd) and one complex block (zhbtrd)
     "schrodinger": lambda: schrodinger_S(SchrodingerParams(hbar=1.0), IDENTITY_METRIC, 16),
     "generic": lambda: generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, 16),
+}
+# the same truncations through the window path
+_SPOILED_WINDOWS = {
+    "schrodinger": (SchrodingerParams(hbar=1.0), IDENTITY_METRIC, 16),
+    "generic": (GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, 16),
 }
 
 
@@ -293,6 +299,9 @@ def test_consistency_check_catches_a_bad_solver(monkeypatch, spoil, rep):
     _patch_solver(monkeypatch, spoil)
     with pytest.raises(SpectralPairingError):
         hermitian_eigenvalues(mat)
+    # the window path has no sums to check; the Sturm bracket trips instead
+    with pytest.raises(SpectralPairingError, match="bracket"):
+        oracle_window(*_SPOILED_WINDOWS[rep])
 
 
 _SPOILED_ARGV = {
@@ -317,7 +326,7 @@ def _bisection_failed(out):
 
 
 def _one_missing(out):
-    return tuple(out[:2]) + (out[2] - 1,) + tuple(out[3:])
+    return (out[0] - 1,) + tuple(out[1:])
 
 
 @pytest.mark.parametrize(
@@ -330,9 +339,10 @@ def _one_missing(out):
 def test_solver_failure_raises_instead_of_a_partial_spectrum(monkeypatch, change, rep):
     mat = _SPOILED_MATRICES[rep]()
     _patch_lapack(monkeypatch, change)
-    routine = "zhbevx" if rep == "generic" else "dsbevx"
-    with pytest.raises(SpectralPairingError, match=routine):
+    with pytest.raises(SpectralPairingError, match="dstebz"):
         hermitian_eigenvalues(mat)
+    with pytest.raises(SpectralPairingError, match="dstebz"):
+        oracle_window(*_SPOILED_WINDOWS[rep])
 
 
 def _half_bandwidth(mat):
@@ -557,20 +567,25 @@ def test_band_solver_accuracy_against_extended_precision(n):
 
 def test_oracle_window_matches_the_former_pipeline():
     # the spectral units, kernel cut and window that spectrum, C6 and C8
-    # assembled themselves before oracle_window
+    # assembled themselves before oracle_window, from the full solve.  The
+    # window is bisected from another starting interval, so its values
+    # agree within oracle_window's a-priori bound 4 sqrt(3) eps rho
     g = GradedMetric(1.3, 0.8, 1.1)
     for build, params, freq in (
         (schrodinger_S, SchrodingerParams(hbar=-0.7), 0.7),
         (generic_S, GenericRepParams(1.0, 0.5, 0.3), 1.25 ** (1.0 / 3.0)),
     ):
         for n in (16, 40):
-            eigs, unit, kernel_eps, window = oracle_window(params, g, n)
-            assert np.array_equal(eigs, hermitian_eigenvalues(build(params, g, n)))
+            unit, kernel_eps, kernel_count, window = oracle_window(params, g, n)
+            eigs = hermitian_eigenvalues(build(params, g, n))
             assert unit == 2.0 * math.pi * freq / math.sqrt(g.g33)
             assert kernel_eps == 1e-6 * unit
+            assert kernel_count == np.count_nonzero(np.abs(eigs) < kernel_eps)
             nonzero = eigs[np.abs(eigs) >= kernel_eps]
-            former = sorted(nonzero[np.argsort(np.abs(nonzero), kind="stable")[: n // 8]])
-            assert window.tolist() == former
+            former = np.sort(nonzero[np.argsort(np.abs(nonzero), kind="stable")[: n // 8]])
+            bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(eigs))
+            assert window.shape == former.shape
+            assert np.max(np.abs(window - former)) <= bound
 
 
 def _pairing_as_cli_computed(trusted):
@@ -597,8 +612,8 @@ def test_pairing_symmetry_matches_both_former_formulas():
             (GenericRepParams(1.0, 1.0, 0.0), IDENTITY_METRIC),
             (GenericRepParams(0.7, -1.3, 0.4), GradedMetric(1.0, 1.7, 1.7)),
         ):
-            eigs, _, kernel_eps, _ = oracle_window(params, g, n)
-            windows.append(list(trusted_window(eigs, kernel_eps, count)))
+            mat, _, kernel_eps = rep_oracle._truncation(params, g, n)
+            windows.append(list(trusted_window(hermitian_eigenvalues(mat), kernel_eps, count)))
     for window in windows:
         got = pairing_symmetry(window)
         assert got == _pairing_as_cli_computed(window) == _pairing_as_c8_computed(window)
@@ -679,3 +694,140 @@ def test_orientation_flip_negates_operator(hbar):
     plus = schrodinger_S(SchrodingerParams(hbar=hbar, orientation_sign=1), g, 10).entries
     minus = schrodinger_S(SchrodingerParams(hbar=hbar, orientation_sign=-1), g, 10).entries
     assert np.array_equal(minus, -plus)
+
+
+def _seeded_oracle_matrices(n, seed=17):
+    """Schrodinger with a proportional and a skewed metric, generic, and scalar."""
+    rng = np.random.default_rng(seed + n)
+    g44 = rng.uniform(0.5, 2.0)
+    hbar = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+    yield schrodinger_S(SchrodingerParams(hbar), GradedMetric(rng.uniform(0.5, 2.0), g44, g44), n)
+    yield schrodinger_S(SchrodingerParams(-hbar), GradedMetric(*rng.uniform(0.5, 2.0, 3)), n)
+    lam, mu, nu = rng.uniform(-1.5, 1.5, 3)
+    yield generic_S(GenericRepParams(lam, mu, nu), GradedMetric(*rng.uniform(0.5, 2.0, 3)), n)
+    yield scalar_S(*rng.uniform(-2.0, 2.0, 2), GradedMetric(*rng.uniform(0.2, 3.0, 3)))
+
+
+@pytest.mark.parametrize("n", [8, 16, 128, 256])
+def test_full_route_is_bit_identical_to_sbevx_and_hbevx(n):
+    # the reduction plus dstebz over (-inf, inf] are the calls ?sbevx and
+    # ?hbevx make for the same request; those stay here as the reference.
+    # At hbar = 1e-150 and 1e80 they scale the bands first
+    extreme = [schrodinger_S(SchrodingerParams(h), IDENTITY_METRIC, n) for h in (1e-150, 1e80)]
+    for mat in [*_seeded_oracle_matrices(n), *extreme]:
+        parts = []
+        for _, ab in mat.blocks:
+            name = "hbevx" if np.iscomplexobj(ab) else "sbevx"
+            (solver,) = scipy.linalg.lapack.get_lapack_funcs((name,), (ab,))
+            w, _, count, _, info = solver(ab, -np.inf, np.inf, 1, ab.shape[1], compute_v=0,
+                                          range=1, lower=1, abstol=0.0, overwrite_ab=0)
+            assert info == 0 and count == ab.shape[1]
+            parts.append(w)
+        assert np.array_equal(hermitian_eigenvalues(mat), np.sort(np.concatenate(parts)))
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_window_holds_the_indices_and_kernel_of_the_full_solve(n):
+    rng = np.random.default_rng(n)
+    for params in (SchrodingerParams(rng.uniform(0.5, 2.0)),
+                   SchrodingerParams(-rng.uniform(0.5, 2.0)),
+                   GenericRepParams(*rng.uniform(-1.5, 1.5, 3))):
+        for g in (GradedMetric(1.0, 1.3, 1.3), GradedMetric(*rng.uniform(0.5, 2.0, 3))):
+            mat, unit, kernel_eps = rep_oracle._truncation(params, g, n)
+            eigs = hermitian_eigenvalues(mat)
+            full = trusted_window(eigs, kernel_eps, n // 8)
+            got_unit, got_eps, kernel_count, window = oracle_window(params, g, n)
+            assert (got_unit, got_eps) == (unit, kernel_eps)
+            assert kernel_count == np.count_nonzero(np.abs(eigs) < kernel_eps)
+            # each window value is nearest to the full solve's value at the same index
+            nearest = np.abs(eigs[None, :] - window[:, None]).argmin(axis=1)
+            assert np.array_equal(nearest, np.flatnonzero(np.isin(eigs, full)))
+            bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(eigs))
+            assert np.max(np.abs(window - full)) <= bound
+
+
+def _perturb_d(monkeypatch):
+    reduce_band = rep_oracle._reduce_band
+
+    def perturbed(routine, ab):
+        d, e, info = reduce_band(routine, ab)
+        d = d.copy()
+        d[0] += 1e-9 * np.max(np.abs(e))  # generic bands have d = 0
+        return d, e, info
+
+    monkeypatch.setattr(rep_oracle, "_reduce_band", perturbed)
+
+
+def _reduction_info(monkeypatch):
+    reduce_band = rep_oracle._reduce_band
+    monkeypatch.setattr(rep_oracle, "_reduce_band", lambda *a: reduce_band(*a)[:2] + (-5,))
+
+
+def _shift_smallest(monkeypatch):
+    # keeps every value on its side of the kernel
+    def shift(w):
+        w = w.copy()
+        i = np.argmin(np.abs(w))
+        w[i] *= 1.0 + 1e-9
+        return w
+
+    _patch_solver(monkeypatch, shift)
+
+
+def _into_kernel(monkeypatch):
+    def move(w):
+        w = w.copy()
+        w[np.argmin(np.abs(w))] = 0.0
+        return w
+
+    _patch_solver(monkeypatch, move)
+
+
+def _bisection_info(monkeypatch):
+    _patch_lapack(monkeypatch, _bisection_failed)
+
+
+# fault -> (message of the window path, which checks each value on its own,
+# whether the full route sees it too).  A shift of one small eigenvalue by
+# 1e-9 of itself is far inside the full route's trace and norm bounds;
+# test_spectrum_exits_3_on_a_bad_solver shifts the largest one instead
+_FAULTS = {
+    _perturb_d: ("tridiagonal entries miss the trace", True),
+    _reduction_info: ("returned info=-5", True),
+    _shift_smallest: ("bracket", False),
+    _into_kernel: ("Sturm counts", False),
+    _bisection_info: ("dstebz returned info=1", True),
+}
+
+
+@pytest.mark.parametrize("rep", ["schrodinger", "generic"])
+@pytest.mark.parametrize("fault", list(_FAULTS), ids=lambda f: f.__name__.strip("_"))
+def test_each_fault_raises_and_spectrum_exits_3(monkeypatch, fault, rep):
+    fault(monkeypatch)
+    message, full_route = _FAULTS[fault]
+    with pytest.raises(SpectralPairingError, match=message):
+        oracle_window(*_SPOILED_WINDOWS[rep])
+    commands = [["verify", "--suite", "oracle", "--basis-size", "16"]]
+    if full_route:
+        with pytest.raises(SpectralPairingError):
+            hermitian_eigenvalues(_SPOILED_MATRICES[rep]())
+        commands.append(["spectrum", *_SPOILED_ARGV[rep], "--basis-size", "16"])
+    for argv in commands:
+        result = CliRunner().invoke(cli.main, argv)
+        assert result.exit_code == 3
+        assert "internal inconsistency" in result.stderr
+        assert result.stdout == ""
+
+
+def test_sturm_counts_agree_with_the_full_solve():
+    # between two eigenvalues further apart than the bisection's 4 eps G,
+    # the count is the number of eigenvalues below
+    for mat in _seeded_oracle_matrices(64):
+        for _, ab in mat.blocks:
+            d, e = rep_oracle._tridiagonal(ab)
+            w = rep_oracle._bisect(d, e)
+            pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
+            apart = np.flatnonzero(np.diff(w) > 4.0 * EPS * np.max(np.abs(d) + pad[:-1] + pad[1:]))
+            middle = (w[apart] + w[apart + 1]) / 2.0
+            assert np.array_equal(rep_oracle._sturm_counts(d, e, middle), apart + 1)
+            assert apart.size > w.size // 2
