@@ -17,6 +17,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -516,12 +517,30 @@ def closed_form_error(trusted, params: SchrodingerParams, g: GradedMetric) -> fl
     return float(max(abs(t - e) / abs(e) for t, e in zip(by_abs, exact)))
 
 
-@functools.lru_cache(maxsize=None)
-def _band_reducer(routine: str):
-    """LAPACK's dsbtrd or zhbtrd, called through ctypes.
+_INT = ctypes.POINTER(ctypes.c_int)
+_DBL = ctypes.POINTER(ctypes.c_double)
+_PTR, _CHR = ctypes.c_void_p, ctypes.c_char_p
+# every argument by reference, arrays as addresses
+_SIGNATURES = {
+    # (vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info)
+    "dsbtrd": (_CHR, _CHR, _INT, _INT, _PTR, _INT, _PTR, _PTR, _PTR, _INT, _PTR, _INT),
+    # (range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
+    #  isplit, work, iwork, info)
+    "dstebz": (
+        _CHR, _CHR, _INT, _DBL, _DBL, _INT, _INT, _DBL, _PTR, _PTR, _INT, _INT, _PTR,
+        _PTR, _PTR, _PTR, _PTR, _INT,
+    ),
+}
+_SIGNATURES["zhbtrd"] = _SIGNATURES["dsbtrd"]
 
-    scipy.linalg.lapack wraps neither, but scipy.linalg.cython_lapack, which
-    it imports, exports every routine of the same LAPACK as a PyCapsule.
+
+@functools.lru_cache(maxsize=None)
+def _lapack(routine: str):
+    """LAPACK's dsbtrd, zhbtrd or dstebz, called through ctypes.
+
+    scipy.linalg.lapack wraps neither reduction, but scipy.linalg.cython_lapack
+    exports every routine of the same LAPACK as a PyCapsule.  A ctypes call
+    releases the GIL, so calls on the oracle's pool run in parallel.
     """
     from scipy.linalg import cython_lapack
 
@@ -531,18 +550,64 @@ def _band_reducer(routine: str):
     address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api)
     )(capsule, name(capsule))
-    ptr, num = ctypes.c_void_p, ctypes.POINTER(ctypes.c_int)
-    # (vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info)
-    return ctypes.CFUNCTYPE(
-        None, ctypes.c_char_p, ctypes.c_char_p, num, num, ptr, num, ptr, ptr, ptr, num, ptr, num
-    )(address)
+    return ctypes.CFUNCTYPE(None, *_SIGNATURES[routine])(address)
+
+
+@functools.lru_cache(maxsize=None)
+def _pool():
+    """The thread pool of the oracle's LAPACK calls.
+
+    One worker per CPU the process may use.  The pool starts a worker only
+    when a submitted call finds none idle, so it never runs more workers
+    than calls.  It is made on the first large solve: importing the
+    package starts no thread.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=cpus)
+
+
+# a forked child inherits the pool but not its threads; it makes its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+# below this many rows a LAPACK call takes less time than handing it to a
+# worker; the break-even is near 64 rows on a 2-core host
+_POOL_MIN_ROWS = 64
+
+
+def _start(rows: int, fn, *args):
+    """Start the LAPACK call fn(*args); the returned function waits for it.
+
+    The call runs on the pool when its operand has at least _POOL_MIN_ROWS
+    rows, else at once in the calling thread.  The caller allocates every
+    buffer and passes arrays by ``_address``, which keeps them alive, so a
+    worker allocates nothing: each thread that allocates grows a glibc
+    malloc arena of its own, which raised the peak memory of ``verify
+    --suite all`` by 1.8 MB on a 2-core host.
+    """
+    if rows < _POOL_MIN_ROWS:
+        fn(*args)
+        return lambda: None
+    return _pool().submit(fn, *args).result
+
+
+def _address(arr: np.ndarray):
+    """A ctypes pointer to an array's data that keeps the array alive."""
+    return arr.ctypes.data_as(ctypes.c_void_p)
 
 
 def _reduce_band(routine: str, ab: np.ndarray):
-    """LAPACK's reduction of one lower band to a real tridiagonal: (d, e, info).
+    """Start LAPACK's reduction of one lower band to a real tridiagonal.
 
     ``routine`` is dsbtrd for a real band and zhbtrd for a complex one; it
-    runs with vect='N' on a copy, so the band is left as it is.
+    runs with vect='N' on a copy, so the band is left as it is.  The
+    returned function waits for (d, e, info).
     """
     kd1, n = ab.shape
     band = np.array(ab, dtype=np.complex128 if routine == "zhbtrd" else np.float64, order="F")
@@ -550,13 +615,18 @@ def _reduce_band(routine: str, ab: np.ndarray):
     e = np.zeros(max(n - 1, 1))
     work = np.zeros(n + 1, dtype=band.dtype)  # work[n:] stands in for the unused q
     info = ctypes.c_int(0)
+    ref = ctypes.byref
     n_, kd_, ldab_, ldq_ = (ctypes.c_int(v) for v in (n, kd1 - 1, kd1, 1))
-    _band_reducer(routine)(
-        b"N", b"L", ctypes.byref(n_), ctypes.byref(kd_), band.ctypes.data, ctypes.byref(ldab_),
-        d.ctypes.data, e.ctypes.data, work[n:].ctypes.data, ctypes.byref(ldq_),
-        work.ctypes.data, ctypes.byref(info),
+    run = _start(
+        n, _lapack(routine), b"N", b"L", ref(n_), ref(kd_), _address(band), ref(ldab_),
+        _address(d), _address(e), _address(work[n:]), ref(ldq_), _address(work), ref(info),
     )
-    return d, e[: n - 1], info.value
+
+    def wait():
+        run()
+        return d, e[: n - 1], info.value
+
+    return wait
 
 
 def _band_sums(ab: np.ndarray):
@@ -582,8 +652,9 @@ def _check_sums(what: str, trace, fro_sq, want_trace, want_fro_sq, dim: int):
 
 
 def _tridiagonal(ab: np.ndarray):
-    """The real tridiagonal (d, e) unitarily similar to one lower band.
+    """Start reducing one lower band to a unitarily similar real tridiagonal.
 
+    The returned function waits for the tridiagonal (d, e) and checks it.
     dsbtrd (real band) or zhbtrd (complex band) chases the band down to
     tridiagonal form with plane rotations in O(kd * dim^2); zhbtrd then makes
     the off-diagonal real by a diagonal unitary.  A nonzero info raises.
@@ -605,15 +676,20 @@ def _tridiagonal(ab: np.ndarray):
     to e^12, at most 0.52.
     """
     routine = "zhbtrd" if np.iscomplexobj(ab) else "dsbtrd"
-    d, e, info = _reduce_band(routine, ab)
-    if info != 0:
-        raise SpectralPairingError(f"{routine} returned info={info}")
-    trace, fro_sq = _band_sums(ab)
-    _check_sums(
-        f"{routine}'s tridiagonal entries", float(np.sum(d)),
-        float(np.dot(d, d)) + 2.0 * float(np.dot(e, e)), trace, fro_sq, d.size,
-    )
-    return d, e
+    reduced = _reduce_band(routine, ab)
+
+    def wait():
+        d, e, info = reduced()
+        if info != 0:
+            raise SpectralPairingError(f"{routine} returned info={info}")
+        trace, fro_sq = _band_sums(ab)
+        _check_sums(
+            f"{routine}'s tridiagonal entries", float(np.sum(d)),
+            float(np.dot(d, d)) + 2.0 * float(np.dot(e, e)), trace, fro_sq, d.size,
+        )
+        return d, e
+
+    return wait
 
 
 def _sbevx_scale(ab: np.ndarray) -> float:
@@ -632,27 +708,139 @@ def _sbevx_scale(ab: np.ndarray) -> float:
     return rmax / anrm if anrm > rmax else 1.0
 
 
-def _bisect(d: np.ndarray, e: np.ndarray, lo: int = 0, hi: int = 0) -> np.ndarray:
-    """Eigenvalues lo..hi (1-based, ascending) of the tridiagonal (d, e).
+def _kept_squares(d: np.ndarray, e: np.ndarray):
+    """(e_j^2 as dstebz keeps them, pivmin) for the tridiagonal (d, e).
 
-    Bisection on Sturm counts by LAPACK's dstebz with abstol 0, ascending.
-    Without an index range it finds every eigenvalue in (-inf, inf], the
-    call ?sbevx and ?hbevx make; with one, it bisects only the interval
-    that holds eigenvalues lo..hi.  A failure or a missing eigenvalue raises.
+    dstebz splits the tridiagonal where e_j^2 < |d_j d_(j+1)| eps^2 +
+    safmin, and counts those e_j^2 as zero; pivmin = safmin * max(1, max
+    e_j^2) over the rest.
     """
-    import scipy.linalg.lapack  # deferred: only oracle commands pay for the import
+    e2 = e * e
+    e2[np.abs(d[1:] * d[:-1]) * _EPS**2 + _SAFMIN > e2] = 0.0
+    return e2, _SAFMIN * max(1.0, float(np.max(e2, initial=0.0)))
 
-    want = hi - lo + 1 if lo else d.size
-    args = (2, 0.0, 0.0, lo, hi) if lo else (1, -np.inf, np.inf, 0, 0)
-    # the wrapper takes e of size 1 when d has size 1
-    count, w, _, _, info = scipy.linalg.lapack.dstebz(
-        d, e if e.size else np.zeros(1), *args, 0.0, b"E"
+
+def _dstebz(d: np.ndarray, e: np.ndarray, vl=-np.inf, vu=np.inf, il: int = 0, iu: int = 0):
+    """Start LAPACK's dstebz on the tridiagonal (d, e), abstol 0, ascending.
+
+    Finds the eigenvalues il..iu (1-based, range 'I') when il is given,
+    else those in (vl, vu] (range 'V').  The returned function waits for
+    (count, w, info); the first count entries of w are the eigenvalues.
+    """
+    n = d.size
+    d = np.ascontiguousarray(d, dtype=np.float64)
+    e = np.concatenate([np.asarray(e, dtype=np.float64), [0.0]])  # a buffer even when n = 1
+    w, work = np.zeros(n), np.zeros(4 * n)
+    iwork = np.zeros(5 * n, dtype=np.intc)  # iblock, isplit, then dstebz's 3n
+    count, nsplit, info = ctypes.c_int(0), ctypes.c_int(0), ctypes.c_int(0)
+    ref = ctypes.byref
+    run = _start(
+        n, _lapack("dstebz"), b"I" if il else b"V", b"E", ref(ctypes.c_int(n)),
+        ref(ctypes.c_double(vl)), ref(ctypes.c_double(vu)), ref(ctypes.c_int(il)),
+        ref(ctypes.c_int(iu)), ref(ctypes.c_double(0.0)), _address(d), _address(e), ref(count),
+        ref(nsplit), _address(w), _address(iwork), _address(iwork[n:]), _address(work),
+        _address(iwork[2 * n :]), ref(info),
     )
-    if info != 0 or count != want:
-        raise SpectralPairingError(
-            f"dstebz returned info={info} and {count} of {want} eigenvalues"
-        )
-    return w[:count]
+
+    def wait():
+        run()
+        return count.value, w, info.value
+
+    return wait
+
+
+def _tree_intervals(d: np.ndarray, e: np.ndarray):
+    """The 8 intervals (vl, vu] of dstebz's bisection tree at depth 3.
+
+    dstebz bisects the eigenvalues of a tridiagonal it does not split from
+    the root [GL, GU]: the Gershgorin interval, widened on each side by
+    2.1*B*eps*n + 2.1*pivmin with B = max(|GL|, |GU|), pivmin as in
+    ``_kept_squares``.  Each step halves an interval at its rounded
+    midpoint (a + b)/2 and keeps the halves that hold eigenvalues, until
+    b - a < max(eps*B', pivmin, 2*eps*max(|a|, |b|)), B' the widened B;
+    it returns the midpoint of that last interval.  Every interval it holds
+    is a node of this tree, and each node is refined on its own, so an
+    eigenvalue reaches the same last interval, and the same midpoint, from
+    any node above it.  A dstebz call on (vl, vu] starts from [max(GL, vl),
+    min(GU, vu)], and its Sturm counts at the ends assign every index to
+    exactly one interval.  The calls on the 8 nodes at depth 3 therefore
+    return, together, the bits of one call on (-inf, inf].  The outermost
+    ends are -inf and inf, which dstebz clamps to GL and GU itself.
+
+    Returns the one interval (-inf, inf] where this does not hold: where
+    dstebz would split the tridiagonal (some e_j^2 < |d_j d_(j+1)| eps^2 +
+    safmin) or n < 2, and where a node at depth 1 to 3 already meets the
+    stopping rule, so that the single call would stop above the depth-3
+    node the split call starts from.  Only a cut at a node of the tree keeps
+    the bits: the tree needs GL and GU as LAPACK's reference source writes
+    them, with no fused multiply-add.
+    """
+    n = d.size
+    e2, pivmin = _kept_squares(d, e)
+    if n < 2 or not np.all(e2):
+        return [(-np.inf, np.inf)]
+    pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
+    gl = float(np.min(d - pad[:-1] - pad[1:]))
+    gu = float(np.max(d + pad[:-1] + pad[1:]))
+    bnorm = max(abs(gl), abs(gu))
+    gl = gl - 2.1 * bnorm * _EPS * n - 2.1 * pivmin
+    gu = gu + 2.1 * bnorm * _EPS * n + 2.1 * pivmin
+    atol = _EPS * max(abs(gl), abs(gu))
+    cuts = [gl, gu]
+    for _ in range(3):
+        mids = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
+        cuts = [x for pair in zip(cuts, mids) for x in pair] + [gu]
+        if any(
+            b - a < max(atol, pivmin, 2.0 * _EPS * max(abs(a), abs(b)))
+            for a, b in zip(cuts, cuts[1:])
+        ):
+            return [(-np.inf, np.inf)]
+    cuts[0], cuts[-1] = -np.inf, np.inf
+    return list(zip(cuts, cuts[1:]))
+
+
+def _bisect(d: np.ndarray, e: np.ndarray, lo: int = 0, hi: int = 0):
+    """Start bisecting eigenvalues lo..hi (1-based) of the tridiagonal (d, e).
+
+    The returned function waits for the dstebz calls and returns the
+    eigenvalues, ascending.  Without an index range they find
+    every eigenvalue in (-inf, inf], the call ?sbevx and ?hbevx make: one
+    call per interval of ``_tree_intervals`` when they run on the pool,
+    else one call.  With a range, a single call bisects only the interval
+    that holds eigenvalues lo..hi.  A failure or a missing eigenvalue
+    raises when waited for.
+    """
+    if lo:
+        runs, want = [_dstebz(d, e, il=lo, iu=hi)], hi - lo + 1
+    else:
+        pieces = d.size >= _POOL_MIN_ROWS
+        intervals = _tree_intervals(d, e) if pieces else [(-np.inf, np.inf)]
+        runs, want = [_dstebz(d, e, vl, vu) for vl, vu in intervals], d.size
+
+    def wait() -> np.ndarray:
+        out = [run() for run in runs]
+        info = next((i for *_, i in out if i), 0)
+        count = sum(c for c, *_ in out)
+        if info != 0 or count != want:
+            raise SpectralPairingError(
+                f"dstebz returned info={info} and {count} of {want} eigenvalues"
+            )
+        return np.concatenate([w[:c] for c, w, _ in out])
+
+    return wait
+
+
+def _reductions(m: HermitianOperatorMatrix):
+    """Each band block scaled as ?sbevx scales it, and its tridiagonal.
+
+    Yields (sigma, band * sigma, d, e) in block order; the blocks are
+    reduced concurrently (``_tridiagonal``, with its check).
+    """
+    sigmas = [_sbevx_scale(ab) for _, ab in m.blocks]
+    bands = [ab * sigma for (_, ab), sigma in zip(m.blocks, sigmas)]
+    waits = [_tridiagonal(band) for band in bands]
+    for sigma, band, wait in zip(sigmas, bands, waits):
+        yield (sigma, band, *wait())
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, x) -> np.ndarray:
@@ -666,9 +854,7 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, x) -> np.ndarray:
     monotone in x (Demmel, Dhillon and Ren, ETNA 3, 1995).
     """
     x = np.asarray(x, dtype=np.float64)
-    e2 = e * e
-    e2[np.abs(d[1:] * d[:-1]) * _EPS**2 + _SAFMIN > e2] = 0.0
-    pivmin = _SAFMIN * max(1.0, float(np.max(e2, initial=0.0)))
+    e2, pivmin = _kept_squares(d, e)
     count = np.zeros(x.shape, dtype=np.int64)
     q = np.ones_like(x)
     for dj, e2j in zip(d.tolist(), [0.0] + e2.tolist()):
@@ -699,10 +885,24 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     1.1e-14 (proportional) and 1.1e-15 (generic) of the spectral radius,
     where the lowest level first errs by up to 3.1e-14.
 
-    A LAPACK failure or a missing eigenvalue raises.  The eigenvalues must
-    reproduce the trace to tol*||S||_F and the squared Frobenius norm to
-    tol*||S||_F^2, both read off the bands, with tol = (dim + 16)*eps;
-    otherwise the computation is internally inconsistent.
+    The LAPACK calls run on a pool of one thread per CPU the process may
+    use (blocks under 64 rows stay in the calling thread, ``_start``): the
+    blocks are reduced concurrently, and each block's bisection is split
+    into the 8 intervals of dstebz's own bisection tree at depth 3, one
+    dstebz call each (``_tree_intervals``).  The pieces together return
+    the bits of the single call.  That holds as long as the tree's
+    root, the widened Gershgorin interval, is evaluated as LAPACK's
+    reference source writes it, with no fused multiply-add; a LAPACK built
+    to contract it still gets a correct bisection on every piece, inside
+    the same checks, and may differ from its own dsbevx in the last bits.
+
+    A LAPACK failure or a missing eigenvalue raises.  The eigenvalues of
+    each block must reproduce its trace to tol*||S||_F and its squared
+    Frobenius norm to tol*||S||_F^2, both read off the band, with
+    tol = (dim + 16)*eps and dim the block's; otherwise the computation is
+    internally inconsistent.  The check runs on the scaled band and the
+    eigenvalues before they are divided by the scale, so that the squared
+    norm neither overflows nor underflows.
 
     The bound, to first order: with d_i the error of the i-th eigenvalue,
     the checks see sum d_i and 2 sum lambda_i d_i, plus the rounding of
@@ -720,17 +920,13 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     9 and 25 eps; they exceed dim*eps alone at dimensions 2 to 5 (plain)
     and 2 to 16 (graded).
     """
+    blocks = [(sigma, band, _bisect(d, e)) for sigma, band, d, e in _reductions(m)]
     parts = []
-    trace = fro_sq = 0.0
-    for _, ab in m.blocks:
-        sigma = _sbevx_scale(ab)
-        parts.append(_bisect(*_tridiagonal(ab * sigma)) * (1.0 / sigma))
-        block_trace, block_fro_sq = _band_sums(ab)
-        trace += block_trace
-        fro_sq += block_fro_sq
-    w = np.sort(np.concatenate(parts))
-    _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), trace, fro_sq, m.dim)
-    return w
+    for sigma, band, wait in blocks:
+        w = wait()
+        _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), *_band_sums(band), w.size)
+        parts.append(w * (1.0 / sigma))
+    return np.sort(np.concatenate(parts))
 
 
 def spectral_eta_partial(eigs, s, kernel_eps: float):
@@ -795,8 +991,13 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
     kernel, ascending: the edge eigenvalues of a truncated unbounded
     operator are spurious.  Returns (unit, kernel_eps, kernel_count, window).
 
-    Each band block is reduced once (``_tridiagonal``, with its trace and
-    Frobenius check).  Sturm counts at -kernel_eps and +kernel_eps give the
+    Each band block is scaled as ``hermitian_eigenvalues`` scales it
+    (``_sbevx_scale``, 1 at ordinary scales) and reduced once
+    (``_tridiagonal``, with its trace and Frobenius check); the blocks are
+    reduced concurrently, and the dstebz calls below run on the same pool.
+    Below, kernel_eps and the eigenvalues are those of the scaled block;
+    the window values are divided by the scale at the end.  Sturm counts at
+    -kernel_eps and +kernel_eps give the
     numbers n- and n+ of eigenvalues at or below them; the kernel holds
     n+ - n-, about a third of the spectrum.  dstebz bisects only indices
     n- - w + 1 .. n- and n+ + 1 .. n+ + w, w = basis_size//8, never the
@@ -831,28 +1032,32 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
     mat, unit, kernel_eps = _truncation(params, g, basis_size)
     count = basis_size // 8
     kernel_count = 0
-    values = []
-    for _, ab in mat.blocks:
-        d, e = _tridiagonal(ab)
-        below, above = (int(c) for c in _sturm_counts(d, e, [-kernel_eps, kernel_eps]))
+    blocks = []
+    for sigma, _, d, e in _reductions(mat):
+        cut = kernel_eps * sigma
+        below, above = (int(c) for c in _sturm_counts(d, e, [-cut, cut]))
         kernel_count += above - below
         ranges = [(max(below - count, 0) + 1, below), (above + 1, min(above + count, d.size))]
         ranges = [(lo, hi) for lo, hi in ranges if lo <= hi]
-        w = np.concatenate([_bisect(d, e, lo, hi) for lo, hi in ranges] + [np.empty(0)])
+        waits = [_bisect(d, e, *r) for r in ranges]
+        blocks.append((sigma, cut, d, e, (below, above), ranges, waits))
+    values = []
+    for sigma, cut, d, e, (below, above), ranges, waits in blocks:
+        w = np.concatenate([wait() for wait in waits] + [np.empty(0)])
         k = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges] + [np.empty(0, int)])
         pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
         delta = 2.0 * _EPS * float(np.max(np.abs(d) + pad[:-1] + pad[1:]))
         at = _sturm_counts(d, e, np.concatenate([w - delta, w + delta]))
         bad = (
-            np.where(k <= below, w > -kernel_eps, w <= kernel_eps)
+            np.where(k <= below, w > -cut, w <= cut)
             | (at[: w.size] >= k)
             | (at[w.size :] < k)
         )
         if np.any(bad):
             raise SpectralPairingError(
                 f"bisected eigenvalues {w[bad]} fail their Sturm counts {below}, {above} "
-                f"at -+{kernel_eps:.3e} or their bracket of {delta:.3e}"
+                f"at -+{cut:.3e} or their bracket of {delta:.3e}"
             )
-        values.append(w)
+        values.append(w * (1.0 / sigma))
     window = trusted_window(np.sort(np.concatenate(values)), kernel_eps, count)
     return unit, kernel_eps, kernel_count, window

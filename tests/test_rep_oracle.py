@@ -1,7 +1,10 @@
 """Representation matrices, truncated spectra, and the closed-form oracle."""
 
 import math
+import multiprocessing
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -230,20 +233,34 @@ def test_hermitian_eigenvalues_does_not_mutate_input():
     assert np.array_equal(mat.entries, keep)
 
 
-def _patch_lapack(monkeypatch, change):
-    """Make the bisection, LAPACK's dstebz, return change(its results)."""
-    stebz = scipy.linalg.lapack.dstebz
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", lambda *a, **kw: change(stebz(*a, **kw)))
+def _patch_lapack(monkeypatch, change, piece=4):
+    """Make one of a block's dstebz calls return change(its results).
+
+    The full route bisects a large block in the 8 intervals of its
+    bisection tree, one call each, and only the call on the piece-th
+    interval is spoiled; a small block's single call over (-inf, inf] is
+    spoiled whole, and so is every call of the window path.  The calls go
+    through the library's ctypes binding, rep_oracle._dstebz, whose
+    returned function waits for (count, w, info).
+    """
+    stebz = rep_oracle._dstebz
+
+    def patched(d, e, vl=-np.inf, vu=np.inf, il=0, iu=0):
+        wait = stebz(d, e, vl, vu, il, iu)
+        spoiled = [(-np.inf, np.inf), *rep_oracle._tree_intervals(d, e)[piece : piece + 1]]
+        return (lambda: change(wait())) if il or (vl, vu) in spoiled else wait
+
+    monkeypatch.setattr(rep_oracle, "_dstebz", patched)
 
 
-def _patch_solver(monkeypatch, spoil):
-    """Make the bisection return spoil(the eigenvalues it found)."""
+def _patch_solver(monkeypatch, spoil, piece=4):
+    """Make the spoiled dstebz calls return spoil(the eigenvalues they found)."""
 
     def change(out):
-        count, w = out[:2]
-        return (count, np.concatenate([spoil(w[:count]), w[count:]])) + tuple(out[2:])
+        count, w, info = out
+        return count, np.concatenate([spoil(w[:count]), w[count:]]), info
 
-    _patch_lapack(monkeypatch, change)
+    _patch_lapack(monkeypatch, change, piece)
 
 
 def _shift_top(w):
@@ -322,11 +339,11 @@ def test_spectrum_exits_3_on_a_bad_solver(monkeypatch, spoil, rep):
 
 
 def _bisection_failed(out):
-    return tuple(out[:4]) + (1,)  # info > 0
+    return out[:2] + (1,)  # info > 0
 
 
 def _one_missing(out):
-    return (out[0] - 1,) + tuple(out[1:])
+    return (out[0] - 1,) + out[1:]
 
 
 @pytest.mark.parametrize(
@@ -708,12 +725,14 @@ def _seeded_oracle_matrices(n, seed=17):
     yield scalar_S(*rng.uniform(-2.0, 2.0, 2), GradedMetric(*rng.uniform(0.2, 3.0, 3)))
 
 
-@pytest.mark.parametrize("n", [8, 16, 128, 256])
+@pytest.mark.parametrize("n", [8, 16, 128, 256, 512])
 def test_full_route_is_bit_identical_to_sbevx_and_hbevx(n):
-    # the reduction plus dstebz over (-inf, inf] are the calls ?sbevx and
-    # ?hbevx make for the same request; those stay here as the reference.
-    # At hbar = 1e-150 and 1e80 they scale the bands first
-    extreme = [schrodinger_S(SchrodingerParams(h), IDENTITY_METRIC, n) for h in (1e-150, 1e80)]
+    # the reduction plus dstebz over (-inf, inf], bisected in the pieces of
+    # its own tree, are the calls ?sbevx and ?hbevx make for the same
+    # request; those stay here as the reference.  At hbar = 1e-157, 1e-150,
+    # 1e80 and 1e152 they scale the bands first
+    extreme = [schrodinger_S(SchrodingerParams(h), IDENTITY_METRIC, n)
+               for h in (1e-157, 1e-150, 1e80, 1e152)]
     for mat in [*_seeded_oracle_matrices(n), *extreme]:
         parts = []
         for _, ab in mat.blocks:
@@ -746,21 +765,28 @@ def test_window_holds_the_indices_and_kernel_of_the_full_solve(n):
             assert np.max(np.abs(window - full)) <= bound
 
 
-def _perturb_d(monkeypatch):
+def _patch_reduction(monkeypatch, change):
+    """Make the band reduction's (d, e, info) come out as change(d, e, info)."""
     reduce_band = rep_oracle._reduce_band
 
-    def perturbed(routine, ab):
-        d, e, info = reduce_band(routine, ab)
+    def patched(routine, ab):
+        wait = reduce_band(routine, ab)
+        return lambda: change(*wait())
+
+    monkeypatch.setattr(rep_oracle, "_reduce_band", patched)
+
+
+def _perturb_d(monkeypatch):
+    def perturbed(d, e, info):
         d = d.copy()
         d[0] += 1e-9 * np.max(np.abs(e))  # generic bands have d = 0
         return d, e, info
 
-    monkeypatch.setattr(rep_oracle, "_reduce_band", perturbed)
+    _patch_reduction(monkeypatch, perturbed)
 
 
 def _reduction_info(monkeypatch):
-    reduce_band = rep_oracle._reduce_band
-    monkeypatch.setattr(rep_oracle, "_reduce_band", lambda *a: reduce_band(*a)[:2] + (-5,))
+    _patch_reduction(monkeypatch, lambda d, e, info: (d, e, -5))
 
 
 def _shift_smallest(monkeypatch):
@@ -824,10 +850,132 @@ def test_sturm_counts_agree_with_the_full_solve():
     # the count is the number of eigenvalues below
     for mat in _seeded_oracle_matrices(64):
         for _, ab in mat.blocks:
-            d, e = rep_oracle._tridiagonal(ab)
-            w = rep_oracle._bisect(d, e)
+            d, e = rep_oracle._tridiagonal(ab)()
+            w = rep_oracle._bisect(d, e)()
             pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
             apart = np.flatnonzero(np.diff(w) > 4.0 * EPS * np.max(np.abs(d) + pad[:-1] + pad[1:]))
             middle = (w[apart] + w[apart + 1]) / 2.0
             assert np.array_equal(rep_oracle._sturm_counts(d, e, middle), apart + 1)
             assert apart.size > w.size // 2
+
+
+def _random_tridiagonal(rng, n, kind):
+    """Seeded (d, e) of one kind: plain, graded by up to e^12, split or clustered.
+
+    "split" zeroes one off-diagonal, so that dstebz splits the matrix;
+    "clustered" puts every eigenvalue within about 1e-14 of 1, where the
+    bisection may stop within the first three levels of its tree.
+    """
+    grading = 12.0 if kind == "graded" else 0.0
+    d = rng.standard_normal(n) * np.exp(rng.uniform(-grading, grading, n))
+    e = rng.standard_normal(n - 1) * np.exp(rng.uniform(-grading, grading, n - 1))
+    if kind == "split" and n > 1:
+        e[rng.integers(n - 1)] = 0.0
+    if kind == "clustered":
+        d, e = 1.0 + 1e-15 * d, 1e-15 * e
+    return d, e
+
+
+_TRIDIAGONAL_KINDS = ["plain", "graded", "split", "clustered"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 300])
+def test_tree_intervals_give_the_bits_of_one_dstebz_call(n):
+    # scipy's own dstebz wrapper is the reference here only
+    rng = np.random.default_rng(100 + n)
+    per_kind = 3 if n == 300 else 10
+    pieces = {kind: [] for kind in _TRIDIAGONAL_KINDS}
+    for trial in range(4 * per_kind):
+        kind = _TRIDIAGONAL_KINDS[trial % 4]
+        d, e = _random_tridiagonal(rng, n, kind)
+        count, w, _, _, info = scipy.linalg.lapack.dstebz(
+            d, e if e.size else np.zeros(1), 1, -np.inf, np.inf, 0, 0, 0.0, b"E"
+        )
+        assert info == 0 and count == n
+        intervals = rep_oracle._tree_intervals(d, e)
+        out = [rep_oracle._dstebz(d, e, vl, vu)() for vl, vu in intervals]
+        assert all(info == 0 for *_, info in out)
+        assert np.array_equal(np.concatenate([w[:c] for c, w, _ in out]), w[:count])
+        assert np.array_equal(rep_oracle._bisect(d, e)(), w[:count])
+        pieces[kind].append(len(intervals))
+    # one call where dstebz splits; 8 pieces wherever it does not, except
+    # for clusters too narrow for the tree's first levels
+    assert pieces["split"] == [1] * per_kind
+    assert pieces["plain"] == pieces["graded"] == [8 if n > 1 else 1] * per_kind
+    assert set(pieces["clustered"]) <= {1, 8}
+
+
+def test_one_worker_gives_the_bits_of_the_default_pool(monkeypatch):
+    g = GradedMetric(1.3, 0.8, 1.1)
+    cases = [(SchrodingerParams(0.7), g, 128), (GenericRepParams(1.0, 0.5, 0.3), g, 128)]
+    want = [(hermitian_eigenvalues(rep_oracle._truncation(*c)[0]), oracle_window(*c))
+            for c in cases]
+    with ThreadPoolExecutor(max_workers=1) as one:
+        monkeypatch.setattr(rep_oracle, "_pool", lambda: one)
+        for case, (eigs, window) in zip(cases, want):
+            assert np.array_equal(hermitian_eigenvalues(rep_oracle._truncation(*case)[0]), eigs)
+            got = oracle_window(*case)
+            assert got[:3] == window[:3] and np.array_equal(got[3], window[3])
+
+
+def _nan_if_any(out):
+    count, w, info = out
+    return (count, _nan_one(w[:count]), info) if count else out
+
+
+def _solve_in_child(mat, want, done):
+    done.put(np.array_equal(hermitian_eigenvalues(mat), want))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_solves_on_a_pool_of_its_own():
+    # the child inherits the parent's pool object but none of its threads
+    mat = schrodinger_S(SchrodingerParams(1.0), IDENTITY_METRIC, 64)
+    want = hermitian_eigenvalues(mat)
+    ctx = multiprocessing.get_context("fork")
+    done = ctx.Queue()
+    child = ctx.Process(target=_solve_in_child, args=(mat, want, done))
+    child.start()
+    child.join(timeout=60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive and child.exitcode == 0 and done.get(timeout=5)
+
+
+@pytest.mark.parametrize("piece", range(8))
+@pytest.mark.parametrize("rep", ["schrodinger", "generic"])
+def test_a_fault_in_any_one_interval_is_caught(monkeypatch, rep, piece):
+    # blocks of 96 (Schrodinger) and 192 rows (generic) are bisected in pieces
+    g = GradedMetric(1.3, 0.8, 1.1)
+    params = SchrodingerParams(0.7) if rep == "schrodinger" else GenericRepParams(1.0, 0.5, 0.3)
+    mat = rep_oracle._truncation(params, g, 64)[0]
+    faults = [_bisection_failed, _one_missing]
+    for _, ab in mat.blocks:
+        d, e = rep_oracle._tridiagonal(ab)()
+        intervals = rep_oracle._tree_intervals(d, e)
+        assert len(intervals) == 8
+        if rep_oracle._dstebz(d, e, *intervals[piece])()[0] and _nan_if_any not in faults:
+            faults.append(_nan_if_any)
+    for fault in faults:
+        with monkeypatch.context() as patch:
+            _patch_lapack(patch, fault, piece)
+            with pytest.raises(SpectralPairingError):
+                hermitian_eigenvalues(mat)
+
+
+@pytest.mark.parametrize("hbar", [1e-157, 1e152])
+def test_checks_hold_at_extreme_scales(hbar):
+    # the squared Frobenius norm of the unscaled band is subnormal at
+    # 1e-157 and overflows at 1e152; the checks run on the scaled band
+    params = SchrodingerParams(hbar)
+    unit, kernel_eps, kernel_count, window = oracle_window(params, IDENTITY_METRIC, 64)
+    ref = oracle_window(SchrodingerParams(1.0), IDENTITY_METRIC, 64)
+    assert kernel_count == ref[2]
+    assert np.allclose(window / unit, ref[3] / ref[0], rtol=1e-12, atol=0.0)
+    result = CliRunner().invoke(
+        cli.main, ["spectrum", "--rep", "schroedinger", "--hbar", repr(hbar), "--basis-size", "16"]
+    )
+    assert result.exit_code == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 1 + 48
