@@ -47,7 +47,12 @@ class CaseTag(Enum):
 
 @dataclass(frozen=True)
 class LatticeCharacterData:
-    """Invariants (r, c, gamma_norm, case) of a lattice with a unitary character."""
+    """Invariants (r, c, gamma_norm, case) of a lattice with a unitary character.
+
+    The closed form built from them (``eta_nil``) holds for a graded metric
+    with g44 = g55, where the Schrodinger spectrum is
+    ``closed_form_schrodinger_spectrum``.
+    """
 
     r: int
     c: int
@@ -114,6 +119,10 @@ def eta_nil(s, d: LatticeCharacterData) -> EtaEvaluation:
     there, the two-sided Hurwitz factor has a zero, and the product is
     finite; the reported residue is that of the product (identically zero)
     and the value comes from the cancellation evaluated in closed form.
+
+    The closed form assumes a graded metric with g44 = g55: it is built
+    from the Schrodinger spectrum of ``closed_form_schrodinger_spectrum``,
+    which holds only there.
     """
     s = complex(s)
     if d.case_tag is not CaseTag.GENERIC:

@@ -108,8 +108,16 @@ class GenericRepParams:
         for name in ("lam", "mu", "nu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.lam == 0.0 and self.mu == 0.0:
-            raise ValueError("(lam, mu) must not be (0, 0)")
+        # the oscillator frequency is (lam^2 + mu^2)^(1/3), formed as here
+        try:
+            r2 = self.lam**2 + self.mu**2
+        except OverflowError:
+            r2 = math.inf
+        if not _SAFMIN <= r2 < math.inf:
+            raise ValueError(
+                f"lam^2 + mu^2 must be a finite normal double, got lam={self.lam!r}, "
+                f"mu={self.mu!r}"
+            )
 
 
 class HermitianOperatorMatrix:
@@ -134,6 +142,8 @@ class HermitianOperatorMatrix:
         arr = np.asarray(entries, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError("entries must form a nonempty square matrix")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix entries are not all finite")
         if not np.array_equal(arr, arr.conj().T):
             raise ValueError("matrix entries are not exactly conjugate symmetric")
         dim = arr.shape[0]
@@ -337,9 +347,13 @@ def _block_operator(blocks: dict, n: int, stride: int) -> HermitianOperatorMatri
     class counted from the highest, so a block band of half-width w in the
     level becomes a band of half-width 3w/stride + 2.  Every entry below
     the diagonal is written from its own block and checked to equal the
-    conjugate of its mirror, so the matrix is exactly Hermitian.
+    conjugate of its mirror, so the matrix is exactly Hermitian.  An entry
+    that is not finite raises first.
     """
-    dtype = np.result_type(*(v for bands in blocks.values() for v in bands.values()))
+    values = [v for bands in blocks.values() for v in bands.values()]
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ValueError("block entries are not all finite")
+    dtype = np.result_type(*values)
     kd = max(abs(3 * o // stride + a - b) for (a, b), bands in blocks.items() for o in bands)
     out = []
     for r in range(stride):
@@ -385,6 +399,9 @@ def scalar_S(alpha: float, beta: float, g: GradedMetric) -> HermitianOperatorMat
     return HermitianOperatorMatrix(m)
 
 
+# entries beyond the double range become inf, or NaN as inf * 0;
+# _block_operator rejects them, so the assembly need not warn of them
+@np.errstate(over="ignore", invalid="ignore")
 def schrodinger_S(
     params: SchrodingerParams, g: GradedMetric, basis_size: int
 ) -> HermitianOperatorMatrix:
@@ -429,6 +446,8 @@ def schrodinger_S(
     return _block_operator(blocks, n, stride=2)
 
 
+# as for schrodinger_S; a large nu overflows kappa^2
+@np.errstate(over="ignore", invalid="ignore")
 def generic_S(
     params: GenericRepParams, g: GradedMetric, basis_size: int
 ) -> HermitianOperatorMatrix:
@@ -559,8 +578,8 @@ def _pool():
 
     One worker per CPU the process may use.  The pool starts a worker only
     when a submitted call finds none idle, so it never runs more workers
-    than calls.  It is made on the first large solve: importing the
-    package starts no thread.
+    than calls.  It is made on the first batch of more than one call:
+    importing the package starts no thread.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -576,25 +595,21 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-# below this many rows a LAPACK call takes less time than handing it to a
-# worker; the break-even is near 64 rows on a 2-core host
-_POOL_MIN_ROWS = 64
+def _run(calls):
+    """Make a batch of LAPACK calls (fn, args) and wait for all of them.
 
-
-def _start(rows: int, fn, *args):
-    """Start the LAPACK call fn(*args); the returned function waits for it.
-
-    The call runs on the pool when its operand has at least _POOL_MIN_ROWS
-    rows, else at once in the calling thread.  The caller allocates every
-    buffer and passes arrays by ``_address``, which keeps them alive, so a
-    worker allocates nothing: each thread that allocates grows a glibc
-    malloc arena of its own, which raised the peak memory of ``verify
-    --suite all`` by 1.8 MB on a 2-core host.
+    A lone call runs in the calling thread, a batch on the pool.  The
+    caller allocates every buffer and passes arrays by ``_address``, which
+    keeps them alive, so a worker allocates nothing: each thread that
+    allocates grows a glibc malloc arena of its own, which raised the peak
+    memory of ``verify --suite all`` by 1.8 MB on a 2-core host.
     """
-    if rows < _POOL_MIN_ROWS:
+    if len(calls) == 1:
+        fn, args = calls[0]
         fn(*args)
-        return lambda: None
-    return _pool().submit(fn, *args).result
+        return
+    for future in [_pool().submit(fn, *args) for fn, args in calls]:
+        future.result()
 
 
 def _address(arr: np.ndarray):
@@ -602,14 +617,16 @@ def _address(arr: np.ndarray):
     return arr.ctypes.data_as(ctypes.c_void_p)
 
 
-def _reduce_band(routine: str, ab: np.ndarray):
-    """Start LAPACK's reduction of one lower band to a real tridiagonal.
+def _reduce_band(ab: np.ndarray):
+    """LAPACK's reduction of one lower band to a real tridiagonal, as a call.
 
-    ``routine`` is dsbtrd for a real band and zhbtrd for a complex one; it
-    runs with vect='N' on a copy, so the band is left as it is.  The
-    returned function waits for (d, e, info).
+    dsbtrd for a real band and zhbtrd for a complex one, with vect='N' on
+    a copy, so the band is left as it is.  Returns ((fn, args), (d, e,
+    info)); once ``_run`` has made the call, the buffers d and e hold the
+    tridiagonal and the ctypes int info LAPACK's info.
     """
     kd1, n = ab.shape
+    routine = "zhbtrd" if np.iscomplexobj(ab) else "dsbtrd"
     band = np.array(ab, dtype=np.complex128 if routine == "zhbtrd" else np.float64, order="F")
     d = np.zeros(n)
     e = np.zeros(max(n - 1, 1))
@@ -617,16 +634,11 @@ def _reduce_band(routine: str, ab: np.ndarray):
     info = ctypes.c_int(0)
     ref = ctypes.byref
     n_, kd_, ldab_, ldq_ = (ctypes.c_int(v) for v in (n, kd1 - 1, kd1, 1))
-    run = _start(
-        n, _lapack(routine), b"N", b"L", ref(n_), ref(kd_), _address(band), ref(ldab_),
-        _address(d), _address(e), _address(work[n:]), ref(ldq_), _address(work), ref(info),
+    args = (
+        b"N", b"L", ref(n_), ref(kd_), _address(band), ref(ldab_), _address(d), _address(e),
+        _address(work[n:]), ref(ldq_), _address(work), ref(info),
     )
-
-    def wait():
-        run()
-        return d, e[: n - 1], info.value
-
-    return wait
+    return (_lapack(routine), args), (d, e[: n - 1], info)
 
 
 def _band_sums(ab: np.ndarray):
@@ -651,13 +663,14 @@ def _check_sums(what: str, trace, fro_sq, want_trace, want_fro_sq, dim: int):
         )
 
 
-def _tridiagonal(ab: np.ndarray):
-    """Start reducing one lower band to a unitarily similar real tridiagonal.
+def _tridiagonals(bands):
+    """Reduce each lower band to a unitarily similar real tridiagonal (d, e).
 
-    The returned function waits for the tridiagonal (d, e) and checks it.
-    dsbtrd (real band) or zhbtrd (complex band) chases the band down to
-    tridiagonal form with plane rotations in O(kd * dim^2); zhbtrd then makes
-    the off-diagonal real by a diagonal unitary.  A nonzero info raises.
+    The bands are reduced in one batch (``_reduce_band``, ``_run``), and each
+    tridiagonal is checked.  dsbtrd (real band) or zhbtrd (complex band)
+    chases the band down to tridiagonal form with plane rotations in
+    O(kd * dim^2); zhbtrd then makes the off-diagonal real by a diagonal
+    unitary.  A nonzero info raises.
 
     A unitary similarity keeps the trace and the squared Frobenius norm,
     so d must reproduce the band's trace to tol*||S||_F, and
@@ -675,21 +688,18 @@ def _tridiagonal(ab: np.ndarray):
     random Hermitian matrices of dimension 2 to 256, plain and graded by up
     to e^12, at most 0.52.
     """
-    routine = "zhbtrd" if np.iscomplexobj(ab) else "dsbtrd"
-    reduced = _reduce_band(routine, ab)
-
-    def wait():
-        d, e, info = reduced()
-        if info != 0:
-            raise SpectralPairingError(f"{routine} returned info={info}")
+    calls, outs = zip(*(_reduce_band(ab) for ab in bands))
+    _run(calls)
+    for ab, (d, e, info) in zip(bands, outs):
+        routine = "zhbtrd" if np.iscomplexobj(ab) else "dsbtrd"
+        if info.value != 0:
+            raise SpectralPairingError(f"{routine} returned info={info.value}")
         trace, fro_sq = _band_sums(ab)
         _check_sums(
             f"{routine}'s tridiagonal entries", float(np.sum(d)),
             float(np.dot(d, d)) + 2.0 * float(np.dot(e, e)), trace, fro_sq, d.size,
         )
-        return d, e
-
-    return wait
+    return [(d, e) for d, e, _ in outs]
 
 
 def _sbevx_scale(ab: np.ndarray) -> float:
@@ -721,11 +731,13 @@ def _kept_squares(d: np.ndarray, e: np.ndarray):
 
 
 def _dstebz(d: np.ndarray, e: np.ndarray, vl=-np.inf, vu=np.inf, il: int = 0, iu: int = 0):
-    """Start LAPACK's dstebz on the tridiagonal (d, e), abstol 0, ascending.
+    """LAPACK's dstebz on the tridiagonal (d, e), abstol 0, ascending, as a call.
 
     Finds the eigenvalues il..iu (1-based, range 'I') when il is given,
-    else those in (vl, vu] (range 'V').  The returned function waits for
-    (count, w, info); the first count entries of w are the eigenvalues.
+    else those in (vl, vu] (range 'V').  Returns ((fn, args), (count, w,
+    info)); once ``_run`` has made the call, the ctypes ints count and info
+    hold dstebz's m and info, and the first count entries of w are the
+    eigenvalues.
     """
     n = d.size
     d = np.ascontiguousarray(d, dtype=np.float64)
@@ -734,19 +746,14 @@ def _dstebz(d: np.ndarray, e: np.ndarray, vl=-np.inf, vu=np.inf, il: int = 0, iu
     iwork = np.zeros(5 * n, dtype=np.intc)  # iblock, isplit, then dstebz's 3n
     count, nsplit, info = ctypes.c_int(0), ctypes.c_int(0), ctypes.c_int(0)
     ref = ctypes.byref
-    run = _start(
-        n, _lapack("dstebz"), b"I" if il else b"V", b"E", ref(ctypes.c_int(n)),
-        ref(ctypes.c_double(vl)), ref(ctypes.c_double(vu)), ref(ctypes.c_int(il)),
-        ref(ctypes.c_int(iu)), ref(ctypes.c_double(0.0)), _address(d), _address(e), ref(count),
-        ref(nsplit), _address(w), _address(iwork), _address(iwork[n:]), _address(work),
+    args = (
+        b"I" if il else b"V", b"E", ref(ctypes.c_int(n)), ref(ctypes.c_double(vl)),
+        ref(ctypes.c_double(vu)), ref(ctypes.c_int(il)), ref(ctypes.c_int(iu)),
+        ref(ctypes.c_double(0.0)), _address(d), _address(e), ref(count), ref(nsplit),
+        _address(w), _address(iwork), _address(iwork[n:]), _address(work),
         _address(iwork[2 * n :]), ref(info),
     )
-
-    def wait():
-        run()
-        return count.value, w, info.value
-
-    return wait
+    return (_lapack("dstebz"), args), (count, w, info)
 
 
 def _tree_intervals(d: np.ndarray, e: np.ndarray):
@@ -799,48 +806,43 @@ def _tree_intervals(d: np.ndarray, e: np.ndarray):
     return list(zip(cuts, cuts[1:]))
 
 
-def _bisect(d: np.ndarray, e: np.ndarray, lo: int = 0, hi: int = 0):
-    """Start bisecting eigenvalues lo..hi (1-based) of the tridiagonal (d, e).
+# below this many rows one dstebz call takes less time than handing the
+# 8 pieces of its tree to the pool; the break-even is near 64 rows on a
+# 2-core host
+_SPLIT_MIN_ROWS = 64
 
-    The returned function waits for the dstebz calls and returns the
-    eigenvalues, ascending.  Without an index range they find
-    every eigenvalue in (-inf, inf], the call ?sbevx and ?hbevx make: one
-    call per interval of ``_tree_intervals`` when they run on the pool,
-    else one call.  With a range, a single call bisects only the interval
-    that holds eigenvalues lo..hi.  A failure or a missing eigenvalue
-    raises when waited for.
+
+def _bisect(requests):
+    """The eigenvalues lo..hi (1-based) of each request (d, e, lo, hi), ascending.
+
+    The dstebz calls of all requests are made in one batch (``_run``).  A
+    request with lo = 0 asks for every eigenvalue in (-inf, inf], the call
+    ?sbevx and ?hbevx make: one call per interval of ``_tree_intervals``
+    from _SPLIT_MIN_ROWS rows on, else one call.  A request with an index
+    range is one call that bisects only the interval holding eigenvalues
+    lo..hi.  A failure or a missing eigenvalue raises.
     """
-    if lo:
-        runs, want = [_dstebz(d, e, il=lo, iu=hi)], hi - lo + 1
-    else:
-        pieces = d.size >= _POOL_MIN_ROWS
-        intervals = _tree_intervals(d, e) if pieces else [(-np.inf, np.inf)]
-        runs, want = [_dstebz(d, e, vl, vu) for vl, vu in intervals], d.size
-
-    def wait() -> np.ndarray:
-        out = [run() for run in runs]
-        info = next((i for *_, i in out if i), 0)
-        count = sum(c for c, *_ in out)
+    calls, groups = [], []
+    for d, e, lo, hi in requests:
+        if lo:
+            runs, want = [_dstebz(d, e, il=lo, iu=hi)], hi - lo + 1
+        else:
+            pieces = d.size >= _SPLIT_MIN_ROWS
+            intervals = _tree_intervals(d, e) if pieces else [(-np.inf, np.inf)]
+            runs, want = [_dstebz(d, e, vl, vu) for vl, vu in intervals], d.size
+        calls += [call for call, _ in runs]
+        groups.append(([out for _, out in runs], want))
+    _run(calls)
+    values = []
+    for outs, want in groups:
+        info = next((i.value for *_, i in outs if i.value), 0)
+        count = sum(c.value for c, *_ in outs)
         if info != 0 or count != want:
             raise SpectralPairingError(
                 f"dstebz returned info={info} and {count} of {want} eigenvalues"
             )
-        return np.concatenate([w[:c] for c, w, _ in out])
-
-    return wait
-
-
-def _reductions(m: HermitianOperatorMatrix):
-    """Each band block scaled as ?sbevx scales it, and its tridiagonal.
-
-    Yields (sigma, band * sigma, d, e) in block order; the blocks are
-    reduced concurrently (``_tridiagonal``, with its check).
-    """
-    sigmas = [_sbevx_scale(ab) for _, ab in m.blocks]
-    bands = [ab * sigma for (_, ab), sigma in zip(m.blocks, sigmas)]
-    waits = [_tridiagonal(band) for band in bands]
-    for sigma, band, wait in zip(sigmas, bands, waits):
-        yield (sigma, band, *wait())
+        values.append(np.concatenate([w[: c.value] for c, w, _ in outs]))
+    return values
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, x) -> np.ndarray:
@@ -868,7 +870,7 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     Each band block is reduced to a real tridiagonal by dsbtrd (real) or
-    zhbtrd (complex) and checked (``_tridiagonal``); dstebz then finds every
+    zhbtrd (complex) and checked (``_tridiagonals``); dstebz then finds every
     eigenvalue in (-inf, inf] by bisection with abstol 0, and the blocks'
     eigenvalues are merged.  These are the calls LAPACK's dsbevx and
     zhbevx make for the same request, with the same scaling of bands whose
@@ -885,11 +887,11 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     1.1e-14 (proportional) and 1.1e-15 (generic) of the spectral radius,
     where the lowest level first errs by up to 3.1e-14.
 
-    The LAPACK calls run on a pool of one thread per CPU the process may
-    use (blocks under 64 rows stay in the calling thread, ``_start``): the
-    blocks are reduced concurrently, and each block's bisection is split
-    into the 8 intervals of dstebz's own bisection tree at depth 3, one
-    dstebz call each (``_tree_intervals``).  The pieces together return
+    The LAPACK calls run in two batches on a pool of one thread per CPU
+    the process may use (``_run``): the reductions of all blocks, then
+    their bisections, each block of 64 rows or more split into the 8
+    intervals of dstebz's own bisection tree at depth 3, one dstebz call
+    each (``_tree_intervals``).  The pieces together return
     the bits of the single call.  That holds as long as the tree's
     root, the widened Gershgorin interval, is evaluated as LAPACK's
     reference source writes it, with no fused multiply-add; a LAPACK built
@@ -920,13 +922,12 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     9 and 25 eps; they exceed dim*eps alone at dimensions 2 to 5 (plain)
     and 2 to 16 (graded).
     """
-    blocks = [(sigma, band, _bisect(d, e)) for sigma, band, d, e in _reductions(m)]
-    parts = []
-    for sigma, band, wait in blocks:
-        w = wait()
+    sigmas = [_sbevx_scale(ab) for _, ab in m.blocks]
+    bands = [ab * sigma for (_, ab), sigma in zip(m.blocks, sigmas)]
+    spectra = _bisect([(d, e, 0, 0) for d, e in _tridiagonals(bands)])
+    for band, w in zip(bands, spectra):
         _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), *_band_sums(band), w.size)
-        parts.append(w * (1.0 / sigma))
-    return np.sort(np.concatenate(parts))
+    return np.sort(np.concatenate([w * (1.0 / sigma) for sigma, w in zip(sigmas, spectra)]))
 
 
 def spectral_eta_partial(eigs, s, kernel_eps: float):
@@ -993,8 +994,8 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
 
     Each band block is scaled as ``hermitian_eigenvalues`` scales it
     (``_sbevx_scale``, 1 at ordinary scales) and reduced once
-    (``_tridiagonal``, with its trace and Frobenius check); the blocks are
-    reduced concurrently, and the dstebz calls below run on the same pool.
+    (``_tridiagonals``, with its trace and Frobenius check); the blocks are
+    reduced in one batch, and the dstebz calls below in another.
     Below, kernel_eps and the eigenvalues are those of the scaled block;
     the window values are divided by the scale at the end.  Sturm counts at
     -kernel_eps and +kernel_eps give the
@@ -1031,19 +1032,22 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
     """
     mat, unit, kernel_eps = _truncation(params, g, basis_size)
     count = basis_size // 8
+    sigmas = [_sbevx_scale(ab) for _, ab in mat.blocks]
+    tridiagonals = _tridiagonals([ab * sigma for (_, ab), sigma in zip(mat.blocks, sigmas)])
     kernel_count = 0
-    blocks = []
-    for sigma, _, d, e in _reductions(mat):
+    blocks, requests = [], []
+    for sigma, (d, e) in zip(sigmas, tridiagonals):
         cut = kernel_eps * sigma
         below, above = (int(c) for c in _sturm_counts(d, e, [-cut, cut]))
         kernel_count += above - below
         ranges = [(max(below - count, 0) + 1, below), (above + 1, min(above + count, d.size))]
         ranges = [(lo, hi) for lo, hi in ranges if lo <= hi]
-        waits = [_bisect(d, e, *r) for r in ranges]
-        blocks.append((sigma, cut, d, e, (below, above), ranges, waits))
+        requests += [(d, e, lo, hi) for lo, hi in ranges]
+        blocks.append((sigma, cut, d, e, below, above, ranges))
+    spectra = iter(_bisect(requests))
     values = []
-    for sigma, cut, d, e, (below, above), ranges, waits in blocks:
-        w = np.concatenate([wait() for wait in waits] + [np.empty(0)])
+    for sigma, cut, d, e, below, above, ranges in blocks:
+        w = np.concatenate([next(spectra) for _ in ranges] + [np.empty(0)])
         k = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges] + [np.empty(0, int)])
         pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
         delta = 2.0 * _EPS * float(np.max(np.abs(d) + pad[:-1] + pad[1:]))

@@ -1,6 +1,7 @@
 """End-to-end command line checks through the click test runner."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,31 @@ def test_validation_failures_exit_2(runner, args):
     call = _FAILED_CALLS.get(" ".join(args))
     if call is not None:
         assert "\nError: " + call + ": " in result.stderr, result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--rep", "generic", "--lambda", "1e-200", "--mu", "0"],
+         "lam^2 + mu^2 must be a finite normal double, got lam=1e-200, mu=0.0"),
+        (["--rep", "generic", "--lambda", "1e200", "--mu", "0"],
+         "lam^2 + mu^2 must be a finite normal double, got lam=1e+200, mu=0.0"),
+        (["--rep", "scalar", "--alpha", "nan", "--beta", "0"], "matrix entries are not all finite"),
+        (["--rep", "scalar", "--alpha", "1e200", "--beta", "1e200"],
+         "matrix entries are not all finite"),
+        (["--rep", "generic", "--lambda", "1", "--mu", "0", "--nu", "1e300"],
+         "block entries are not all finite"),
+        (["--rep", "schroedinger", "--hbar", "1e307"], "block entries are not all finite"),
+    ],
+)
+def test_spectrum_beyond_the_double_range_exits_2_and_says_why(runner, args, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(cli.main, ["spectrum", *args, "--basis-size", "16"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.endswith("\nError: " + message + "\n"), result.stderr
+    assert not caught, [str(w.message) for w in caught]
 
 
 _RAISERS = {

@@ -3,7 +3,9 @@
 import math
 import multiprocessing
 import os
+import re
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -60,6 +62,37 @@ def test_params_validation():
     for params in (SchrodingerParams(hbar=1.0), GenericRepParams(1.0, 1.0, 0.0)):
         with pytest.raises(ValueError, match="basis_size must be at least 8"):
             oracle_window(params, IDENTITY_METRIC, 4)
+
+
+@pytest.mark.parametrize(
+    "lam, mu",
+    [(1e-300, 0.0), (1e-200, 0.0), (0.0, -1e-160), (1e200, 0.0), (1e154, 1e154), (0.0, 0.0)],
+)
+def test_generic_params_beyond_the_double_range_raise(lam, mu):
+    # (lam^2 + mu^2)^(1/3) would underflow to 0 or overflow
+    with pytest.raises(ValueError, match=re.escape(f"normal double, got lam={lam!r}, mu={mu!r}")):
+        GenericRepParams(lam, mu, 0.0)
+
+
+def test_generic_params_at_the_edges_of_the_double_range_solve():
+    # the smallest and the largest lam whose square is a finite normal double
+    for lam in (1.5e-154, 1.3e154):
+        params = GenericRepParams(lam, 0.0, 0.0)
+        unit, kernel_eps, _, window = oracle_window(params, IDENTITY_METRIC, 16)
+        assert 0.0 < kernel_eps < unit < math.inf
+        assert np.all(np.isfinite(window))
+
+
+def test_non_finite_entries_are_reported_before_symmetry():
+    for alpha, beta in ((math.nan, 0.0), (1e200, 1e200)):
+        with pytest.raises(ValueError, match="matrix entries are not all finite"):
+            scalar_S(alpha, beta, IDENTITY_METRIC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="block entries are not all finite"):
+            generic_S(GenericRepParams(1.0, 0.0, 1e300), IDENTITY_METRIC, 16)
+    with pytest.raises(ValueError, match="block entries are not all finite"):
+        rep_oracle._block_operator({(0, 0): math.inf * rep_oracle._window_eye(8)}, 8, stride=1)
 
 
 def test_hermitian_wrapper_rejects_nonhermitian():
@@ -233,22 +266,44 @@ def test_hermitian_eigenvalues_does_not_mutate_input():
     assert np.array_equal(mat.entries, keep)
 
 
+def _spoiled(call, change, outs):
+    """The call (fn, args) followed by writing change(its results) into outs.
+
+    outs holds numpy buffers and ctypes ints; change maps their values,
+    the ints read as Python ints, to new ones of the same shapes.
+    """
+    fn, args = call
+
+    def spoiled(*a):
+        fn(*a)
+        values = change(*(getattr(out, "value", out) for out in outs))
+        for out, value in zip(outs, values):
+            if isinstance(out, np.ndarray):
+                out[...] = value
+            else:
+                out.value = value
+
+    return spoiled, args
+
+
 def _patch_lapack(monkeypatch, change, piece=4):
     """Make one of a block's dstebz calls return change(its results).
 
     The full route bisects a large block in the 8 intervals of its
     bisection tree, one call each, and only the call on the piece-th
     interval is spoiled; a small block's single call over (-inf, inf] is
-    spoiled whole, and so is every call of the window path.  The calls go
-    through the library's ctypes binding, rep_oracle._dstebz, whose
-    returned function waits for (count, w, info).
+    spoiled whole, and so is every call of the window path.  The calls are
+    described by the library's ctypes binding, rep_oracle._dstebz, whose
+    outputs are (count, w, info).
     """
     stebz = rep_oracle._dstebz
 
     def patched(d, e, vl=-np.inf, vu=np.inf, il=0, iu=0):
-        wait = stebz(d, e, vl, vu, il, iu)
+        call, outs = stebz(d, e, vl, vu, il, iu)
         spoiled = [(-np.inf, np.inf), *rep_oracle._tree_intervals(d, e)[piece : piece + 1]]
-        return (lambda: change(wait())) if il or (vl, vu) in spoiled else wait
+        if il or (vl, vu) in spoiled:
+            call = _spoiled(call, lambda *out: change(out), outs)
+        return call, outs
 
     monkeypatch.setattr(rep_oracle, "_dstebz", patched)
 
@@ -769,9 +824,9 @@ def _patch_reduction(monkeypatch, change):
     """Make the band reduction's (d, e, info) come out as change(d, e, info)."""
     reduce_band = rep_oracle._reduce_band
 
-    def patched(routine, ab):
-        wait = reduce_band(routine, ab)
-        return lambda: change(*wait())
+    def patched(ab):
+        call, outs = reduce_band(ab)
+        return _spoiled(call, change, outs), outs
 
     monkeypatch.setattr(rep_oracle, "_reduce_band", patched)
 
@@ -850,8 +905,8 @@ def test_sturm_counts_agree_with_the_full_solve():
     # the count is the number of eigenvalues below
     for mat in _seeded_oracle_matrices(64):
         for _, ab in mat.blocks:
-            d, e = rep_oracle._tridiagonal(ab)()
-            w = rep_oracle._bisect(d, e)()
+            [(d, e)] = rep_oracle._tridiagonals([ab])
+            [w] = rep_oracle._bisect([(d, e, 0, 0)])
             pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
             apart = np.flatnonzero(np.diff(w) > 4.0 * EPS * np.max(np.abs(d) + pad[:-1] + pad[1:]))
             middle = (w[apart] + w[apart + 1]) / 2.0
@@ -879,6 +934,13 @@ def _random_tridiagonal(rng, n, kind):
 _TRIDIAGONAL_KINDS = ["plain", "graded", "split", "clustered"]
 
 
+def _stebz(d, e, vl, vu):
+    """(count, w, info) of one dstebz call on (vl, vu], made in this thread."""
+    call, (count, w, info) = rep_oracle._dstebz(d, e, vl, vu)
+    rep_oracle._run([call])
+    return count.value, w, info.value
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 300])
 def test_tree_intervals_give_the_bits_of_one_dstebz_call(n):
     # scipy's own dstebz wrapper is the reference here only
@@ -893,10 +955,10 @@ def test_tree_intervals_give_the_bits_of_one_dstebz_call(n):
         )
         assert info == 0 and count == n
         intervals = rep_oracle._tree_intervals(d, e)
-        out = [rep_oracle._dstebz(d, e, vl, vu)() for vl, vu in intervals]
+        out = [_stebz(d, e, vl, vu) for vl, vu in intervals]
         assert all(info == 0 for *_, info in out)
         assert np.array_equal(np.concatenate([w[:c] for c, w, _ in out]), w[:count])
-        assert np.array_equal(rep_oracle._bisect(d, e)(), w[:count])
+        assert np.array_equal(rep_oracle._bisect([(d, e, 0, 0)])[0], w[:count])
         pieces[kind].append(len(intervals))
     # one call where dstebz splits; 8 pieces wherever it does not, except
     # for clusters too narrow for the tree's first levels
@@ -920,7 +982,7 @@ def test_one_worker_gives_the_bits_of_the_default_pool(monkeypatch):
 
 def _nan_if_any(out):
     count, w, info = out
-    return (count, _nan_one(w[:count]), info) if count else out
+    return (count, np.concatenate([_nan_one(w[:count]), w[count:]]), info) if count else out
 
 
 def _solve_in_child(mat, want, done):
@@ -953,10 +1015,10 @@ def test_a_fault_in_any_one_interval_is_caught(monkeypatch, rep, piece):
     mat = rep_oracle._truncation(params, g, 64)[0]
     faults = [_bisection_failed, _one_missing]
     for _, ab in mat.blocks:
-        d, e = rep_oracle._tridiagonal(ab)()
+        [(d, e)] = rep_oracle._tridiagonals([ab])
         intervals = rep_oracle._tree_intervals(d, e)
         assert len(intervals) == 8
-        if rep_oracle._dstebz(d, e, *intervals[piece])()[0] and _nan_if_any not in faults:
+        if _stebz(d, e, *intervals[piece])[0] and _nan_if_any not in faults:
             faults.append(_nan_if_any)
     for fault in faults:
         with monkeypatch.context() as patch:
