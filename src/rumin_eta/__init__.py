@@ -8,14 +8,11 @@ matrices for independent verification.
 
 from .nilmanifold import (
     CaseTag,
-    EtaEvaluation,
     LatticeCharacterData,
-    classify_case,
     eta_direct_sum,
     eta_nil,
     eta_nil_neg_even,
     eta_nil_special,
-    multiplicity,
     sign_prediction,
 )
 from .rep_oracle import (
@@ -29,7 +26,6 @@ from .rep_oracle import (
     closed_form_schrodinger_spectrum,
     generic_S,
     hermitian_eigenvalues,
-    hodge_star3,
     oracle_window,
     pairing_symmetry,
     scalar_S,
@@ -48,7 +44,7 @@ from .specfun import (
     riemann_zeta,
 )
 from .tilde_eta import (
-    TildeEtaPoint,
+    EtaEvaluation,
     lambda_n,
     tilde_eta,
     tilde_eta_at_zero,
@@ -68,8 +64,6 @@ __all__ = [
     "LatticeCharacterData",
     "SchrodingerParams",
     "SpectralPairingError",
-    "TildeEtaPoint",
-    "classify_case",
     "closed_form_error",
     "closed_form_schrodinger_spectrum",
     "eta_direct_sum",
@@ -80,12 +74,10 @@ __all__ = [
     "eta_nil_special",
     "generic_S",
     "hermitian_eigenvalues",
-    "hodge_star3",
     "hurwitz_zeta",
     "im_polylog_even",
     "im_polylog_even_quad",
     "lambda_n",
-    "multiplicity",
     "oracle_window",
     "pairing_symmetry",
     "polylog_circle",

@@ -43,6 +43,9 @@ from .rep_oracle import (
 from .specfun import eta_hurw, polylog_circle
 from .tilde_eta import tilde_eta
 
+_FNS = ("nil", "tilde", "hurw-eta", "polylog-im")
+
+
 def _finite_s(re, im=0.0) -> complex:
     if not (math.isfinite(re) and math.isfinite(im)):
         raise click.UsageError(f"s must be finite, got {complex(re, im)!r}")
@@ -171,7 +174,7 @@ def _load_job_file(path) -> list:
         if command != "eval":
             raise click.UsageError(f"job {i}: unsupported command {command!r}")
         fn = entry.get("fn")
-        if fn not in ("nil", "tilde", "hurw-eta", "polylog-im"):
+        if fn not in _FNS:
             raise click.UsageError(f"job {i}: bad fn {fn!r}")
         if "s" in entry and "s_list" in entry:
             raise click.UsageError(f"job {i}: pass s or s_list, not both")
@@ -215,7 +218,7 @@ def main():
 
 @main.command("eval")
 @click.option("--fn", "fn", required=True,
-              type=click.Choice(["nil", "tilde", "hurw-eta", "polylog-im"]),
+              type=click.Choice(_FNS),
               help="Which function to evaluate.")
 @click.option("--r", type=int, default=None, help="Lattice period r >= 1 (nil).")
 @click.option("--c", type=int, default=None, help="Character offset c (nil).")
@@ -238,6 +241,12 @@ def eval_cmd(fn, r, c, gamma_norm, a, l, s_text, s_list_text, job_file):
     if given > 1:
         raise click.UsageError("pass exactly one of --s, --s-list, --job-file")
     if job_file is not None:
+        options = {"--r": r, "--c": c, "--gamma-norm": gamma_norm, "--a": a, "--l": l}
+        stray = [name for name, value in options.items() if value is not None]
+        if stray:
+            raise click.UsageError(
+                f"{', '.join(stray)} cannot be combined with --job-file; each job sets its own"
+            )
         records = [
             rec for req in _load_job_file(job_file) for rec in _eval_request(**req)
         ]
@@ -366,7 +375,7 @@ def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55, basis_size)
 
 @main.command("verify")
 @click.option("--suite", required=True,
-              type=click.Choice(["specfun", "tilde-eta", "oracle", "nilmanifold", "all"]),
+              type=click.Choice(list(verification.SUITES)),
               help="Which acceptance suite to run.")
 @click.option("--basis-size", type=int, default=256, show_default=True,
               help="Basis size for eigensolver-backed criteria (<256 degrades tolerances).")

@@ -21,14 +21,12 @@ from fractions import Fraction
 import numpy as np
 
 from .specfun import eta_hurw, im_polylog_even
-from .tilde_eta import _residue_exact, _snapped_pole, tilde_eta, tilde_eta_direct
+from .tilde_eta import EtaEvaluation, _residue_exact, _snapped_pole, tilde_eta, tilde_eta_direct
 
 __all__ = [
     "CaseTag",
     "LatticeCharacterData",
     "EtaEvaluation",
-    "classify_case",
-    "multiplicity",
     "eta_nil",
     "eta_nil_neg_even",
     "eta_nil_special",
@@ -68,47 +66,6 @@ class LatticeCharacterData:
             raise ValueError("generic case requires c not divisible by r")
         if self.case_tag is CaseTag.COMMUTATOR_TRIVIAL and self.c % self.r != 0:
             raise ValueError("trivial commutator character requires r | c")
-
-
-@dataclass(frozen=True)
-class EtaEvaluation:
-    """One evaluation of the nilmanifold eta function."""
-
-    s: complex
-    value: complex
-    is_pole: bool
-    residue: float
-
-
-def classify_case(
-    center_trivial: bool, commutator_trivial: bool, c: int, r: int
-) -> CaseTag:
-    """Case tag from the two character restriction flags.
-
-    The character restricted to the commutator subgroup factors through the
-    center, so a trivial center restriction is implied by a trivial
-    commutator restriction; inconsistent flag combinations are rejected.
-    """
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    if not center_trivial:
-        if commutator_trivial:
-            raise ValueError("commutator-trivial character cannot be center-nontrivial")
-        return CaseTag.CENTER_NONTRIVIAL
-    if commutator_trivial:
-        if c % r != 0:
-            raise ValueError("commutator-trivial character requires r | c")
-        return CaseTag.COMMUTATOR_TRIVIAL
-    if c % r == 0:
-        raise ValueError("generic case requires c not divisible by r")
-    return CaseTag.GENERIC
-
-
-def multiplicity(k: int, d: LatticeCharacterData) -> int:
-    """Multiplicity |c + r k| of the k-th contributing Schrodinger summand."""
-    if d.case_tag is CaseTag.CENTER_NONTRIVIAL:
-        raise ValueError("no Schrodinger summands occur for a nontrivial central character")
-    return abs(d.c + d.r * k)
 
 
 def eta_nil(s, d: LatticeCharacterData) -> EtaEvaluation:

@@ -29,9 +29,6 @@ __all__ = [
     "HermitianOperatorMatrix",
     "SpectralPairingError",
     "IDENTITY_METRIC",
-    "hodge_star3",
-    "h2_weights",
-    "h3_weights",
     "scalar_S",
     "schrodinger_S",
     "generic_S",
@@ -84,16 +81,13 @@ IDENTITY_METRIC = GradedMetric(1.0, 1.0, 1.0)
 
 @dataclass(frozen=True)
 class SchrodingerParams:
-    """Planck parameter and orientation sign of a Schrodinger representation."""
+    """Planck parameter of a Schrodinger representation; reversed orientation is -hbar."""
 
     hbar: float
-    orientation_sign: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.hbar) and self.hbar != 0.0):
             raise ValueError("hbar must be nonzero and finite")
-        if self.orientation_sign not in (-1, 1):
-            raise ValueError("orientation_sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -176,50 +170,14 @@ class HermitianOperatorMatrix:
         return out
 
 
-def hodge_star3(g: GradedMetric) -> np.ndarray:
-    """Degree-3 to degree-2 Hodge star on the cohomology bases, as a 3x3 matrix."""
-    p = 1.0 / math.sqrt(g.g33)
-    u = math.sqrt(g.g44 / g.g55)
-    v = 2.0 * math.sqrt(g.g44 * g.g55) / (g.g44 + g.g55)
-    w = math.sqrt(g.g55 / g.g44)
-    return np.array(
-        [
-            [0.0, 0.0, p * u],
-            [0.0, -p * v, 0.0],
-            [p * w, 0.0, 0.0],
-        ]
-    )
-
-
-def h2_weights(g: GradedMetric) -> np.ndarray:
-    """Diagonal of the induced Hermitian inner product on degree-2 cohomology."""
-    return np.array(
-        [
-            1.0 / g.g44,
-            (g.g44 + g.g55) / (2.0 * g.g44 * g.g55),
-            1.0 / g.g55,
-        ]
-    )
-
-
-def h3_weights(g: GradedMetric) -> np.ndarray:
-    """Diagonal of the induced inner product on degree-3 cohomology.
-
-    Determined by requiring the star operator to be an isometry from the
-    degree-3 to the degree-2 weights; the degree-2 diagonal is the displayed
-    one and the star is anti-diagonal, so each weight transports across.
-    """
-    return np.array(
-        [
-            1.0 / (g.g33 * g.g44),
-            2.0 / (g.g33 * (g.g44 + g.g55)),
-            1.0 / (g.g33 * g.g55),
-        ]
-    )
-
-
 def _metric_factors(g: GradedMetric):
-    """Scalars (p, ca, cb, v) shared by all representation blocks."""
+    """Scalars (p, ca, cb, v) shared by all representation blocks.
+
+    From the Hodge star of degree-3 onto degree-2 cohomology, anti-diagonal
+    (p sqrt(g44/g55), -p v, p sqrt(g55/g44)) and an isometry for the induced
+    weights w = (1/g44, (g44 + g55)/(2 g44 g55), 1/g55) on degree 2 and w/g33
+    on degree 3: v = sqrt(w1 w3)/w2, ca = p sqrt(w3/(2 w2)), cb = p sqrt(w1/(2 w2)).
+    """
     p = 1.0 / math.sqrt(g.g33)
     ca = p * math.sqrt(g.g44 / (g.g44 + g.g55))
     cb = p * math.sqrt(g.g55 / (g.g44 + g.g55))
@@ -441,8 +399,6 @@ def schrodinger_S(
         (0, 2): (p * sgn * omega) * (1.5 * eye - 0.5 * amat),
         (2, 0): (p * sgn * omega) * (1.5 * eye + 0.5 * amat),
     }
-    if params.orientation_sign < 0:
-        blocks = {key: -bands for key, bands in blocks.items()}
     return _block_operator(blocks, n, stride=2)
 
 
@@ -512,7 +468,7 @@ def closed_form_schrodinger_spectrum(
         raise ValueError("count must be at least 1")
     if not g.bg_proportional:
         raise ValueError("closed form requires g44 = g55")
-    pref = 2.0 * math.pi * params.hbar / (params.orientation_sign * math.sqrt(g.g33))
+    pref = 2.0 * math.pi * params.hbar / math.sqrt(g.g33)
     values = []
     for n in range(count):
         root = math.sqrt(8.0 * (2 * n + 1) ** 2 + 9.0)

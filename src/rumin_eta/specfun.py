@@ -22,7 +22,6 @@ from scipy.special import gamma as _scipy_gamma
 from scipy.special import loggamma as _scipy_loggamma
 
 __all__ = [
-    "bernoulli_number",
     "gamma_fn",
     "riemann_zeta",
     "riemann_zeta_regular",
@@ -60,37 +59,29 @@ _SERIES_TOL = 5e-12
 _DIRECT_TAIL = 1e-12
 _DIRECT_MAX_TERMS = 2**23
 _DIRECT_BLOCK = 2**16
+# heads summed term by term (_em_sum's shift, tilde_eta's n < m) are refused beyond this
+_MAX_HEAD_TERMS = 2**21
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _bernoulli_table(count):
-    # Akiyama-Tanigawa transform over exact rationals; the float table is
-    # derived from it, so no drift accumulates for large indices.
+    # Akiyama-Tanigawa transform over exact rationals (B_1 = +1/2; only the
+    # even ones are read); the float table is derived from it, so no drift
+    # accumulates for large indices.
     row = [Fraction(1, j + 1) for j in range(count)]
     out = []
     for _ in range(count):
         out.append(row[0])
         row = [(j + 1) * (row[j] - row[j + 1]) for j in range(len(row) - 1)]
-    # The transform yields B_1 = +1/2; the B_n(0) convention used by
-    # Euler-Maclaurin wants B_1 = -1/2.
-    out[1] = -out[1]
     return out
 
 
 _BERN_FRAC = _bernoulli_table(MAX_BERNOULLI + 1)
-_BERN_FLOAT = tuple(float(b) for b in _BERN_FRAC)
 # B_{2k}/(2k)! for the Euler-Maclaurin correction terms.
 _BERN_OVER_FACT = tuple(
     float(_BERN_FRAC[2 * k] / math.factorial(2 * k))
     for k in range(MAX_BERNOULLI // 2 + 1)
 )
-
-
-def bernoulli_number(n):
-    """Bernoulli number B_n (B_1 = -1/2 convention) as a float."""
-    if not 0 <= n <= MAX_BERNOULLI:
-        raise ValueError(f"Bernoulli index must be in [0, {MAX_BERNOULLI}], got {n}")
-    return _BERN_FLOAT[n]
 
 
 def gamma_fn(s):
@@ -168,6 +159,8 @@ def _em_sum(s, a, m_shift, order, pole):
     # pole the caller's form of the integral term w^{1-s}/(s-1)
     if 2 * order > MAX_BERNOULLI:
         raise ValueError(f"Re s = {s.real:g} below the supported continuation window")
+    if m_shift > _MAX_HEAD_TERMS:
+        raise ValueError(f"s = {s} needs an Euler-Maclaurin shift above {_MAX_HEAD_TERMS} terms")
     head = sum([(n + a) ** (-s) for n in range(m_shift)], 0j)
     w = m_shift + a
     return head + pole + 0.5 * w ** (-s) + _em_bernoulli_tail(s, w, order)
@@ -199,8 +192,9 @@ def hurwitz_zeta(s, a):
     most 6.4e-13 for a from 1e-3 to 40, Re s from -8 to 10 and |Im s| up to
     30; 1.8e-12 at s = -0.6 - 30i, a = 0.77, from the polylogarithm).
     Raises ValueError only where the Euler-Maclaurin route needs Re s below
-    about -58, that is for a at or above its shift 16 + |Im s| - Re s, and
-    OverflowError where the value exceeds the double range.
+    about -58, that is for a at or above its shift 16 + |Im s| - Re s, or a
+    shift above 2^21 terms (|Im s| above about 2^21), and OverflowError
+    where the value exceeds the double range.
     """
     s = complex(s)
     if not a > 0.0:
@@ -270,7 +264,8 @@ def eta_hurw(s, a):
     comes from the functional equation instead, through polylogs on the unit
     circle evaluated as in polylog_circle, with the factor
     sin(pi (s + 1)/2) exact at that zero. Raises OverflowError where the
-    value exceeds the double range.
+    value exceeds the double range, and ValueError where the Euler-Maclaurin
+    shift would pass 2^21 terms (|Im s| above about 2^21).
     """
     s = complex(s)
     a_red = a - math.floor(a)
@@ -332,7 +327,8 @@ def _polylog_zeta_series(s, b):
     # trusted: where its terms cancel too much for their rounding errors
     # (see _SERIES_TOL; the cancellation grows like e^{|b Im s|}, and the
     # per-term error like |Im s|, so with no cancellation at all the sum
-    # fails from |Im s| ~ 9000) and where a term overflows.
+    # fails from |Im s| ~ 9000) and where a term overflows or its zeta
+    # value is refused (_MAX_HEAD_TERMS).
     mu = 2j * math.pi * b
     log_neg_mu = complex(math.log(2.0 * math.pi * abs(b)), -math.copysign(0.5 * math.pi, b))
     n = round(s.real)
@@ -378,7 +374,7 @@ def _polylog_zeta_series(s, b):
                 log_tail = log_t0 + log_gamma - math.lgamma(k + 1.0) + k * log_b
                 if log_tail < _LOG_EPS + math.log(max(1.0, abs(acc))):
                     break
-    except OverflowError:
+    except (OverflowError, ValueError):
         return None
     # written so that a NaN from an overflowed term also fails
     if not magnitude * (40.0 + 2.5 * t) * _EPS <= _SERIES_TOL * max(1.0, abs(acc)):

@@ -35,10 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import _hurwitz_regular, hurwitz_zeta
+from .specfun import _MAX_HEAD_TERMS, _hurwitz_regular, hurwitz_zeta
 
 __all__ = [
-    "TildeEtaPoint",
+    "EtaEvaluation",
     "lambda_n",
     "default_start_index",
     "tilde_eta",
@@ -111,11 +111,12 @@ def default_start_index(a):
 
 
 @dataclass(frozen=True)
-class TildeEtaPoint:
-    """Continuation value at one point; value is NaN when is_pole is set."""
+class EtaEvaluation:
+    """One evaluation at s. At a pole of tilde_eta the value is NaN and the
+    residue set; at s = -2l eta_nil sets is_pole, the finite product, residue 0.
+    """
 
     s: complex
-    a: float
     value: complex
     is_pole: bool
     residue: float
@@ -269,14 +270,19 @@ def tilde_eta(s, a):
     Re s > 0, lambda_m > |s| |a| (for Re s <= 0 a larger m makes the head
     cancel instead). At a pole (s a negative even integer, a != 0) is_pole
     is set, the residue filled in, and the value NaN. Raises ValueError
-    where the binomial tail would need more than 2^16 terms: for |a| above
-    about 1000 with Re s <= 0 or |s| below about 1.
+    where the head would need more than 2^21 terms (|a| above about
+    3e6, or |s| |a| above about 3e6 for Re s > 0) and where the binomial
+    tail would need more than 2^16 terms: for |a| above about 1000 with
+    Re s <= 0 or |s| below about 1.
     """
     s = complex(s)
     a = float(a)
-    _validate_regular_a(a)
     # lambda_m > |a| + 1/2, and lambda_m > |s| |a| for Re s > 0
-    m = default_start_index(max(abs(a), abs(s) * abs(a) - 0.5) if s.real > 0.0 else a)
+    split = max(abs(a), abs(s) * abs(a) - 0.5) if s.real > 0.0 else a
+    if abs(split) + 0.5 >= lambda_n(_MAX_HEAD_TERMS):
+        raise ValueError(f"tilde_eta at s = {s}, a = {a:g}: head beyond {_MAX_HEAD_TERMS} terms")
+    _validate_regular_a(a)
+    m = default_start_index(split)
 
     order = 2 * math.ceil(abs(s.real)) + 6
     total = 0.0 + 0.0j
@@ -309,7 +315,7 @@ def tilde_eta(s, a):
 
     is_pole = pole is not None and residue != 0.0
     value = complex(math.nan, math.nan) if is_pole else total
-    return TildeEtaPoint(s=s, a=a, value=value, is_pole=is_pole, residue=residue)
+    return EtaEvaluation(s=s, value=value, is_pole=is_pole, residue=residue)
 
 
 def tilde_eta_direct(s, a, n_terms):

@@ -355,6 +355,47 @@ def test_bad_job_files_exit_2(runner, tmp_path, doc):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        (["--a", "7", "--r", "3", "--l", "2"], "--r, --a, --l"),
+        (["--c", "1"], "--c"),
+        (["--gamma-norm", "2"], "--gamma-norm"),
+    ],
+)
+def test_job_file_rejects_the_options_each_job_sets(runner, tmp_path, options, named):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps([{"fn": "nil", "r": 4, "c": 1, "gamma_norm": 1.0, "s": 2}]))
+    result = runner.invoke(cli.main, ["eval", "--fn", "nil", "--job-file", str(path), *options])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(
+        f"Error: {named} cannot be combined with --job-file; each job sets its own\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, limit",
+    [
+        (["--fn", "tilde", "--a", "1e9", "--s", "2"], "head beyond 2097152 terms"),
+        (["--fn", "tilde", "--a", "1e308", "--s", "2"], "head beyond 2097152 terms"),
+        (["--fn", "hurw-eta", "--a", "0.3", "--s", "0.5,1e9"],
+         "Euler-Maclaurin shift above 2097152 terms"),
+    ],
+)
+def test_eval_refuses_sums_beyond_their_term_cap(runner, args, limit):
+    result = runner.invoke(cli.main, ["eval", *args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.rstrip().endswith(limit), result.stderr
+
+
+def test_verify_suite_choices_are_the_suites_in_order(runner):
+    result = runner.invoke(cli.main, ["verify", "--help"])
+    assert result.exit_code == 0
+    assert "[specfun|tilde-eta|oracle|nilmanifold|all]" in result.stdout
+
+
 def test_job_field_type_errors_name_the_job(runner, tmp_path):
     jobs = [{"fn": "tilde", "a": 0.3, "s": 2}, {"fn": "polylog-im", "a": 0.3, "l": 1.5}]
     path = tmp_path / "jobs.json"

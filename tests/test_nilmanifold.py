@@ -14,8 +14,6 @@ from rumin_eta.nilmanifold import (
     eta_nil,
     eta_nil_neg_even,
     eta_nil_special,
-    classify_case,
-    multiplicity,
     sign_prediction,
 )
 from rumin_eta.specfun import eta_hurw_deriv_neg_odd
@@ -29,19 +27,6 @@ def data(r, c, gamma=1.0):
     return LatticeCharacterData(r=r, c=c, gamma_norm=gamma, case_tag=tag)
 
 
-def test_classify_case_matrix():
-    assert classify_case(True, False, 1, 4) is CaseTag.GENERIC
-    assert classify_case(True, True, 0, 3) is CaseTag.COMMUTATOR_TRIVIAL
-    assert classify_case(False, False, 0, 1) is CaseTag.CENTER_NONTRIVIAL
-    # a commutator-trivial restriction forces a trivial central one
-    with pytest.raises(ValueError):
-        classify_case(False, True, 0, 4)
-    with pytest.raises(ValueError):
-        classify_case(True, True, 1, 4)
-    with pytest.raises(ValueError):
-        classify_case(True, False, 4, 4)
-
-
 def test_character_data_validation():
     with pytest.raises(ValueError):
         LatticeCharacterData(r=0, c=1, gamma_norm=1.0, case_tag=CaseTag.GENERIC)
@@ -52,14 +37,6 @@ def test_character_data_validation():
     with pytest.raises(ValueError):
         LatticeCharacterData(r=4, c=1, gamma_norm=1.0,
                              case_tag=CaseTag.COMMUTATOR_TRIVIAL)
-
-
-@settings(max_examples=30, deadline=None)
-@given(k=st.integers(min_value=-50, max_value=50))
-def test_multiplicity_counts_lattice_modes(k):
-    assert multiplicity(k, D41) == abs(1 + 4 * k)
-    d52 = data(5, 2)
-    assert multiplicity(k, d52) == abs(2 + 5 * k)
 
 
 def test_special_values_generic():

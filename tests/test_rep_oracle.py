@@ -26,10 +26,7 @@ from rumin_eta.rep_oracle import (
     closed_form_error,
     closed_form_schrodinger_spectrum,
     generic_S,
-    h2_weights,
-    h3_weights,
     hermitian_eigenvalues,
-    hodge_star3,
     oracle_window,
     pairing_symmetry,
     scalar_S,
@@ -55,8 +52,6 @@ def test_metric_validation():
 def test_params_validation():
     with pytest.raises(ValueError):
         SchrodingerParams(hbar=0.0)
-    with pytest.raises(ValueError):
-        SchrodingerParams(hbar=1.0, orientation_sign=2)
     with pytest.raises(ValueError):
         GenericRepParams(lam=0.0, mu=0.0, nu=1.0)
     for params in (SchrodingerParams(hbar=1.0), GenericRepParams(1.0, 1.0, 0.0)):
@@ -99,15 +94,6 @@ def test_hermitian_wrapper_rejects_nonhermitian():
     bad = np.array([[0.0, 1.0j], [1.0j, 0.0]], dtype=np.complex128)
     with pytest.raises(ValueError):
         HermitianOperatorMatrix(bad)
-
-
-def test_hodge_star_transports_the_metric():
-    """star maps the degree-3 inner product onto the degree-2 one."""
-    for g in (IDENTITY_METRIC, GradedMetric(2.0, 0.5, 3.0), GradedMetric(0.3, 1.0, 1.0)):
-        star = hodge_star3(g)
-        h2 = np.diag(h2_weights(g))
-        h3 = np.diag(h3_weights(g))
-        assert np.max(np.abs(star.T @ h2 @ star - h3)) < 1e-14
 
 
 def test_scalar_matrix_shape_and_reference_eigenvalue():
@@ -518,7 +504,7 @@ def _dense_schrodinger(params, g, n):
     s[n : 2 * n, n : 2 * n] = (-1.5 * p * v * sgn * omega) * eye
     s[0:n, 2 * n : 3 * n] = (p * sgn * omega) * (1.5 * eye - 0.5 * w["comm2"])
     s[2 * n : 3 * n, 0:n] = (p * sgn * omega) * (1.5 * eye + 0.5 * w["comm2"])
-    return -s if params.orientation_sign < 0 else s
+    return s
 
 
 def _dense_generic(params, g, n):
@@ -559,7 +545,7 @@ def test_band_assembly_matches_the_dense_assembly(n):
     # Schrodinger is written in the basis (e_j, i e_j, e_j), which makes it real
     for params, g in (
         (SchrodingerParams(hbar=0.7), GradedMetric(1.3, 0.8, 1.1)),
-        (SchrodingerParams(hbar=-1.2, orientation_sign=-1), GradedMetric(0.9, 1.4, 1.4)),
+        (SchrodingerParams(hbar=-1.2), GradedMetric(0.9, 1.4, 1.4)),
     ):
         u = np.repeat([1.0, 1j, 1.0], n)
         want = u.conj()[:, None] * _dense_schrodinger(params, g, n) * u
@@ -757,15 +743,6 @@ def test_consistency_check_has_no_false_alarms_at_small_dimension():
         for _ in range(count):
             mat = HermitianOperatorMatrix(_random_hermitian(rng, n, grading))
             assert hermitian_eigenvalues(mat).size == n
-
-
-@settings(max_examples=8, deadline=None)
-@given(hbar=st.floats(min_value=0.2, max_value=3.0))
-def test_orientation_flip_negates_operator(hbar):
-    g = GradedMetric(1.0, 1.0, 1.0)
-    plus = schrodinger_S(SchrodingerParams(hbar=hbar, orientation_sign=1), g, 10).entries
-    minus = schrodinger_S(SchrodingerParams(hbar=hbar, orientation_sign=-1), g, 10).entries
-    assert np.array_equal(minus, -plus)
 
 
 def _seeded_oracle_matrices(n, seed=17):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from rumin_eta import specfun
 from rumin_eta.specfun import (
-    bernoulli_number,
     eta_hurw,
     eta_hurw_deriv_neg_odd,
     gamma_fn,
@@ -23,15 +23,6 @@ from rumin_eta.specfun import (
 )
 
 CATALAN = 0.915965594177219
-
-
-def test_bernoulli_numbers_match_table():
-    assert bernoulli_number(0) == 1.0
-    assert bernoulli_number(1) == -0.5
-    assert bernoulli_number(2) == pytest.approx(1.0 / 6.0, abs=0)
-    assert bernoulli_number(12) == pytest.approx(-691.0 / 2730.0, rel=1e-15)
-    for k in (3, 5, 7, 9):
-        assert bernoulli_number(k) == 0.0
 
 
 def test_riemann_zeta_classic_values():
@@ -457,3 +448,35 @@ def test_eta_hurw_raises_beyond_the_double_range():
     # |eta_hurw(-400.5, 0.3)| is about 1e548
     with pytest.raises(OverflowError):
         eta_hurw(-400.5, 0.3)
+
+
+# m_shift = 16 + ceil|Im s| + max(0, ceil(-Re s)) first passes 2^21 here
+_FIRST_REFUSED_IM = 2.0**21 - 15.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eta_hurw(complex(0.5, _FIRST_REFUSED_IM), 0.3),
+        lambda: hurwitz_zeta(complex(2.0, -_FIRST_REFUSED_IM), 0.7),
+        lambda: riemann_zeta_regular(complex(1.0, _FIRST_REFUSED_IM)),
+    ],
+)
+def test_euler_maclaurin_shift_beyond_its_cap_is_refused_before_any_term(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="shift above 2097152 terms"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_refused_zeta_values_hand_the_polylog_to_boole():
+    s = complex(3.0, _FIRST_REFUSED_IM)
+    assert specfun._polylog_zeta_series(s, 0.5) is None
+    # |Li_s(e^{i theta})| <= zeta(Re s)
+    value = polylog_circle(s, 0.5)
+    assert cmath.isfinite(value)
+    assert abs(value) <= riemann_zeta(3.0).real

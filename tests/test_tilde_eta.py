@@ -353,3 +353,18 @@ def test_h_tail_beyond_its_lambda_range_is_negligible_on_the_eval_domain(a):
                 continue
             beyond = _h_tail_rest_bound(s, a, m + _H_TAIL_COUNT, _order(s) + 1)
             assert beyond <= 1e-17 * max(1.0, abs(point.value)), (s, a, beyond)
+
+
+@pytest.mark.parametrize("s, a", [(2.0, 1e9), (2.0, 1e308), (2.0, -1e308), (-1.0, 1e7), (0.5j, 1e7)])
+def test_head_beyond_its_cap_is_refused(s, a):
+    # the head n < m would pass 2^21 terms; refused before the search for m
+    with pytest.raises(ValueError, match="head beyond 2097152 terms"):
+        tilde_eta(s, a)
+
+
+def test_head_just_inside_its_cap_is_answered():
+    # |s| |a| = 2e6 puts m at 1414214, below 2^21 = 2097152
+    point = tilde_eta(2.0, 1e6)
+    assert not point.is_pole
+    direct, tail = tilde_eta_direct(2.0, 1e6, 2**22)
+    assert abs(point.value - direct) <= tail + 1e-12 * abs(direct)
