@@ -92,7 +92,7 @@ class SchrodingerParams:
 
 @dataclass(frozen=True)
 class GenericRepParams:
-    """Parameters (lambda, mu, nu) of a generic representation; stored as lam, mu, nu."""
+    """Parameters (lambda, mu, nu), stored as lam, mu, nu: finite, (lam, mu) != (0, 0)."""
 
     lam: float
     mu: float
@@ -102,16 +102,18 @@ class GenericRepParams:
         for name in ("lam", "mu", "nu"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        # the oscillator frequency is (lam^2 + mu^2)^(1/3), formed as here
-        try:
-            r2 = self.lam**2 + self.mu**2
-        except OverflowError:
-            r2 = math.inf
-        if not _SAFMIN <= r2 < math.inf:
+        if self.lam == 0.0 == self.mu:
             raise ValueError(
-                f"lam^2 + mu^2 must be a finite normal double, got lam={self.lam!r}, "
-                f"mu={self.mu!r}"
+                f"lam and mu must not both be zero, got lam={self.lam!r}, mu={self.mu!r}"
             )
+
+
+def _dilation(params: GenericRepParams):
+    # (r, d), r = hypot(lam, mu) and d = r^(2/3): the dilation by r^(1/3), which
+    # maps (lam, mu, nu) to (r lam, r mu, d^2 nu), carries (lam/r, mu/r, nu/d/d)
+    # to params and the operator, of Heisenberg order two, to d times itself
+    r = math.hypot(params.lam, params.mu)
+    return r, r ** (2.0 / 3.0)
 
 
 class HermitianOperatorMatrix:
@@ -213,9 +215,6 @@ class _Bands(dict):
 
     def __truediv__(self, c):
         return _Bands({o: v / c for o, v in self.items()})
-
-    def __neg__(self):
-        return _Bands({o: -v for o, v in self.items()})
 
 
 def _sym_bands(bands: dict) -> _Bands:
@@ -409,22 +408,21 @@ def generic_S(
 ) -> HermitianOperatorMatrix:
     """Truncation of the operator in a generic representation.
 
-    Oscillator frequency 2*pi*(lam^2 + mu^2)^(1/3); the quartic and cubic
-    oscillator words entering the squares of the horizontal generators are
-    written out as exact band matrices of the full operators.  No diagonal
-    phase makes this matrix real, and its odd offsets couple even and odd
-    levels, so it is one complex band block of half-width 14, its three
-    blocks interleaved by oscillator level with the highest level first.
+    The truncation at the unit-scale point (lam/r, mu/r, nu/d/d) of
+    ``_dilation``, oscillator frequency 2*pi, times d: kernel and window do
+    not depend on the scale.  The quartic and cubic oscillator words of the
+    squared horizontal generators are exact band matrices of the full
+    operators.  No diagonal phase makes this matrix real, and its odd
+    offsets couple even and odd levels, so it is one complex band block of
+    half-width 14, its three blocks interleaved by level, highest first.
     """
     if basis_size < 8:
         raise ValueError("basis_size must be at least 8")
     n = basis_size
     p, ca, cb, v = _metric_factors(g)
-    d = (params.lam**2 + params.mu**2) ** (1.0 / 3.0)
-    cl = params.lam / d
-    cm = params.mu / d
-    kappa = params.nu / (d * d)
-    omega = 2.0 * math.pi * d
+    r, d = _dilation(params)
+    cl, cm, kappa = params.lam / r, params.mu / r, params.nu / d / d
+    omega = 2.0 * math.pi
     pi_sq4 = 4.0 * math.pi**2
 
     theta = _window_alpha(n) / math.sqrt(2.0 * omega)
@@ -449,11 +447,11 @@ def generic_S(
         (1, 0): (-(ca * y2)) * ys + (1j * ca) * r2,
         (1, 2): (cb * y1) * ys - (1j * cb) * r1,
         (2, 1): (-(cb * y1)) * ys + (1j * cb) * r1,
-        (1, 1): (-3.0 * math.pi * d * p * v) * theta,
-        (0, 2): (3.0 * math.pi * d * p) * theta - (p * yw) * ys + (1j * p) * rw,
-        (2, 0): (3.0 * math.pi * d * p) * theta + (p * yw) * ys - (1j * p) * rw,
+        (1, 1): (-3.0 * math.pi * p * v) * theta,
+        (0, 2): (3.0 * math.pi * p) * theta - (p * yw) * ys + (1j * p) * rw,
+        (2, 0): (3.0 * math.pi * p) * theta + (p * yw) * ys - (1j * p) * rw,
     }
-    return _block_operator(blocks, n, stride=1)
+    return _block_operator({ab: d * bands for ab, bands in blocks.items()}, n, stride=1)
 
 
 def closed_form_schrodinger_spectrum(
@@ -926,7 +924,7 @@ def _truncation(params, g: GradedMetric, basis_size: int):
 
     ``params`` picks the family: SchrodingerParams builds ``schrodinger_S``
     with spectral unit 2*pi*|hbar|/sqrt(g33), GenericRepParams builds
-    ``generic_S`` with 2*pi*(lam^2 + mu^2)^(1/3)/sqrt(g33).  Eigenvalues
+    ``generic_S`` with 2*pi*hypot(lam, mu)^(2/3)/sqrt(g33).  Eigenvalues
     with |ev| < kernel_eps = 1e-6*unit, far below the smallest nonzero one,
     are the kernel.
     """
@@ -935,7 +933,7 @@ def _truncation(params, g: GradedMetric, basis_size: int):
         freq = abs(params.hbar)
     else:
         mat = generic_S(params, g, basis_size)
-        freq = (params.lam**2 + params.mu**2) ** (1.0 / 3.0)
+        freq = _dilation(params)[1]
     unit = 2.0 * math.pi * freq / math.sqrt(g.g33)
     return mat, unit, 1e-6 * unit
 

@@ -161,7 +161,7 @@ def _em_sum(s, a, m_shift, order, pole):
         raise ValueError(f"Re s = {s.real:g} below the supported continuation window")
     if m_shift > _MAX_HEAD_TERMS:
         raise ValueError(f"s = {s} needs an Euler-Maclaurin shift above {_MAX_HEAD_TERMS} terms")
-    head = sum([(n + a) ** (-s) for n in range(m_shift)], 0j)
+    head = sum(((n + a) ** (-s) for n in range(m_shift)), 0j)
     w = m_shift + a
     return head + pole + 0.5 * w ** (-s) + _em_bernoulli_tail(s, w, order)
 
@@ -204,7 +204,7 @@ def hurwitz_zeta(s, a):
     m_shift, order = _em_parameters(s)
     if s.real < -0.5 and a < m_shift:
         k = math.ceil(a) - 1
-        return _hurwitz_unit(s, a - k) - sum([(a - j) ** (-s) for j in range(1, k + 1)], 0j)
+        return _hurwitz_unit(s, a - k) - sum(((a - j) ** (-s) for j in range(1, k + 1)), 0j)
     return _em_sum(s, a, m_shift, order, (m_shift + a) ** (1.0 - s) / (s - 1.0))
 
 

@@ -210,6 +210,7 @@ _FAILED_CALLS = {
         # gamma^200 underflows in floating point; the value overflows
         ["eval", "--fn", "nil", "--r", "4", "--c", "1", "--gamma-norm", "1e-3",
          "--s=-400"],
+        ["spectrum", "--rep", "generic", "--lambda", "0", "--mu", "0"],
     ],
 )
 def test_validation_failures_exit_2(runner, args):
@@ -225,10 +226,12 @@ def test_validation_failures_exit_2(runner, args):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--rep", "generic", "--lambda", "1e-200", "--mu", "0"],
-         "lam^2 + mu^2 must be a finite normal double, got lam=1e-200, mu=0.0"),
-        (["--rep", "generic", "--lambda", "1e200", "--mu", "0"],
-         "lam^2 + mu^2 must be a finite normal double, got lam=1e+200, mu=0.0"),
+        # hypot(lam, mu) overflows
+        (["--rep", "generic", "--lambda", "1.7e308", "--mu", "1.7e308"],
+         "block entries are not all finite"),
+        # nu = 1 is nu/d/d = 4.6e266 at unit scale
+        (["--rep", "generic", "--lambda", "1e-200", "--mu", "0", "--nu", "1"],
+         "block entries are not all finite"),
         (["--rep", "scalar", "--alpha", "nan", "--beta", "0"], "matrix entries are not all finite"),
         (["--rep", "scalar", "--alpha", "1e200", "--beta", "1e200"],
          "matrix entries are not all finite"),
@@ -468,6 +471,24 @@ def test_spectrum_generic_pairing_diagnostic(runner):
     sidecar = json.loads(result.stderr)
     assert sidecar["nu"] == 0.0
     assert sidecar["pairing_symmetry"] <= 1e-9
+
+
+@pytest.mark.parametrize("lam, mu", [("1e-8", "5e-9"), ("1e-200", "0"), ("1e200", "0")])
+def test_spectrum_generic_window_does_not_depend_on_the_scale(runner, lam, mu):
+    # the truncation is d times the unit-scale one, so the kernel and the
+    # pairing of --lambda 1 --mu 0.5 hold at every scale
+    def sidecar(lam, mu):
+        result = runner.invoke(
+            cli.main,
+            ["spectrum", "--rep", "generic", "--lambda", lam, "--mu", mu, "--basis-size", "64"],
+        )
+        assert result.exit_code == 0, result.output
+        return json.loads(result.stderr)
+
+    want = sidecar("1", "0.5")
+    got = sidecar(lam, mu)
+    assert (want["kernel_count"], want["pairing_symmetry"]) == (60, 0.0)
+    assert (got["kernel_count"], got["pairing_symmetry"]) == (60, 0.0)
 
 
 def test_spectrum_has_no_trusted_count_option(runner):

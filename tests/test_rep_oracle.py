@@ -59,23 +59,23 @@ def test_params_validation():
             oracle_window(params, IDENTITY_METRIC, 4)
 
 
-@pytest.mark.parametrize(
-    "lam, mu",
-    [(1e-300, 0.0), (1e-200, 0.0), (0.0, -1e-160), (1e200, 0.0), (1e154, 1e154), (0.0, 0.0)],
-)
+@pytest.mark.parametrize("lam, mu", [(0.0, 0.0)])
 def test_generic_params_beyond_the_double_range_raise(lam, mu):
-    # (lam^2 + mu^2)^(1/3) would underflow to 0 or overflow
-    with pytest.raises(ValueError, match=re.escape(f"normal double, got lam={lam!r}, mu={mu!r}")):
+    # no dilation carries lam = mu = 0 to the unit circle
+    with pytest.raises(ValueError, match=re.escape(f"both be zero, got lam={lam!r}, mu={mu!r}")):
         GenericRepParams(lam, mu, 0.0)
 
 
 def test_generic_params_at_the_edges_of_the_double_range_solve():
-    # the smallest and the largest lam whose square is a finite normal double
-    for lam in (1.5e-154, 1.3e154):
-        params = GenericRepParams(lam, 0.0, 0.0)
-        unit, kernel_eps, _, window = oracle_window(params, IDENTITY_METRIC, 16)
+    # hypot(lam, mu) and its 2/3 power d are finite and nonzero from the
+    # smallest subnormal lam on, and nu/d/d stays 0 where d*d underflows
+    for lam, mu in ((5e-324, 0.0), (1e-300, 0.0), (1e-200, 0.0), (0.0, -1e-160), (1.5e-154, 0.0),
+                    (1.3e154, 0.0), (1e154, 1e154), (1e200, 0.0), (1.7e308, 0.0)):
+        params = GenericRepParams(lam, mu, 0.0)
+        unit, kernel_eps, kernel_count, window = oracle_window(params, IDENTITY_METRIC, 16)
         assert 0.0 < kernel_eps < unit < math.inf
-        assert np.all(np.isfinite(window))
+        assert kernel_count == 12
+        assert np.all(np.isfinite(window)) and np.all(window != 0.0)
 
 
 def test_non_finite_entries_are_reported_before_symmetry():
@@ -510,9 +510,10 @@ def _dense_schrodinger(params, g, n):
 def _dense_generic(params, g, n):
     """The dense 3n x 3n generic truncation."""
     p, ca, cb, v = _metric_factors(g)
-    d = (params.lam**2 + params.mu**2) ** (1.0 / 3.0)
-    cl, cm, kappa = params.lam / d, params.mu / d, params.nu / (d * d)
-    omega = 2.0 * math.pi * d
+    r = math.hypot(params.lam, params.mu)
+    d = r ** (2.0 / 3.0)
+    cl, cm, kappa = params.lam / r, params.mu / r, params.nu / d / d
+    omega = 2.0 * math.pi
     pi_sq4 = 4.0 * math.pi**2
     w = _dense_windows(n)
     theta = w["alpha"] / math.sqrt(2.0 * omega)
@@ -533,10 +534,10 @@ def _dense_generic(params, g, n):
     s[n : 2 * n, 0:n] = (-(ca * y2)) * ys + (1j * ca) * r2
     s[n : 2 * n, 2 * n : 3 * n] = (cb * y1) * ys - (1j * cb) * r1
     s[2 * n : 3 * n, n : 2 * n] = (-(cb * y1)) * ys + (1j * cb) * r1
-    s[n : 2 * n, n : 2 * n] = (-3.0 * math.pi * d * p * v) * theta
-    s[0:n, 2 * n : 3 * n] = (3.0 * math.pi * d * p) * theta - (p * yw) * ys + (1j * p) * rw
-    s[2 * n : 3 * n, 0:n] = (3.0 * math.pi * d * p) * theta + (p * yw) * ys - (1j * p) * rw
-    return s
+    s[n : 2 * n, n : 2 * n] = (-3.0 * math.pi * p * v) * theta
+    s[0:n, 2 * n : 3 * n] = (3.0 * math.pi * p) * theta - (p * yw) * ys + (1j * p) * rw
+    s[2 * n : 3 * n, 0:n] = (3.0 * math.pi * p) * theta + (p * yw) * ys - (1j * p) * rw
+    return d * s
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 33])
@@ -644,6 +645,35 @@ def test_oracle_window_matches_the_former_pipeline():
             bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(eigs))
             assert window.shape == former.shape
             assert np.max(np.abs(window - former)) <= bound
+
+
+_DILATED = {
+    # the representation at dilation t, and the values of t checked
+    "schrodinger": (lambda t: SchrodingerParams(hbar=0.7 * t), (1e-150, 1e-3, 3.0, 1e150)),
+    "generic": (lambda t: GenericRepParams(t**3, 0.5 * t**3, 0.3 * t**4),
+                (1e-50, 1e-2, 0.5, 3.0, 1e50)),
+}
+
+
+@pytest.mark.parametrize("rep", sorted(_DILATED))
+def test_truncations_scale_with_their_unit(rep):
+    # the operator has Heisenberg order two, so the dilation by t multiplies
+    # the spectrum by t^2: in units of the spectral unit, the kernel and the
+    # window of a dilated truncation are those of the undilated one.  Each
+    # window is within oracle_window's bound 4 sqrt(3) eps rho of the
+    # eigenvalues of its matrix, and the two matrices agree to rounding, so
+    # the two windows differ by at most twice that bound
+    build, ts = _DILATED[rep]
+    g, n = GradedMetric(1.3, 0.8, 1.1), 64
+    mat, unit, _ = rep_oracle._truncation(build(1.0), g, n)
+    rho = np.max(np.abs(hermitian_eigenvalues(mat))) / unit
+    tol = 2.0 * 4.0 * math.sqrt(3.0) * EPS * rho
+    _, _, kernel_count, window = oracle_window(build(1.0), g, n)
+    assert kernel_count == {"generic": n - 4, "schrodinger": n - 2}[rep]
+    for t in ts:
+        unit_t, _, kernel_count_t, window_t = oracle_window(build(t), g, n)
+        assert kernel_count_t == kernel_count, t
+        assert np.max(np.abs(window_t / unit_t - window / unit)) <= tol, t
 
 
 def _pairing_as_cli_computed(trusted):

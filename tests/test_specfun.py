@@ -473,6 +473,20 @@ def test_euler_maclaurin_shift_beyond_its_cap_is_refused_before_any_term(call):
     assert peak < 64 * 1024
 
 
+def test_euler_maclaurin_head_is_summed_without_a_list():
+    # two heads of 2^14 terms; a list of their powers would peak at 0.66 MB
+    s = complex(0.5, 2.0**14 - 16.0)
+    assert specfun._em_parameters(s)[0] == 2**14
+    tracemalloc.start()
+    try:
+        value = eta_hurw(s, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert cmath.isfinite(value)
+
+
 def test_refused_zeta_values_hand_the_polylog_to_boole():
     s = complex(3.0, _FIRST_REFUSED_IM)
     assert specfun._polylog_zeta_series(s, 0.5) is None
