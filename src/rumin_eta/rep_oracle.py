@@ -4,12 +4,14 @@ unitary representations of the (2,3,5) group, plus spectral utilities.
 Matrices are assembled from closed-form infinite-matrix elements in the
 harmonic oscillator basis, windowed to the leading ``basis_size`` modes.
 Products of generators are never formed by multiplying truncated factors;
-every block uses the exact band formulas of the full operator, which keeps
-each truncation exactly Hermitian and confines the truncation error to the
-top Hermite levels.  Only the trusted window of a truncation, its
-basis_size/8 smallest-magnitude eigenvalues off the kernel, should be
-compared against exact spectra; ``oracle_window`` builds a Schrodinger or
-generic truncation and bisects only that window.
+every block uses the exact band formulas of the full operator, which
+confines the truncation error to the top Hermite levels.  Only the blocks
+on and above the block diagonal are written; those below are their
+conjugate transposes, so each truncation is Hermitian by construction.
+Only the trusted window of a truncation, its basis_size/8
+smallest-magnitude eigenvalues off the kernel, should be compared against
+exact spectra; ``oracle_window`` builds a Schrodinger or generic
+truncation and bisects only that window.
 """
 
 from __future__ import annotations
@@ -302,11 +304,15 @@ def _block_operator(blocks: dict, n: int, stride: int) -> HermitianOperatorMatri
     classes mod stride, which no block may couple, and each class becomes
     one band block: position 3k+b holds block b at the k-th level of the
     class counted from the highest, so a block band of half-width w in the
-    level becomes a band of half-width 3w/stride + 2.  Every entry below
-    the diagonal is written from its own block and checked to equal the
-    conjugate of its mirror, so the matrix is exactly Hermitian.  An entry
-    that is not finite raises first.
+    level becomes a band of half-width 3w/stride + 2.  Only blocks with
+    a <= b are given, and block (b, a) is the conjugate transpose of (a, b),
+    so the matrix is Hermitian by construction: an entry that falls below
+    the diagonal is written as it is, one above it as its conjugate at the
+    mirrored place.  A block with a > b raises, as does an entry that is
+    not finite.
     """
+    if any(a > b for a, b in blocks):
+        raise ValueError("blocks (a, b) must have a <= b; (b, a) is their conjugate transpose")
     values = [v for bands in blocks.values() for v in bands.values()]
     if not all(np.all(np.isfinite(v)) for v in values):
         raise ValueError("block entries are not all finite")
@@ -317,7 +323,6 @@ def _block_operator(blocks: dict, n: int, stride: int) -> HermitianOperatorMatri
         levels = np.arange(r, n, stride)
         top, dim = int(levels[-1]), 3 * levels.size
         lower = np.zeros((kd + 1, dim), dtype=dtype)
-        mirror = np.zeros_like(lower)
         for (a, b), bands in blocks.items():
             for o, values in bands.items():
                 if o % stride:
@@ -328,10 +333,8 @@ def _block_operator(blocks: dict, n: int, stride: int) -> HermitianOperatorMatri
                 d = 3 * o // stride + a - b
                 if d >= 0:
                     lower[d, pos - d] = values[keep]
-                if d <= 0:
-                    mirror[-d, pos] = np.conj(values[keep])
-        if not np.array_equal(lower, mirror):
-            raise ValueError("blocks are not exactly conjugate symmetric")
+                else:
+                    lower[-d, pos] = np.conj(values[keep])
         # position 3k+b holds index b*n + levels[-1-k]
         idx = (n * np.arange(3) + levels[::-1, None]).ravel()
         width = max(np.flatnonzero(np.any(lower != 0.0, axis=1)), default=0)
@@ -367,7 +370,7 @@ def schrodinger_S(
     The oscillator frequency 2*pi*|hbar| balances the two horizontal
     generators to equal operator norms, which is the best-conditioned
     truncation.  Every block below is the exact band form of the full
-    operator, so the matrix is exactly Hermitian by construction.
+    operator; only those with a <= b are written (``_block_operator``).
 
     The matrix is written in the basis (e_j, i*e_j, e_j) of the three
     blocks, that is conjugated by diag(1, i, 1), which makes every entry
@@ -387,16 +390,11 @@ def schrodinger_S(
     dmat = _window_delta_sq(n)
     amat = _window_comm2(n)
     eye = _window_eye(n)
-    blk01 = (-(ca * omega / 2.0)) * bmat
-    blk12 = (-(cb * omega / 2.0)) * dmat
     blocks = {
-        (0, 1): blk01,
-        (1, 0): blk01,
-        (1, 2): blk12,
-        (2, 1): blk12,
+        (0, 1): (-(ca * omega / 2.0)) * bmat,
+        (1, 2): (-(cb * omega / 2.0)) * dmat,
         (1, 1): (-1.5 * p * v * sgn * omega) * eye,
         (0, 2): (p * sgn * omega) * (1.5 * eye - 0.5 * amat),
-        (2, 0): (p * sgn * omega) * (1.5 * eye + 0.5 * amat),
     }
     return _block_operator(blocks, n, stride=2)
 
@@ -444,12 +442,9 @@ def generic_S(
 
     blocks = {
         (0, 1): (ca * y2) * ys - (1j * ca) * r2,
-        (1, 0): (-(ca * y2)) * ys + (1j * ca) * r2,
         (1, 2): (cb * y1) * ys - (1j * cb) * r1,
-        (2, 1): (-(cb * y1)) * ys + (1j * cb) * r1,
         (1, 1): (-3.0 * math.pi * p * v) * theta,
         (0, 2): (3.0 * math.pi * p) * theta - (p * yw) * ys + (1j * p) * rw,
-        (2, 0): (3.0 * math.pi * p) * theta + (p * yw) * ys - (1j * p) * rw,
     }
     return _block_operator({ab: d * bands for ab, bands in blocks.items()}, n, stride=1)
 
@@ -513,7 +508,7 @@ def _lapack(routine: str):
 
     scipy.linalg.lapack wraps neither reduction, but scipy.linalg.cython_lapack
     exports every routine of the same LAPACK as a PyCapsule.  A ctypes call
-    releases the GIL, so calls on the oracle's pool run in parallel.
+    releases the GIL, so the calls of one batch (``_run``) run in parallel.
     """
     from scipy.linalg import cython_lapack
 
@@ -526,44 +521,31 @@ def _lapack(routine: str):
     return ctypes.CFUNCTYPE(None, *_SIGNATURES[routine])(address)
 
 
-@functools.lru_cache(maxsize=None)
-def _pool():
-    """The thread pool of the oracle's LAPACK calls.
+def _run(calls):
+    """Make a batch of LAPACK calls (fn, args) and wait for all of them.
 
-    One worker per CPU the process may use.  The pool starts a worker only
-    when a submitted call finds none idle, so it never runs more workers
-    than calls.  It is made on the first batch of more than one call:
-    importing the package starts no thread.
+    A lone call runs in the calling thread.  A larger batch runs on a
+    thread pool of its own, one worker per call up to the number of CPUs
+    the process may use, which is shut down before ``_run`` returns: no
+    thread outlives a batch, so a forked child inherits none.  The caller
+    allocates every buffer and passes arrays by ``_address``, which keeps
+    them alive, so a worker allocates nothing: each thread that allocates
+    grows a glibc malloc arena of its own, which raised the peak memory of
+    ``verify --suite all`` by 1.8 MB on a 2-core host.
     """
+    if len(calls) < 2:
+        for fn, args in calls:
+            fn(*args)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=cpus)
-
-
-# a forked child inherits the pool but not its threads; it makes its own
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _run(calls):
-    """Make a batch of LAPACK calls (fn, args) and wait for all of them.
-
-    A lone call runs in the calling thread, a batch on the pool.  The
-    caller allocates every buffer and passes arrays by ``_address``, which
-    keeps them alive, so a worker allocates nothing: each thread that
-    allocates grows a glibc malloc arena of its own, which raised the peak
-    memory of ``verify --suite all`` by 1.8 MB on a 2-core host.
-    """
-    if len(calls) == 1:
-        fn, args = calls[0]
-        fn(*args)
-        return
-    for future in [_pool().submit(fn, *args) for fn, args in calls]:
-        future.result()
+    with ThreadPoolExecutor(max_workers=min(len(calls), cpus)) as pool:
+        for future in [pool.submit(fn, *args) for fn, args in calls]:
+            future.result()
 
 
 def _address(arr: np.ndarray):
@@ -841,9 +823,9 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     1.1e-14 (proportional) and 1.1e-15 (generic) of the spectral radius,
     where the lowest level first errs by up to 3.1e-14.
 
-    The LAPACK calls run in two batches on a pool of one thread per CPU
-    the process may use (``_run``): the reductions of all blocks, then
-    their bisections, each block of 64 rows or more split into the 8
+    The LAPACK calls run in two batches, each on threads of its own, at
+    most one per CPU the process may use (``_run``): the reductions of all
+    blocks, then their bisections, each block of 64 rows or more split into the 8
     intervals of dstebz's own bisection tree at depth 3, one dstebz call
     each (``_tree_intervals``).  The pieces together return
     the bits of the single call.  That holds as long as the tree's
