@@ -165,11 +165,9 @@ def eta_direct_sum(s, d: LatticeCharacterData, lattice_cutoff: int, spectrum_cut
         raise ValueError("the double sum needs Re s > 5")
     if lattice_cutoff < 1 or spectrum_cutoff < 1:
         raise ValueError("cutoffs must be positive")
-    if d.case_tag is CaseTag.CENTER_NONTRIVIAL:
-        return 0.0 + 0.0j, 0.0
-    if d.case_tag is CaseTag.COMMUTATOR_TRIVIAL:
-        # modes +-m carry equal multiplicity and opposite sign; they cancel
-        # exactly in pairs, and so do their tails
+    if d.case_tag is not CaseTag.GENERIC:
+        # as in eta_nil; commutator-trivial modes +-m carry equal multiplicity
+        # and opposite sign, so they and their tails cancel exactly in pairs
         return 0.0 + 0.0j, 0.0
 
     p = s.real

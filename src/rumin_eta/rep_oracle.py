@@ -600,13 +600,16 @@ def _check_sums(what: str, trace, fro_sq, want_trace, want_fro_sq, dim: int):
 
 
 def _tridiagonals(bands):
-    """Reduce each lower band to a unitarily similar real tridiagonal (d, e).
+    """Scale each lower band and reduce it to a unitarily similar real tridiagonal.
 
-    The bands are reduced in one batch (``_reduce_band``, ``_run``), and each
-    tridiagonal is checked.  dsbtrd (real band) or zhbtrd (complex band)
-    chases the band down to tridiagonal form with plane rotations in
-    O(kd * dim^2); zhbtrd then makes the off-diagonal real by a diagonal
-    unitary.  A nonzero info raises.
+    Returns (d, e, sigma, sums) per band: the tridiagonal of the band times
+    sigma = ``_sbevx_scale``, and sums, the trace and squared Frobenius
+    norm of the scaled band (``_band_sums``).  The bands are reduced in one
+    batch (``_reduce_band``, ``_run``), and each tridiagonal is checked.
+    dsbtrd (real band) or zhbtrd (complex band) chases the band down to
+    tridiagonal form with plane rotations in O(kd * dim^2); zhbtrd then
+    makes the off-diagonal real by a diagonal unitary.  A nonzero info
+    raises.
 
     A unitary similarity keeps the trace and the squared Frobenius norm,
     so d must reproduce the band's trace to tol*||S||_F, and
@@ -624,18 +627,22 @@ def _tridiagonals(bands):
     random Hermitian matrices of dimension 2 to 256, plain and graded by up
     to e^12, at most 0.52.
     """
-    calls, outs = zip(*(_reduce_band(ab) for ab in bands))
+    sigmas = [_sbevx_scale(ab) for ab in bands]
+    scaled = [ab * sigma for ab, sigma in zip(bands, sigmas)]
+    calls, outs = zip(*(_reduce_band(ab) for ab in scaled))
     _run(calls)
-    for ab, (d, e, info) in zip(bands, outs):
+    reduced = []
+    for ab, sigma, (d, e, info) in zip(scaled, sigmas, outs):
         routine = "zhbtrd" if np.iscomplexobj(ab) else "dsbtrd"
         if info.value != 0:
             raise SpectralPairingError(f"{routine} returned info={info.value}")
-        trace, fro_sq = _band_sums(ab)
+        sums = _band_sums(ab)
         _check_sums(
             f"{routine}'s tridiagonal entries", float(np.sum(d)),
-            float(np.dot(d, d)) + 2.0 * float(np.dot(e, e)), trace, fro_sq, d.size,
+            float(np.dot(d, d)) + 2.0 * float(np.dot(e, e)), *sums, d.size,
         )
-    return [(d, e) for d, e, _ in outs]
+        reduced.append((d, e, sigma, sums))
+    return reduced
 
 
 def _sbevx_scale(ab: np.ndarray) -> float:
@@ -654,25 +661,14 @@ def _sbevx_scale(ab: np.ndarray) -> float:
     return rmax / anrm if anrm > rmax else 1.0
 
 
-def _kept_squares(d: np.ndarray, e: np.ndarray):
-    """(e_j^2 as dstebz keeps them, pivmin) for the tridiagonal (d, e).
-
-    dstebz splits the tridiagonal where e_j^2 < |d_j d_(j+1)| eps^2 +
-    safmin, and counts those e_j^2 as zero; pivmin = safmin * max(1, max
-    e_j^2) over the rest.
-    """
-    e2 = e * e
-    e2[np.abs(d[1:] * d[:-1]) * _EPS**2 + _SAFMIN > e2] = 0.0
-    return e2, _SAFMIN * max(1.0, float(np.max(e2, initial=0.0)))
-
-
-def _dstebz(d: np.ndarray, e: np.ndarray, vl=-np.inf, vu=np.inf, il: int = 0, iu: int = 0):
+def _dstebz(d: np.ndarray, e: np.ndarray, il: int = 0, iu: int = 0):
     """LAPACK's dstebz on the tridiagonal (d, e), abstol 0, ascending, as a call.
 
     Finds the eigenvalues il..iu (1-based, range 'I') when il is given,
-    else those in (vl, vu] (range 'V').  Returns ((fn, args), (count, w,
-    info)); once ``_run`` has made the call, the ctypes ints count and info
-    hold dstebz's m and info, and the first count entries of w are the
+    else all of them (range 'A', which bisects as range 'V' on (-inf, inf],
+    the request of ?sbevx and ?hbevx, does).  Returns ((fn, args), (count,
+    w, info)); once ``_run`` has made the call, the ctypes ints count and
+    info hold dstebz's m and info, and the first count entries of w are the
     eigenvalues.
     """
     n = d.size
@@ -681,96 +677,61 @@ def _dstebz(d: np.ndarray, e: np.ndarray, vl=-np.inf, vu=np.inf, il: int = 0, iu
     w, work = np.zeros(n), np.zeros(4 * n)
     iwork = np.zeros(5 * n, dtype=np.intc)  # iblock, isplit, then dstebz's 3n
     count, nsplit, info = ctypes.c_int(0), ctypes.c_int(0), ctypes.c_int(0)
+    zero = ctypes.byref(ctypes.c_double(0.0))  # vl and vu, unread, and abstol
     ref = ctypes.byref
     args = (
-        b"I" if il else b"V", b"E", ref(ctypes.c_int(n)), ref(ctypes.c_double(vl)),
-        ref(ctypes.c_double(vu)), ref(ctypes.c_int(il)), ref(ctypes.c_int(iu)),
-        ref(ctypes.c_double(0.0)), _address(d), _address(e), ref(count), ref(nsplit),
+        b"I" if il else b"A", b"E", ref(ctypes.c_int(n)), zero, zero, ref(ctypes.c_int(il)),
+        ref(ctypes.c_int(iu)), zero, _address(d), _address(e), ref(count), ref(nsplit),
         _address(w), _address(iwork), _address(iwork[n:]), _address(work),
         _address(iwork[2 * n :]), ref(info),
     )
     return (_lapack("dstebz"), args), (count, w, info)
 
 
-def _tree_intervals(d: np.ndarray, e: np.ndarray):
-    """The 8 intervals (vl, vu] of dstebz's bisection tree at depth 3.
-
-    dstebz bisects the eigenvalues of a tridiagonal it does not split from
-    the root [GL, GU]: the Gershgorin interval, widened on each side by
-    2.1*B*eps*n + 2.1*pivmin with B = max(|GL|, |GU|), pivmin as in
-    ``_kept_squares``.  Each step halves an interval at its rounded
-    midpoint (a + b)/2 and keeps the halves that hold eigenvalues, until
-    b - a < max(eps*B', pivmin, 2*eps*max(|a|, |b|)), B' the widened B;
-    it returns the midpoint of that last interval.  Every interval it holds
-    is a node of this tree, and each node is refined on its own, so an
-    eigenvalue reaches the same last interval, and the same midpoint, from
-    any node above it.  A dstebz call on (vl, vu] starts from [max(GL, vl),
-    min(GU, vu)], and its Sturm counts at the ends assign every index to
-    exactly one interval.  The calls on the 8 nodes at depth 3 therefore
-    return, together, the bits of one call on (-inf, inf].  The outermost
-    ends are -inf and inf, which dstebz clamps to GL and GU itself.
-
-    Returns the one interval (-inf, inf] where this does not hold: where
-    dstebz would split the tridiagonal (some e_j^2 < |d_j d_(j+1)| eps^2 +
-    safmin) or n < 2, and where a node at depth 1 to 3 already meets the
-    stopping rule, so that the single call would stop above the depth-3
-    node the split call starts from.  Only a cut at a node of the tree keeps
-    the bits: the tree needs GL and GU as LAPACK's reference source writes
-    them, with no fused multiply-add.
-    """
-    n = d.size
-    e2, pivmin = _kept_squares(d, e)
-    if n < 2 or not np.all(e2):
-        return [(-np.inf, np.inf)]
-    pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
-    gl = float(np.min(d - pad[:-1] - pad[1:]))
-    gu = float(np.max(d + pad[:-1] + pad[1:]))
-    bnorm = max(abs(gl), abs(gu))
-    gl = gl - 2.1 * bnorm * _EPS * n - 2.1 * pivmin
-    gu = gu + 2.1 * bnorm * _EPS * n + 2.1 * pivmin
-    atol = _EPS * max(abs(gl), abs(gu))
-    cuts = [gl, gu]
-    for _ in range(3):
-        mids = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
-        cuts = [x for pair in zip(cuts, mids) for x in pair] + [gu]
-        if any(
-            b - a < max(atol, pivmin, 2.0 * _EPS * max(abs(a), abs(b)))
-            for a, b in zip(cuts, cuts[1:])
-        ):
-            return [(-np.inf, np.inf)]
-    cuts[0], cuts[-1] = -np.inf, np.inf
-    return list(zip(cuts, cuts[1:]))
-
-
-# below this many rows one dstebz call takes less time than handing the
-# 8 pieces of its tree to the pool; the break-even is near 64 rows on a
-# 2-core host
+# a smaller block is one dstebz call, where 8 pieces on the pool gain
+# nothing: on a 2-core host one call takes 0.8 ms at 63 rows, the pieces
+# 1.5 ms, and they break even near 96 rows
 _SPLIT_MIN_ROWS = 64
+_PIECES = 8
 
 
 def _bisect(requests):
-    """The eigenvalues lo..hi (1-based) of each request (d, e, lo, hi), ascending.
+    """The eigenvalues lo..hi (1-based) of each request (d, e, lo, hi), by index.
 
     The dstebz calls of all requests are made in one batch (``_run``).  A
-    request with lo = 0 asks for every eigenvalue in (-inf, inf], the call
-    ?sbevx and ?hbevx make: one call per interval of ``_tree_intervals``
-    from _SPLIT_MIN_ROWS rows on, else one call.  A request with an index
-    range is one call that bisects only the interval holding eigenvalues
-    lo..hi.  A failure or a missing eigenvalue raises.
+    request with an index range is one call, which bisects only the
+    interval holding eigenvalues lo..hi.  A request with lo = 0 asks for
+    every eigenvalue: one call below _SPLIT_MIN_ROWS rows, else _PIECES
+    calls on equal index ranges, floor(k n/8) + 1 .. floor((k + 1) n/8),
+    which the pool bisects in parallel.  The pieces depend on n alone, so
+    the values do not depend on the number of CPUs.  Each piece is
+    ascending; where two eigenvalues lie within 4 eps G of each other (G
+    as in ``oracle_window``) the values either side of a cut between pieces
+    may cross.
+
+    Where dstebz splits a tridiagonal into parts whose eigenvalues cluster,
+    an index range can come back short (info 2).  A request whose pieces
+    fail is then made again as one call over the whole spectrum, the cure
+    LAPACK documents for it.  A failure or a missing eigenvalue raises.
     """
-    calls, groups = [], []
-    for d, e, lo, hi in requests:
-        if lo:
-            runs, want = [_dstebz(d, e, il=lo, iu=hi)], hi - lo + 1
-        else:
-            pieces = d.size >= _SPLIT_MIN_ROWS
-            intervals = _tree_intervals(d, e) if pieces else [(-np.inf, np.inf)]
-            runs, want = [_dstebz(d, e, vl, vu) for vl, vu in intervals], d.size
-        calls += [call for call, _ in runs]
-        groups.append(([out for _, out in runs], want))
-    _run(calls)
+
+    def calls(d, e, lo, hi):
+        n = d.size
+        if lo or n < _SPLIT_MIN_ROWS:
+            return [_dstebz(d, e, lo, hi)]
+        return [_dstebz(d, e, k * n // _PIECES + 1, (k + 1) * n // _PIECES)
+                for k in range(_PIECES)]
+
+    runs = [calls(*request) for request in requests]
+    _run([call for run in runs for call, _ in run])
+    redo = [k for k, run in enumerate(runs) if len(run) > 1 and any(o[2].value for _, o in run)]
+    for k in redo:
+        runs[k] = [_dstebz(*requests[k][:2])]
+    _run([runs[k][0][0] for k in redo])
     values = []
-    for outs, want in groups:
+    for (d, _, lo, hi), run in zip(requests, runs):
+        outs = [out for _, out in run]
+        want = hi - lo + 1 if lo else d.size
         info = next((i.value for *_, i in outs if i.value), 0)
         count = sum(c.value for c, *_ in outs)
         if info != 0 or count != want:
@@ -792,7 +753,9 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, x) -> np.ndarray:
     monotone in x (Demmel, Dhillon and Ren, ETNA 3, 1995).
     """
     x = np.asarray(x, dtype=np.float64)
-    e2, pivmin = _kept_squares(d, e)
+    e2 = e * e
+    e2[np.abs(d[1:] * d[:-1]) * _EPS**2 + _SAFMIN > e2] = 0.0
+    pivmin = _SAFMIN * max(1.0, float(np.max(e2, initial=0.0)))
     count = np.zeros(x.shape, dtype=np.int64)
     q = np.ones_like(x)
     for dj, e2j in zip(d.tolist(), [0.0] + e2.tolist()):
@@ -805,13 +768,18 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, x) -> np.ndarray:
 def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
-    Each band block is reduced to a real tridiagonal by dsbtrd (real) or
-    zhbtrd (complex) and checked (``_tridiagonals``); dstebz then finds every
-    eigenvalue in (-inf, inf] by bisection with abstol 0, and the blocks'
-    eigenvalues are merged.  These are the calls LAPACK's dsbevx and
-    zhbevx make for the same request, with the same scaling of bands whose
-    entries would over- or underflow (``_sbevx_scale``), so the eigenvalues
-    are theirs, bit for bit.  ``schrodinger_S``, written in the basis
+    Each band block is scaled, reduced to a real tridiagonal by dsbtrd
+    (real) or zhbtrd (complex) and checked (``_tridiagonals``); dstebz then
+    bisects every eigenvalue with abstol 0 (``_bisect``), and the blocks'
+    eigenvalues are merged.  The scaling of bands whose entries would over-
+    or underflow (``_sbevx_scale``) and the reduction are those of LAPACK's
+    dsbevx and zhbevx.  A block of fewer than 64 rows is one dstebz call
+    over the whole spectrum, the call they make, so its eigenvalues are
+    theirs bit for bit.  A larger block is bisected in 8 equal index
+    ranges, one dstebz call each; each value is then bisected from another
+    starting interval than theirs, and the two differ by at most
+    4 sqrt(3) eps rho, rho the block's spectral radius (the derivation is
+    in ``oracle_window``).  ``schrodinger_S``, written in the basis
     (e_j, i*e_j, e_j), is two real blocks of half-width 5, one per
     oscillator level parity; ``generic_S`` is one complex block of
     half-width 14.  The reduction
@@ -825,14 +793,8 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
 
     The LAPACK calls run in two batches, each on threads of its own, at
     most one per CPU the process may use (``_run``): the reductions of all
-    blocks, then their bisections, each block of 64 rows or more split into the 8
-    intervals of dstebz's own bisection tree at depth 3, one dstebz call
-    each (``_tree_intervals``).  The pieces together return
-    the bits of the single call.  That holds as long as the tree's
-    root, the widened Gershgorin interval, is evaluated as LAPACK's
-    reference source writes it, with no fused multiply-add; a LAPACK built
-    to contract it still gets a correct bisection on every piece, inside
-    the same checks, and may differ from its own dsbevx in the last bits.
+    blocks, then their bisections.  The pieces depend only on a block's
+    row count, so the eigenvalues are the same on one CPU or on many.
 
     A LAPACK failure or a missing eigenvalue raises.  The eigenvalues of
     each block must reproduce its trace to tol*||S||_F and its squared
@@ -858,12 +820,12 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     9 and 25 eps; they exceed dim*eps alone at dimensions 2 to 5 (plain)
     and 2 to 16 (graded).
     """
-    sigmas = [_sbevx_scale(ab) for _, ab in m.blocks]
-    bands = [ab * sigma for (_, ab), sigma in zip(m.blocks, sigmas)]
-    spectra = _bisect([(d, e, 0, 0) for d, e in _tridiagonals(bands)])
-    for band, w in zip(bands, spectra):
-        _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), *_band_sums(band), w.size)
-    return np.sort(np.concatenate([w * (1.0 / sigma) for sigma, w in zip(sigmas, spectra)]))
+    reduced = _tridiagonals([ab for _, ab in m.blocks])
+    spectra = _bisect([(d, e, 0, 0) for d, e, _, _ in reduced])
+    for (_, _, sigma, sums), w in zip(reduced, spectra):
+        _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), *sums, w.size)
+        w *= 1.0 / sigma
+    return np.sort(np.concatenate(spectra))
 
 
 def spectral_eta_partial(eigs, s, kernel_eps: float):
@@ -928,10 +890,10 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
     kernel, ascending: the edge eigenvalues of a truncated unbounded
     operator are spurious.  Returns (unit, kernel_eps, kernel_count, window).
 
-    Each band block is scaled as ``hermitian_eigenvalues`` scales it
-    (``_sbevx_scale``, 1 at ordinary scales) and reduced once
-    (``_tridiagonals``, with its trace and Frobenius check); the blocks are
-    reduced in one batch, and the dstebz calls below in another.
+    Each band block is scaled (``_sbevx_scale``, 1 at ordinary scales) and
+    reduced once, as ``hermitian_eigenvalues`` does it (``_tridiagonals``,
+    with its trace and Frobenius check); the blocks are reduced in one
+    batch, and the dstebz calls below in another.
     Below, kernel_eps and the eigenvalues are those of the scaled block;
     the window values are divided by the scale at the end.  Sturm counts at
     -kernel_eps and +kernel_eps give the
@@ -960,19 +922,18 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
     within eps G (1 + 2.1 dim eps) + eps |lambda_k|/2 < 2 eps G of a and of
     b while dim < 10^14, and the count is monotone.  The jump of the count
     to k therefore lies within delta of the window value and of the value
-    the full solve bisects from its own starting interval, so the two
-    differ by at most 2 delta = 4 eps G <= 4 sqrt(3) eps rho, rho the
+    any other dstebz call (a piece of the full solve, or the single call of
+    ?sbevx) bisects from its own starting interval, so the two differ by at
+    most 2 delta = 4 eps G <= 4 sqrt(3) eps rho, rho the
     spectral radius (each row of a tridiagonal has at most three entries).
     On the oracle's matrices up to N = 512 they differ by at most
     0.91 eps G, up to 4e-12 relative to the value.
     """
     mat, unit, kernel_eps = _truncation(params, g, basis_size)
     count = basis_size // 8
-    sigmas = [_sbevx_scale(ab) for _, ab in mat.blocks]
-    tridiagonals = _tridiagonals([ab * sigma for (_, ab), sigma in zip(mat.blocks, sigmas)])
     kernel_count = 0
     blocks, requests = [], []
-    for sigma, (d, e) in zip(sigmas, tridiagonals):
+    for d, e, sigma, _ in _tridiagonals([ab for _, ab in mat.blocks]):
         cut = kernel_eps * sigma
         below, above = (int(c) for c in _sturm_counts(d, e, [-cut, cut]))
         kernel_count += above - below

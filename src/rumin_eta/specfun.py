@@ -513,10 +513,7 @@ def im_polylog_even(l, a):
     """
     if l < 0:
         raise ValueError("l must be a non-negative integer")
-    a_red = a - math.floor(a)
-    if a_red == 0.0:
-        raise ValueError(f"im_polylog_even undefined at integer a = {a:g}")
-    return _polylog_unit(complex(2 * l + 2), _centered(a_red)).imag
+    return polylog_circle(2 * l + 2, a).imag
 
 
 def im_polylog_even_quad(l, a):
