@@ -11,7 +11,8 @@ conjugate transposes, so each truncation is Hermitian by construction.
 Only the trusted window of a truncation, its basis_size/8
 smallest-magnitude eigenvalues off the kernel, should be compared against
 exact spectra; ``oracle_window`` builds a Schrodinger or generic
-truncation and bisects only that window.
+truncation and bisects only that window.  A whole truncation is solved by
+``hermitian_eigenvalues``, which bisects half of a +/- symmetric block.
 """
 
 from __future__ import annotations
@@ -688,57 +689,32 @@ def _dstebz(d: np.ndarray, e: np.ndarray, il: int = 0, iu: int = 0):
     return (_lapack("dstebz"), args), (count, w, info)
 
 
-# a smaller block is one dstebz call, where 8 pieces on the pool gain
-# nothing: on a 2-core host one call takes 0.8 ms at 63 rows, the pieces
-# 1.5 ms, and they break even near 96 rows
-_SPLIT_MIN_ROWS = 64
-_PIECES = 8
-
-
 def _bisect(requests):
     """The eigenvalues lo..hi (1-based) of each request (d, e, lo, hi), by index.
 
-    The dstebz calls of all requests are made in one batch (``_run``).  A
-    request with an index range is one call, which bisects only the
-    interval holding eigenvalues lo..hi.  A request with lo = 0 asks for
-    every eigenvalue: one call below _SPLIT_MIN_ROWS rows, else _PIECES
-    calls on equal index ranges, floor(k n/8) + 1 .. floor((k + 1) n/8),
-    which the pool bisects in parallel.  The pieces depend on n alone, so
-    the values do not depend on the number of CPUs.  Each piece is
-    ascending; where two eigenvalues lie within 4 eps G of each other (G
-    as in ``oracle_window``) the values either side of a cut between pieces
-    may cross.
-
-    Where dstebz splits a tridiagonal into parts whose eigenvalues cluster,
-    an index range can come back short (info 2).  A request whose pieces
-    fail is then made again as one call over the whole spectrum, the cure
-    LAPACK documents for it.  A failure or a missing eigenvalue raises.
+    Each request is one dstebz call, all in one batch (``_run``); lo = 0
+    asks for every eigenvalue.  Where dstebz splits a tridiagonal into
+    parts whose eigenvalues cluster, an index range can come back short
+    (info 2, or 3 if a bisection failed too).  Such a request is made again
+    as one call over the whole spectrum, the cure LAPACK documents, and
+    lo..hi is cut out of that.  Any other failure or a missing eigenvalue
+    raises.
     """
-
-    def calls(d, e, lo, hi):
-        n = d.size
-        if lo or n < _SPLIT_MIN_ROWS:
-            return [_dstebz(d, e, lo, hi)]
-        return [_dstebz(d, e, k * n // _PIECES + 1, (k + 1) * n // _PIECES)
-                for k in range(_PIECES)]
-
-    runs = [calls(*request) for request in requests]
-    _run([call for run in runs for call, _ in run])
-    redo = [k for k, run in enumerate(runs) if len(run) > 1 and any(o[2].value for _, o in run)]
+    runs = [_dstebz(*request) for request in requests]
+    _run([call for call, _ in runs])
+    redo = [k for k, (_, (_, _, info)) in enumerate(runs)
+            if requests[k][2] and info.value in (2, 3)]
     for k in redo:
-        runs[k] = [_dstebz(*requests[k][:2])]
-    _run([runs[k][0][0] for k in redo])
+        runs[k] = _dstebz(*requests[k][:2])
+    _run([runs[k][0] for k in redo])
     values = []
-    for (d, _, lo, hi), run in zip(requests, runs):
-        outs = [out for _, out in run]
-        want = hi - lo + 1 if lo else d.size
-        info = next((i.value for *_, i in outs if i.value), 0)
-        count = sum(c.value for c, *_ in outs)
-        if info != 0 or count != want:
+    for k, ((d, _, lo, hi), (_, (count, w, info))) in enumerate(zip(requests, runs)):
+        want = d.size if lo == 0 or k in redo else hi - lo + 1
+        if info.value != 0 or count.value != want:
             raise SpectralPairingError(
-                f"dstebz returned info={info} and {count} of {want} eigenvalues"
+                f"dstebz returned info={info.value} and {count.value} of {want} eigenvalues"
             )
-        values.append(np.concatenate([w[: c.value] for c, w, _ in outs]))
+        values.append(w[lo - 1 : hi] if k in redo else w[: count.value])
     return values
 
 
@@ -770,19 +746,23 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
 
     Each band block is scaled, reduced to a real tridiagonal by dsbtrd
     (real) or zhbtrd (complex) and checked (``_tridiagonals``); dstebz then
-    bisects every eigenvalue with abstol 0 (``_bisect``), and the blocks'
-    eigenvalues are merged.  The scaling of bands whose entries would over-
-    or underflow (``_sbevx_scale``) and the reduction are those of LAPACK's
-    dsbevx and zhbevx.  A block of fewer than 64 rows is one dstebz call
-    over the whole spectrum, the call they make, so its eigenvalues are
-    theirs bit for bit.  A larger block is bisected in 8 equal index
-    ranges, one dstebz call each; each value is then bisected from another
-    starting interval than theirs, and the two differ by at most
-    4 sqrt(3) eps rho, rho the block's spectral radius (the derivation is
-    in ``oracle_window``).  ``schrodinger_S``, written in the basis
-    (e_j, i*e_j, e_j), is two real blocks of half-width 5, one per
-    oscillator level parity; ``generic_S`` is one complex block of
-    half-width 14.  The reduction
+    bisects its eigenvalues with abstol 0, one call per block
+    (``_bisect``), and the blocks' eigenvalues are merged.  The scaling of
+    bands whose entries would over- or underflow (``_sbevx_scale``) and the
+    reduction are those of LAPACK's dsbevx and zhbevx.
+
+    A tridiagonal with an all-zero diagonal, such as the generic and the
+    scalar block reduce to, is chiral: diag((-1)^j) conjugates it to its
+    negative, so its n eigenvalues are +/- pairs, plus a zero at odd n.
+    dstebz bisects only indices n//2 + 1 .. n, and the rest is their
+    mirror; each value is bisected from another starting interval than in
+    ?hbevx, and the two differ by at most 4 sqrt(3) eps rho, rho the
+    block's spectral radius (derived in ``oracle_window``).  Any other
+    block is one call over the whole spectrum, the call ?sbevx and ?hbevx
+    make, so its eigenvalues are theirs bit for bit.  ``schrodinger_S``,
+    written in the basis (e_j, i*e_j, e_j), is two real blocks of
+    half-width 5, one per oscillator level parity; ``generic_S`` is one
+    complex block of half-width 14.  The reduction
     costs O(kd * dim^2) instead of the dense O(dim^3); bisection is more
     accurate than the all-eigenvalue QR path (dsterf).  The oracle's bands
     put the highest oscillator level, where the entries are largest, first:
@@ -793,8 +773,8 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
 
     The LAPACK calls run in two batches, each on threads of its own, at
     most one per CPU the process may use (``_run``): the reductions of all
-    blocks, then their bisections.  The pieces depend only on a block's
-    row count, so the eigenvalues are the same on one CPU or on many.
+    blocks, then their bisections.  Each call is the same on one CPU or on
+    many, and so are the eigenvalues.
 
     A LAPACK failure or a missing eigenvalue raises.  The eigenvalues of
     each block must reproduce its trace to tol*||S||_F and its squared
@@ -802,7 +782,9 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     tol = (dim + 16)*eps and dim the block's; otherwise the computation is
     internally inconsistent.  The check runs on the scaled band and the
     eigenvalues before they are divided by the scale, so that the squared
-    norm neither overflows nor underflows.
+    norm neither overflows nor underflows.  A mirrored spectrum meets the
+    trace by construction, and the norm check sees an error d_i only as
+    4 lambda_i d_i: it misses a bad value near the kernel.
 
     The bound, to first order: with d_i the error of the i-th eigenvalue,
     the checks see sum d_i and 2 sum lambda_i d_i, plus the rounding of
@@ -821,11 +803,14 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     and 2 to 16 (graded).
     """
     reduced = _tridiagonals([ab for _, ab in m.blocks])
-    spectra = _bisect([(d, e, 0, 0) for d, e, _, _ in reduced])
-    for (_, _, sigma, sums), w in zip(reduced, spectra):
+    los = [d.size // 2 + 1 if not np.any(d) else 0 for d, *_ in reduced]
+    spectra = _bisect([(d, e, lo, d.size) for (d, e, _, _), lo in zip(reduced, los)])
+    values = []
+    for (_, _, sigma, sums), w, lo in zip(reduced, spectra, los):
+        w = np.concatenate([-w[::-1][: lo - 1], w]) if lo else w
         _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), *sums, w.size)
-        w *= 1.0 / sigma
-    return np.sort(np.concatenate(spectra))
+        values.append(w * (1.0 / sigma))
+    return np.sort(np.concatenate(values))
 
 
 def spectral_eta_partial(eigs, s, kernel_eps: float):
@@ -902,8 +887,10 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
     n- - w + 1 .. n- and n+ + 1 .. n+ + w, w = basis_size//8, never the
     kernel or the spurious edges, and the w smallest |ev| of all blocks'
     candidates are the window, as ``trusted_window`` cuts it from the full
-    spectrum.  The window is the same set of indices as that of
-    ``hermitian_eigenvalues``, and each value is checked on its own:
+    spectrum.  Both sides are bisected for a chiral block too, so a generic
+    window's ``pairing_symmetry`` compares two bisections.  The window is
+    the same set of indices as that of ``hermitian_eigenvalues``, and each
+    value is checked on its own:
 
     - it lies on its side of the kernel, at or below -kernel_eps for an
       index up to n-, above +kernel_eps for an index past n+;
@@ -922,9 +909,9 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
     within eps G (1 + 2.1 dim eps) + eps |lambda_k|/2 < 2 eps G of a and of
     b while dim < 10^14, and the count is monotone.  The jump of the count
     to k therefore lies within delta of the window value and of the value
-    any other dstebz call (a piece of the full solve, or the single call of
-    ?sbevx) bisects from its own starting interval, so the two differ by at
-    most 2 delta = 4 eps G <= 4 sqrt(3) eps rho, rho the
+    any other dstebz call (the half solve of a chiral block, or the single
+    call of ?sbevx) bisects from its own starting interval, so the two
+    differ by at most 2 delta = 4 eps G <= 4 sqrt(3) eps rho, rho the
     spectral radius (each row of a tridiagonal has at most three entries).
     On the oracle's matrices up to N = 512 they differ by at most
     0.91 eps G, up to 4e-12 relative to the value.

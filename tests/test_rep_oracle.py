@@ -236,14 +236,20 @@ def test_hermitian_eigenvalues_on_known_matrix():
 
 
 def test_hermitian_eigenvalues_known_spectrum():
-    # diag(1..5) conjugated by a complex unitary keeps its spectrum
+    # diag(1..5) conjugated by a complex unitary keeps its spectrum.  The
+    # all-ones matrix minus I has a zero diagonal, but its tridiagonal does
+    # not, and its spectrum is no mirror image
     rng = np.random.default_rng(11)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
     arr = q @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) @ q.conj().T
     arr = 0.5 * (arr + arr.conj().T)
-    got = hermitian_eigenvalues(HermitianOperatorMatrix(arr))
-    assert np.all(np.diff(got) > 0.0)
-    assert np.allclose(got, [1, 2, 3, 4, 5], atol=1e-12)
+    ones = HermitianOperatorMatrix(np.ones((3, 3)) - np.eye(3))
+    [(d, *_)] = rep_oracle._tridiagonals([ab for _, ab in ones.blocks])
+    assert np.any(d)
+    for mat, want in ((HermitianOperatorMatrix(arr), [1, 2, 3, 4, 5]), (ones, [-1, -1, 2])):
+        got = hermitian_eigenvalues(mat)
+        assert np.array_equal(got, np.sort(got))
+        assert np.allclose(got, want, atol=1e-12)
 
 
 def test_hermitian_eigenvalues_does_not_mutate_input():
@@ -273,48 +279,39 @@ def _spoiled(call, change, outs):
     return spoiled, args
 
 
-def _index_pieces(n):
-    """The index ranges (il, iu) of the dstebz calls that bisect all n eigenvalues.
+def _patch_lapack(monkeypatch, change, which=None):
+    """Make dstebz calls return change(their results); returns the calls' (il, iu).
 
-    8 equal ranges from rep_oracle._SPLIT_MIN_ROWS rows on, else one call
-    over the whole spectrum, (0, 0).
-    """
-    if n < rep_oracle._SPLIT_MIN_ROWS:
-        return [(0, 0)]
-    return [(k * n // 8 + 1, (k + 1) * n // 8) for k in range(8)]
-
-
-def _patch_lapack(monkeypatch, change, piece=4):
-    """Make one of a block's dstebz calls return change(its results).
-
-    The full route bisects a large block in 8 index ranges, one call each
-    (``_index_pieces``), and only the call on the piece-th range is
-    spoiled.  Every call over the whole spectrum is spoiled: a small
-    block's, and the one call that replaces a large block's pieces when one
-    of them fails.  So is every call of the window path.  The calls are
-    described by the library's ctypes binding, rep_oracle._dstebz, whose
-    outputs are (count, w, info).
+    Every call is spoiled, or with ``which`` only the k-th call made (from
+    0) for each k in which.  A full solve makes one call per block, over
+    the whole spectrum or over the upper half of a chiral block; the window
+    path makes one per side of the kernel and block; a short index range
+    is made again by one more call.  The calls are described by the
+    library's ctypes binding, rep_oracle._dstebz, whose outputs are
+    (count, w, info).
     """
     stebz = rep_oracle._dstebz
+    made = []
 
     def patched(d, e, il=0, iu=0):
         call, outs = stebz(d, e, il, iu)
-        kept = [r for k, r in enumerate(_index_pieces(d.size)) if k != piece and r != (0, 0)]
-        if (il, iu) not in kept:
+        if which is None or len(made) in which:
             call = _spoiled(call, lambda *out: change(out), outs)
+        made.append((il, iu))
         return call, outs
 
     monkeypatch.setattr(rep_oracle, "_dstebz", patched)
+    return made
 
 
-def _patch_solver(monkeypatch, spoil, piece=4):
+def _patch_solver(monkeypatch, spoil, which=None):
     """Make the spoiled dstebz calls return spoil(the eigenvalues they found)."""
 
     def change(out):
         count, w, info = out
         return count, np.concatenate([spoil(w[:count]), w[count:]]), info
 
-    _patch_lapack(monkeypatch, change, piece)
+    return _patch_lapack(monkeypatch, change, which)
 
 
 def _shift_top(w):
@@ -724,6 +721,28 @@ def test_generic_window_has_converged_at_128():
     assert _window_drift(_C8_POINTS[1], 128) <= 1e-9
 
 
+@pytest.mark.parametrize("g", [IDENTITY_METRIC, GradedMetric(1.3, 0.8, 1.1)])
+def test_generic_truncation_is_chiral(g):
+    # D conj(H) D = -H with D = diag((-1)^level); index b*n + j is level j
+    h = generic_S(GenericRepParams(1.0, 0.5, 0.3), g, 16).entries
+    sign = (-1.0) ** (np.arange(h.shape[0]) % 16)
+    assert np.array_equal(sign[:, None] * h.conj() * sign[None, :], -h)
+
+
+@pytest.mark.parametrize("n", [9, 64, 129, 256])
+def test_generic_tridiagonal_has_a_zero_diagonal(n):
+    # hermitian_eigenvalues bisects half of such a block and mirrors it; a
+    # d that is not exactly 0 would fall back to a full bisection silently.
+    # C8's points, the generic points of CI, and a tiny truncation
+    for lam, mu, nu, g44 in [*_C8_POINTS, (1.0, 0.5, 0.3, 1.0), (1e-200, 0.0, 0.0, 1.0)]:
+        mat = generic_S(GenericRepParams(lam, mu, nu), GradedMetric(1.0, g44, g44), n)
+        [(d, *_)] = rep_oracle._tridiagonals([ab for _, ab in mat.blocks])
+        assert not np.any(d)
+        if n % 2 == 0:
+            eigs = hermitian_eigenvalues(mat)
+            assert np.array_equal(eigs, -eigs[::-1])
+
+
 def _pairing_as_cli_computed(trusted):
     # the spectrum sidecar's formula before it moved into pairing_symmetry
     arr = np.asarray(sorted(trusted))
@@ -835,54 +854,57 @@ def _seeded_oracle_matrices(n, seed=17):
     yield scalar_S(*rng.uniform(-2.0, 2.0, 2), GradedMetric(*rng.uniform(0.2, 3.0, 3)))
 
 
-def _sbevx_blocks(n):
-    """(band, ?sbevx or ?hbevx eigenvalues) of each block of the seeded and extreme matrices.
+def _sbevx_blocks(n, chiral):
+    """(band, ?sbevx or ?hbevx eigenvalues, our eigenvalues) of the chiral or the other blocks.
 
-    ?sbevx and ?hbevx over (-inf, inf] stay here as the reference.  At
-    hbar = 1e-157, 1e-150, 1e80 and 1e152 they scale the bands first.
+    The blocks are those of the seeded and extreme matrices, and the
+    generic block of N = 16 with its diagonal shifted, which is complex but
+    not chiral.  ?sbevx and ?hbevx over (-inf, inf] stay here as the reference.
+    At hbar = 1e-157, 1e-150, 1e80 and 1e152 they scale the bands first.
     """
     extreme = [schrodinger_S(SchrodingerParams(h), IDENTITY_METRIC, n)
                for h in (1e-157, 1e-150, 1e80, 1e152)]
-    for mat in [*_seeded_oracle_matrices(n), *extreme]:
-        parts = []
-        for _, ab in mat.blocks:
-            name = "hbevx" if np.iscomplexobj(ab) else "sbevx"
-            (solver,) = scipy.linalg.lapack.get_lapack_funcs((name,), (ab,))
-            w, _, count, _, info = solver(ab, -np.inf, np.inf, 1, ab.shape[1], compute_v=0,
-                                          range=1, lower=1, abstol=0.0, overwrite_ab=0)
-            assert info == 0 and count == ab.shape[1]
-            parts.append((ab, w))
-        yield mat, parts
+    bands = [ab for mat in [*_seeded_oracle_matrices(n), *extreme] for _, ab in mat.blocks]
+    shifted = generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, 16).blocks[0][1].copy()
+    shifted[0] += 1.0
+    for ab in [*bands, shifted]:
+        [(d, *_)] = rep_oracle._tridiagonals([ab])
+        if np.any(d) == chiral:
+            continue
+        name = "hbevx" if np.iscomplexobj(ab) else "sbevx"
+        (solver,) = scipy.linalg.lapack.get_lapack_funcs((name,), (ab,))
+        w, _, count, _, info = solver(ab, -np.inf, np.inf, 1, ab.shape[1], compute_v=0,
+                                      range=1, lower=1, abstol=0.0, overwrite_ab=0)
+        assert info == 0 and count == ab.shape[1]
+        block = HermitianOperatorMatrix.from_blocks([(np.arange(ab.shape[1]), ab)])
+        yield ab, w, hermitian_eigenvalues(block)
 
 
-@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("n", [8, 16, 128, 256, 512])
 def test_full_route_is_bit_identical_to_sbevx_and_hbevx(n):
-    # every block has fewer than 64 rows, so the reduction plus one dstebz
-    # call over the whole spectrum are the calls ?sbevx and ?hbevx make
-    for mat, parts in _sbevx_blocks(n):
-        assert all(ab.shape[1] < rep_oracle._SPLIT_MIN_ROWS for ab, _ in parts)
-        want = np.sort(np.concatenate([w for _, w in parts]))
-        assert np.array_equal(hermitian_eigenvalues(mat), want)
+    # a block that is not chiral, real or complex, is reduced and bisected
+    # by the calls ?sbevx and ?hbevx make
+    blocks = list(_sbevx_blocks(n, chiral=False))
+    assert {np.iscomplexobj(ab) for ab, _, _ in blocks} == {False, True}
+    for _, want, got in blocks:
+        assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("n", [128, 256, 512])
+@pytest.mark.parametrize("n", [8, 16, 128, 129, 256, 512])
 def test_full_route_is_within_two_bisections_of_sbevx_and_hbevx(n):
-    # a block of 64 rows or more is bisected in 8 index ranges, each value
-    # from another starting interval than in ?sbevx's single call.  Either
-    # bisection of index k stops within delta = 2 eps G of the jump of the
-    # Sturm count to k (oracle_window's docstring), G the Gershgorin bound
-    # of the tridiagonal, so the two differ by at most 4 eps G; each row of
-    # a tridiagonal has at most three entries, so G <= sqrt(3) rho, rho the
-    # spectral radius.  A smaller block, such as the scalar's, keeps the bits
-    for _, parts in _sbevx_blocks(n):
-        for ab, want in parts:
-            block = HermitianOperatorMatrix.from_blocks([(np.arange(ab.shape[1]), ab)])
-            got = hermitian_eigenvalues(block)
-            if ab.shape[1] < rep_oracle._SPLIT_MIN_ROWS:
-                assert np.array_equal(got, want)
-            else:
-                bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(want))
-                assert np.max(np.abs(got - want)) <= bound
+    # the generic and the scalar block are chiral: only their upper half is
+    # bisected, each value from another starting interval than in ?hbevx's
+    # single call.  Either bisection of index k stops within delta = 2 eps G
+    # of the jump of the Sturm count to k (oracle_window's docstring), G the
+    # Gershgorin bound of the tridiagonal, so the two differ by at most
+    # 4 eps G; each row of a tridiagonal has at most three entries, so
+    # G <= sqrt(3) rho, rho the spectral radius.  At odd dimension the
+    # middle eigenvalue is bisected too
+    blocks = list(_sbevx_blocks(n, chiral=True))
+    assert [ab.shape[1] for ab, _, _ in blocks] == [3 * n, 3]
+    for _, want, got in blocks:
+        bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= bound
 
 
 @pytest.mark.parametrize("n", [16, 64, 128])
@@ -1040,23 +1062,22 @@ def test_index_pieces_match_one_dstebz_call(n):
             d, e if e.size else np.zeros(1), 1, -np.inf, np.inf, 0, 0, 0.0, b"E"
         )
         assert info == 0 and count == n
-        out = [_stebz(d, e, il, iu) for il, iu in _index_pieces(n)]
-        got = rep_oracle._bisect([(d, e, 0, 0)])[0]
-        if any(info for *_, info in out):
-            # dstebz split the tridiagonal and an index range came back
-            # short; _bisect made the one call over the whole spectrum instead
-            assert all(info in (0, 2) for *_, info in out)
-            assert np.array_equal(got, w[:count])
-            short.append(kind)
-            continue
-        assert np.array_equal(np.concatenate([w[:c] for c, w, _ in out]), got)
-        if n < rep_oracle._SPLIT_MIN_ROWS:
-            assert np.array_equal(got, w[:count])
-        else:
-            bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(w[:count]))
-            assert got.size == n and np.max(np.abs(got - w[:count])) <= bound
-    # one call below 64 rows never falls short; at 300 some clustered draws do
-    assert set(short) <= {"clustered"} and bool(short) == (n == 300)
+        assert np.array_equal(rep_oracle._bisect([(d, e, 0, 0)])[0], w)
+        bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(w))
+        # the upper half, as a chiral block asks for it, and the top eighth,
+        # an index range the size of a window
+        for lo, hi in [(n // 2 + 1, n), (n - max(n // 8, 1) + 1, n)]:
+            got = rep_oracle._bisect([(d, e, lo, hi)])[0]
+            info = _stebz(d, e, lo, hi)[2]
+            if info:
+                # dstebz split the tridiagonal and the range came back short;
+                # _bisect made the one call over the whole spectrum instead
+                assert info == 2 and np.array_equal(got, w[lo - 1 : hi])
+                short.append(kind)
+            else:
+                assert got.size == hi - lo + 1 and np.max(np.abs(got - w[lo - 1 : hi])) <= bound
+    # some clustered draws of 17 and 300 rows fall short at the top
+    assert set(short) <= {"clustered"} and bool(short) == (n in (17, 300))
 
 
 def test_one_worker_gives_the_bits_of_the_default_pool(monkeypatch):
@@ -1117,21 +1138,90 @@ def test_a_forked_child_solves_on_a_pool_of_its_own():
     assert not alive and child.exitcode == 0 and done.get(timeout=5)
 
 
+_SOLVES = {
+    "full": lambda rep: hermitian_eigenvalues(_SPOILED_MATRICES[rep]()),
+    "window": lambda rep: oracle_window(*_SPOILED_WINDOWS[rep])[3],
+}
+# the (il, iu) of each dstebz call: one per block in the full solve, here
+# over the upper half of the chiral generic block, and one per side of the
+# kernel and block in the window path
+_CALLS = {
+    ("generic", "full"): [(25, 48)],
+    ("schrodinger", "window"): [(8, 9), (16, 17), (7, 8), (17, 18)],
+    ("generic", "window"): [(17, 18), (31, 32)],
+}
+
+
+def _eight_blocks(rep):
+    """One matrix of 8 band blocks: of four Schrodinger truncations or of eight generic ones."""
+    if rep == "schrodinger":
+        mats = [schrodinger_S(SchrodingerParams(h), IDENTITY_METRIC, 16)
+                for h in (0.7, -1.2, 1e152, 1e-157)]
+    else:
+        mats = [generic_S(GenericRepParams(lam, 0.5, nu), IDENTITY_METRIC, 16)
+                for lam in (1.0, -0.3) for nu in (0.0, 0.3, -1.1, 2.0)]
+    bands = [ab for mat in mats for _, ab in mat.blocks]
+    starts = np.cumsum([0] + [ab.shape[1] for ab in bands])
+    return HermitianOperatorMatrix.from_blocks(
+        [(np.arange(a, a + ab.shape[1]), ab) for a, ab in zip(starts, bands)]
+    )
+
+
+def _each_fault_raises(monkeypatch, solve, calls):
+    """Spoil each of the given dstebz calls in turn with each fault; solve must raise."""
+    for k in calls:
+        for patch_with, fault in [(_patch_lapack, _bisection_failed),
+                                  (_patch_lapack, _one_missing), (_patch_solver, _nan_one),
+                                  (_patch_solver, _shift_top), (_patch_solver, _swap_mass)]:
+            with monkeypatch.context() as patch:
+                patch_with(patch, fault, (k,))
+                with pytest.raises(SpectralPairingError):
+                    solve()
+
+
 @pytest.mark.parametrize("piece", range(8))
 @pytest.mark.parametrize("rep", ["schrodinger", "generic"])
 def test_a_fault_in_any_one_interval_is_caught(monkeypatch, rep, piece):
-    # blocks of 96 (Schrodinger) and 192 rows (generic) are bisected in 8
-    # index ranges of 12 and 24 eigenvalues; only the piece-th is spoiled
-    g = GradedMetric(1.3, 0.8, 1.1)
-    params = SchrodingerParams(0.7) if rep == "schrodinger" else GenericRepParams(1.0, 0.5, 0.3)
-    mat = rep_oracle._truncation(params, g, 64)[0]
-    assert all(ab.shape[1] >= rep_oracle._SPLIT_MIN_ROWS for _, ab in mat.blocks)
-    for patch_with, fault in [(_patch_lapack, _bisection_failed), (_patch_lapack, _one_missing),
-                              (_patch_solver, _nan_one)]:
-        with monkeypatch.context() as patch:
-            patch_with(patch, fault, piece)
-            with pytest.raises(SpectralPairingError):
-                hermitian_eigenvalues(mat)
+    # 8 blocks are one batch of 8 dstebz calls, one per block: over the whole
+    # spectrum of a real block, over the upper half of a chiral one.  Only
+    # the piece-th is spoiled
+    mat = _eight_blocks(rep)
+    with monkeypatch.context() as patch:
+        made = _patch_lapack(patch, lambda out: out, which=())
+        hermitian_eigenvalues(mat)
+    assert made == ([(0, 24)] * 8 if rep == "schrodinger" else [(25, 48)] * 8)
+    _each_fault_raises(monkeypatch, lambda: hermitian_eigenvalues(mat), [piece])
+
+
+@pytest.mark.parametrize("rep", ["schrodinger", "generic"])
+def test_a_fault_in_any_one_window_call_is_caught(monkeypatch, rep):
+    with monkeypatch.context() as patch:
+        made = _patch_lapack(patch, lambda out: out, which=())
+        _SOLVES["window"](rep)
+    assert made == _CALLS[rep, "window"]
+    _each_fault_raises(monkeypatch, lambda: _SOLVES["window"](rep), range(len(made)))
+
+
+def _short(out):
+    return out[0] - 1, out[1], 2  # info 2: an eigenvalue of the range was not found
+
+
+@pytest.mark.parametrize("rep, route", list(_CALLS))
+def test_a_short_index_range_is_made_again_in_one_call(monkeypatch, rep, route):
+    # LAPACK's cure for info 2: one call over the whole spectrum, cut to
+    # the range; its values are within two bisections of the range's own
+    want = _SOLVES[route](rep)
+    bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(_SOLVES["full"](rep)))
+    with monkeypatch.context() as patch:
+        made = _patch_lapack(patch, _short, which=(0,))
+        got = _SOLVES[route](rep)
+    assert made == _CALLS[rep, route] + [(0, 0)]  # the one more call, over every eigenvalue
+    assert got.size == want.size and np.max(np.abs(got - want)) <= bound
+    # a fault in that call still raises
+    with monkeypatch.context() as patch:
+        _patch_lapack(patch, _short, which=(0, len(made) - 1))
+        with pytest.raises(SpectralPairingError, match="info=2"):
+            _SOLVES[route](rep)
 
 
 @pytest.mark.parametrize("hbar", [1e-157, 1e152])
