@@ -368,6 +368,7 @@ def spectrum_cmd(rep, alpha, beta, hbar, lam, mu, nu, g33, g44, g55, basis_size)
             sidecar["mu"] = float(mu)
             sidecar["nu"] = float(params.nu)
             if g.bg_proportional and trusted:
+                # 0 by construction for a chiral block (its lower half is a mirror)
                 sidecar["pairing_symmetry"] = pairing_symmetry(trusted)
     sys.stdout.write(serialize.spectrum_csv(eigs))
     sys.stderr.write(serialize.render_json(sidecar) + "\n")

@@ -53,9 +53,9 @@ class SpectralPairingError(RuntimeError):
 
     The tridiagonal of each band block and the computed spectrum must
     reproduce the trace and the squared Frobenius norm of the matrix to
-    rounding, and each bisected window eigenvalue must sit where the Sturm
-    counts put it; a violation means the solver or the Hermitian structure
-    is broken, not that the input was invalid.
+    rounding, and each bisected value of a window or of a mirrored half
+    must sit where the Sturm counts put it; a violation means the solver
+    or the Hermitian structure is broken, not that the input was invalid.
     """
 
 
@@ -741,50 +741,75 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, x) -> np.ndarray:
     return count
 
 
+def _check_bracket(d, e, w, k, bad=False, where=""):
+    """Raise unless the Sturm counts of (d, e) bracket each w as eigenvalue k (1-based).
+
+    At most k - 1 eigenvalues may lie at or below w - delta and at least k
+    at or below w + delta, with delta = 2 eps G and G = max_j |d_j| +
+    |e_(j-1)| + |e_j|, the Gershgorin bound of the tridiagonal.  A NaN
+    counts no eigenvalue below it and fails.  ``bad`` marks values that
+    already failed the check named in ``where``.
+
+    Why c = 2 in delta = c eps G: dstebz stops when its interval [a, b],
+    with count(a) < k <= count(b), is narrower than max(eps B, 2 eps
+    max(|a|, |b|)), where B <= G (1 + 2.1 dim eps) is the Gershgorin bound
+    as dstebz widens it.  It returns the rounded midpoint, so the value is
+    within eps G (1 + 2.1 dim eps) + eps |lambda_k|/2 < 2 eps G of a and of
+    b while dim < 10^14, and the count is monotone.  The jump of the count
+    to k therefore lies within delta of the value any dstebz call (a
+    window, the half of a chiral block, or the single call of ?sbevx)
+    bisects from its own starting interval, so two such values differ by
+    at most 2 delta = 4 eps G <= 4 sqrt(3) eps rho, rho the
+    spectral radius (each row of a tridiagonal has at most three entries).
+    On the oracle's matrices up to N = 512 they differ by at most
+    0.91 eps G, up to 4e-12 relative to the value.
+    """
+    pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
+    delta = 2.0 * _EPS * float(np.max(np.abs(d) + pad[:-1] + pad[1:]))
+    at = _sturm_counts(d, e, np.concatenate([w - delta, w + delta]))
+    bad = bad | (at[: w.size] >= k) | (at[w.size :] < k)
+    if np.any(bad):
+        raise SpectralPairingError(
+            f"bisected eigenvalues {w[bad]} fail {where}their bracket of {delta:.3e}"
+        )
+
+
 def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
-    Each band block is scaled, reduced to a real tridiagonal by dsbtrd
-    (real) or zhbtrd (complex) and checked (``_tridiagonals``); dstebz then
-    bisects its eigenvalues with abstol 0, one call per block
-    (``_bisect``), and the blocks' eigenvalues are merged.  The scaling of
-    bands whose entries would over- or underflow (``_sbevx_scale``) and the
-    reduction are those of LAPACK's dsbevx and zhbevx.
+    Each band block is scaled and reduced to a real tridiagonal as LAPACK's
+    dsbevx and zhbevx do it (``_tridiagonals``), then bisected by dstebz
+    with abstol 0 (``_bisect``); the reductions of all blocks are one batch
+    of calls and their bisections another.  The reduction costs
+    O(kd * dim^2), not the dense O(dim^3); bisection is more accurate than
+    the all-eigenvalue QR path (dsterf).
 
-    A tridiagonal with an all-zero diagonal, such as the generic and the
-    scalar block reduce to, is chiral: diag((-1)^j) conjugates it to its
-    negative, so its n eigenvalues are +/- pairs, plus a zero at odd n.
-    dstebz bisects only indices n//2 + 1 .. n, and the rest is their
-    mirror; each value is bisected from another starting interval than in
-    ?hbevx, and the two differ by at most 4 sqrt(3) eps rho, rho the
-    block's spectral radius (derived in ``oracle_window``).  Any other
-    block is one call over the whole spectrum, the call ?sbevx and ?hbevx
-    make, so its eigenvalues are theirs bit for bit.  ``schrodinger_S``,
-    written in the basis (e_j, i*e_j, e_j), is two real blocks of
-    half-width 5, one per oscillator level parity; ``generic_S`` is one
-    complex block of half-width 14.  The reduction
-    costs O(kd * dim^2) instead of the dense O(dim^3); bisection is more
-    accurate than the all-eigenvalue QR path (dsterf).  The oracle's bands
-    put the highest oscillator level, where the entries are largest, first:
-    the reduction starts there.  Against extended-precision Rayleigh
-    quotients at N = 512 this errs by 8.7e-15 (Schrodinger, skewed metric),
-    1.1e-14 (proportional) and 1.1e-15 (generic) of the spectral radius,
-    where the lowest level first errs by up to 3.1e-14.
-
-    The LAPACK calls run in two batches, each on threads of its own, at
-    most one per CPU the process may use (``_run``): the reductions of all
-    blocks, then their bisections.  Each call is the same on one CPU or on
-    many, and so are the eigenvalues.
+    A tridiagonal with an all-zero diagonal, such as the generic block
+    (``generic_S``, one complex block of half-width 14) and the scalar one
+    reduce to, is chiral: diag((-1)^j) conjugates it to its negative, so its
+    eigenvalues are +/- pairs, plus a zero at odd n.  dstebz bisects only
+    indices n//2 + 1 .. n, and the rest is their mirror; each value differs
+    from ?hbevx's, bisected from another starting interval, by at most
+    4 sqrt(3) eps rho, rho the block's spectral radius (``_check_bracket``).
+    Any other block, such as each of the two real parity blocks of
+    ``schrodinger_S`` (half-width 5), is one call over the whole spectrum,
+    the call ?sbevx and ?hbevx make, so its eigenvalues are theirs bit for
+    bit.  The oracle's bands put the highest oscillator level, where the
+    entries are largest, first: the reduction starts there.  Against
+    extended-precision Rayleigh quotients at N = 512 this errs by 8.7e-15
+    (Schrodinger, skewed metric), 1.1e-14 (proportional) and 1.1e-15
+    (generic) of the spectral radius, where the lowest level first errs by
+    up to 3.1e-14.
 
     A LAPACK failure or a missing eigenvalue raises.  The eigenvalues of
     each block must reproduce its trace to tol*||S||_F and its squared
-    Frobenius norm to tol*||S||_F^2, both read off the band, with
+    Frobenius norm to tol*||S||_F^2, both read off the scaled band, with
     tol = (dim + 16)*eps and dim the block's; otherwise the computation is
-    internally inconsistent.  The check runs on the scaled band and the
-    eigenvalues before they are divided by the scale, so that the squared
-    norm neither overflows nor underflows.  A mirrored spectrum meets the
-    trace by construction, and the norm check sees an error d_i only as
-    4 lambda_i d_i: it misses a bad value near the kernel.
+    internally inconsistent.  A mirrored spectrum meets the trace by
+    construction, and the norm check sees an error d_i only as
+    4 lambda_i d_i, little near the kernel; so the Sturm counts must also
+    bracket each bisected value of a chiral block (``_check_bracket``),
+    and so its mirror, since a chiral spectrum is exactly +/- symmetric.
 
     The bound, to first order: with d_i the error of the i-th eigenvalue,
     the checks see sum d_i and 2 sum lambda_i d_i, plus the rounding of
@@ -806,8 +831,10 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     los = [d.size // 2 + 1 if not np.any(d) else 0 for d, *_ in reduced]
     spectra = _bisect([(d, e, lo, d.size) for (d, e, _, _), lo in zip(reduced, los)])
     values = []
-    for (_, _, sigma, sums), w, lo in zip(reduced, spectra, los):
-        w = np.concatenate([-w[::-1][: lo - 1], w]) if lo else w
+    for (d, e, sigma, sums), w, lo in zip(reduced, spectra, los):
+        if lo:
+            _check_bracket(d, e, w, np.arange(lo, d.size + 1))
+            w = np.concatenate([-w[::-1][: lo - 1], w])
         _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), *sums, w.size)
         values.append(w * (1.0 / sigma))
     return np.sort(np.concatenate(values))
@@ -875,13 +902,11 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
     kernel, ascending: the edge eigenvalues of a truncated unbounded
     operator are spurious.  Returns (unit, kernel_eps, kernel_count, window).
 
-    Each band block is scaled (``_sbevx_scale``, 1 at ordinary scales) and
-    reduced once, as ``hermitian_eigenvalues`` does it (``_tridiagonals``,
-    with its trace and Frobenius check); the blocks are reduced in one
-    batch, and the dstebz calls below in another.
-    Below, kernel_eps and the eigenvalues are those of the scaled block;
-    the window values are divided by the scale at the end.  Sturm counts at
-    -kernel_eps and +kernel_eps give the
+    Each band block is scaled and reduced once, as ``hermitian_eigenvalues``
+    does it (``_tridiagonals``), the blocks in one batch and the dstebz
+    calls below in another.  Below, kernel_eps and the eigenvalues are
+    those of the scaled block; the window values are divided by the scale
+    at the end.  Sturm counts at -kernel_eps and +kernel_eps give the
     numbers n- and n+ of eigenvalues at or below them; the kernel holds
     n+ - n-, about a third of the spectrum.  dstebz bisects only indices
     n- - w + 1 .. n- and n+ + 1 .. n+ + w, w = basis_size//8, never the
@@ -890,31 +915,11 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
     spectrum.  Both sides are bisected for a chiral block too, so a generic
     window's ``pairing_symmetry`` compares two bisections.  The window is
     the same set of indices as that of ``hermitian_eigenvalues``, and each
-    value is checked on its own:
-
-    - it lies on its side of the kernel, at or below -kernel_eps for an
-      index up to n-, above +kernel_eps for an index past n+;
-    - the Sturm counts bracket it: at most k - 1 eigenvalues lie at or
-      below lambda_k - delta and at least k at or below lambda_k + delta,
-      with delta = 2 eps G and G = max_j |d_j| + |e_(j-1)| + |e_j|, the
-      Gershgorin bound of the tridiagonal.
-
-    A NaN counts no eigenvalue below it and fails the bracket.  Any
-    violation raises SpectralPairingError.
-
-    Why c = 2 in delta = c eps G: dstebz stops when its interval [a, b],
-    with count(a) < k <= count(b), is narrower than max(eps B, 2 eps
-    max(|a|, |b|)), where B <= G (1 + 2.1 dim eps) is the Gershgorin bound
-    as dstebz widens it.  It returns the rounded midpoint, so the value is
-    within eps G (1 + 2.1 dim eps) + eps |lambda_k|/2 < 2 eps G of a and of
-    b while dim < 10^14, and the count is monotone.  The jump of the count
-    to k therefore lies within delta of the window value and of the value
-    any other dstebz call (the half solve of a chiral block, or the single
-    call of ?sbevx) bisects from its own starting interval, so the two
-    differ by at most 2 delta = 4 eps G <= 4 sqrt(3) eps rho, rho the
-    spectral radius (each row of a tridiagonal has at most three entries).
-    On the oracle's matrices up to N = 512 they differ by at most
-    0.91 eps G, up to 4e-12 relative to the value.
+    value is checked on its own: it must lie on its side of the kernel, at
+    or below -kernel_eps for an index up to n-, above +kernel_eps for an
+    index past n+, and the Sturm counts must bracket it (``_check_bracket``,
+    which bounds its distance to the full solve's value).  Any violation
+    raises SpectralPairingError.
     """
     mat, unit, kernel_eps = _truncation(params, g, basis_size)
     count = basis_size // 8
@@ -933,19 +938,8 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
     for sigma, cut, d, e, below, above, ranges in blocks:
         w = np.concatenate([next(spectra) for _ in ranges] + [np.empty(0)])
         k = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges] + [np.empty(0, int)])
-        pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
-        delta = 2.0 * _EPS * float(np.max(np.abs(d) + pad[:-1] + pad[1:]))
-        at = _sturm_counts(d, e, np.concatenate([w - delta, w + delta]))
-        bad = (
-            np.where(k <= below, w > -cut, w <= cut)
-            | (at[: w.size] >= k)
-            | (at[w.size :] < k)
-        )
-        if np.any(bad):
-            raise SpectralPairingError(
-                f"bisected eigenvalues {w[bad]} fail their Sturm counts {below}, {above} "
-                f"at -+{cut:.3e} or their bracket of {delta:.3e}"
-            )
+        _check_bracket(d, e, w, k, np.where(k <= below, w > -cut, w <= cut),
+                       f"their Sturm counts {below}, {above} at -+{cut:.3e} or ")
         values.append(w * (1.0 / sigma))
     window = trusted_window(np.sort(np.concatenate(values)), kernel_eps, count)
     return unit, kernel_eps, kernel_count, window

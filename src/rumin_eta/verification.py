@@ -35,6 +35,8 @@ from .rep_oracle import (
     GradedMetric,
     GenericRepParams,
     SchrodingerParams,
+    _bisect,
+    _tridiagonals,
     closed_form_error,
     closed_form_schrodinger_spectrum,
     hermitian_eigenvalues,
@@ -247,10 +249,13 @@ def criterion_scalar_battery() -> dict:
         arr = mat.entries
         scale = max(1.0, float(np.max(np.abs(arr))))
         e0, e1, e2 = hermitian_eigenvalues(mat)
+        # e0 is the mirror of e2; one bisection of the whole spectrum measures the pairing
+        [(d, e, sigma, _)] = _tridiagonals([mat.blocks[0][1]])
+        f0, _, f2 = _bisect([(d, e, 0, 3)])[0] / sigma
         top = max(abs(e2), abs(e0))
         parts.append(_part(f"draw {i}: trace", abs(np.trace(arr)), 1e-12 * scale))
         parts.append(_part(f"draw {i}: det", abs(np.linalg.det(arr)), 1e-10 * scale**3))
-        pair = abs(e0 + e2) / max(top, 1e-30)
+        pair = abs(f0 + f2) / max(top, 1e-30)
         mid = abs(e1) / max(top, 1e-30)
         parts.append(_part(f"draw {i}: pairing", max(pair, mid), 1e-12))
         if top > 1e-12:

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rumin_eta import cli, rep_oracle
+from rumin_eta import cli, rep_oracle, verification
 from rumin_eta.rep_oracle import (
     GenericRepParams,
     GradedMetric,
@@ -330,6 +330,14 @@ def _swap_mass(w):
     return w
 
 
+def _shift_bottom(w):
+    # the smallest value of a chiral half lies next to the kernel, where the
+    # trace and norm of a mirrored spectrum see little of it
+    w = w.copy()
+    w[0] += 1e-9 * np.max(np.abs(w))
+    return w
+
+
 def _nan_one(w):
     w = w.copy()
     w[len(w) // 2] = np.nan
@@ -387,6 +395,28 @@ def test_spectrum_exits_3_on_a_bad_solver(monkeypatch, spoil, rep):
     assert result.exit_code == 3
     assert "internal inconsistency" in result.stderr
     assert result.stdout == ""
+
+
+def _shift_trusted(w):
+    # the smallest value of a chiral half off the kernel: the first trusted one
+    w = w.copy()
+    w[np.argmax(w > 1e-8 * np.max(np.abs(w)))] += 1e-9 * np.max(np.abs(w))
+    return w
+
+
+@pytest.mark.parametrize("spoil", [_shift_bottom, _shift_trusted], ids=["kernel", "trusted"])
+@pytest.mark.parametrize("n", [9, 16])
+def test_a_shift_of_the_smallest_value_of_a_chiral_half_is_caught(monkeypatch, n, spoil):
+    # at odd dimension the smallest bisected value is the middle eigenvalue
+    mat = generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, n)
+    made = _patch_solver(monkeypatch, spoil)
+    with pytest.raises(SpectralPairingError, match="bracket"):
+        hermitian_eigenvalues(mat)
+    assert made == [(3 * n // 2 + 1, 3 * n)]
+    result = CliRunner().invoke(
+        cli.main, ["spectrum", *_SPOILED_ARGV["generic"], "--basis-size", str(n)]
+    )
+    assert result.exit_code == 3 and result.stdout == ""
 
 
 def _bisection_failed(out):
@@ -743,6 +773,15 @@ def test_generic_tridiagonal_has_a_zero_diagonal(n):
             assert np.array_equal(eigs, -eigs[::-1])
 
 
+def test_c7_takes_the_pairing_from_a_whole_spectrum_bisection(monkeypatch):
+    # the oracle bisects the upper half of each chiral 3x3 and mirrors it,
+    # so its e0 + e2 is 0 by construction; C7 pairs the ends of one more
+    # call over the whole spectrum instead
+    made = _patch_lapack(monkeypatch, lambda out: out, which=())
+    record = verification.criterion_scalar_battery()
+    assert record["passed"] and made == [(2, 3), (0, 3)] * 20
+
+
 def _pairing_as_cli_computed(trusted):
     # the spectrum sidecar's formula before it moved into pairing_symmetry
     arr = np.asarray(sorted(trusted))
@@ -895,7 +934,7 @@ def test_full_route_is_within_two_bisections_of_sbevx_and_hbevx(n):
     # the generic and the scalar block are chiral: only their upper half is
     # bisected, each value from another starting interval than in ?hbevx's
     # single call.  Either bisection of index k stops within delta = 2 eps G
-    # of the jump of the Sturm count to k (oracle_window's docstring), G the
+    # of the jump of the Sturm count to k (rep_oracle._check_bracket), G the
     # Gershgorin bound of the tridiagonal, so the two differ by at most
     # 4 eps G; each row of a tridiagonal has at most three entries, so
     # G <= sqrt(3) rho, rho the spectral radius.  At odd dimension the
@@ -976,9 +1015,11 @@ def _bisection_info(monkeypatch):
 
 
 # fault -> (message of the window path, which checks each value on its own,
-# whether the full route sees it too).  A shift of one small eigenvalue by
-# 1e-9 of itself is far inside the full route's trace and norm bounds;
-# test_spectrum_exits_3_on_a_bad_solver shifts the largest one instead
+# whether the full route sees it too).  In the full route the smallest
+# |eigenvalue| is a kernel value, which a change by 1e-9 of itself, or to
+# 0, leaves within rounding; test_spectrum_exits_3_on_a_bad_solver and
+# test_a_shift_of_the_smallest_value_of_a_chiral_half_is_caught shift by
+# 1e-9 of the spectral radius instead
 _FAULTS = {
     _perturb_d: ("tridiagonal entries miss the trace", True),
     _reduction_info: ("returned info=-5", True),
@@ -1172,7 +1213,8 @@ def _each_fault_raises(monkeypatch, solve, calls):
     for k in calls:
         for patch_with, fault in [(_patch_lapack, _bisection_failed),
                                   (_patch_lapack, _one_missing), (_patch_solver, _nan_one),
-                                  (_patch_solver, _shift_top), (_patch_solver, _swap_mass)]:
+                                  (_patch_solver, _shift_top), (_patch_solver, _swap_mass),
+                                  (_patch_solver, _shift_bottom)]:
             with monkeypatch.context() as patch:
                 patch_with(patch, fault, (k,))
                 with pytest.raises(SpectralPairingError):
