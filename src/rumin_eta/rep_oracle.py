@@ -13,6 +13,7 @@ smallest-magnitude eigenvalues off the kernel, should be compared against
 exact spectra; ``oracle_window`` builds a Schrodinger or generic
 truncation and bisects only that window.  A whole truncation is solved by
 ``hermitian_eigenvalues``, which bisects half of a +/- symmetric block.
+Either solves each band block in one task, and several blocks in parallel.
 """
 
 from __future__ import annotations
@@ -501,6 +502,7 @@ _SIGNATURES = {
     ),
 }
 _SIGNATURES["zhbtrd"] = _SIGNATURES["dsbtrd"]
+_BAND_DTYPES = {"dsbtrd": np.float64, "zhbtrd": np.complex128}
 
 
 @functools.lru_cache(maxsize=None)
@@ -509,7 +511,7 @@ def _lapack(routine: str):
 
     scipy.linalg.lapack wraps neither reduction, but scipy.linalg.cython_lapack
     exports every routine of the same LAPACK as a PyCapsule.  A ctypes call
-    releases the GIL, so the calls of one batch (``_run``) run in parallel.
+    releases the GIL, so the blocks that ``_each`` solves run in parallel.
     """
     from scipy.linalg import cython_lapack
 
@@ -522,31 +524,29 @@ def _lapack(routine: str):
     return ctypes.CFUNCTYPE(None, *_SIGNATURES[routine])(address)
 
 
-def _run(calls):
-    """Make a batch of LAPACK calls (fn, args) and wait for all of them.
+def _each(fn, items):
+    """[fn(item) for item in items], the items on several threads.
 
-    A lone call runs in the calling thread.  A larger batch runs on a
-    thread pool of its own, one worker per call up to the number of CPUs
-    the process may use, which is shut down before ``_run`` returns: no
-    thread outlives a batch, so a forked child inherits none.  The caller
-    allocates every buffer and passes arrays by ``_address``, which keeps
-    them alive, so a worker allocates nothing: each thread that allocates
-    grows a glibc malloc arena of its own, which raised the peak memory of
-    ``verify --suite all`` by 1.8 MB on a 2-core host.
+    One item runs inline.  With more, the calling thread does the first
+    while a pool of its own, min(items - 1, CPUs the process may use)
+    workers, does the rest and is shut down before ``_each`` returns (or
+    raises the first exception in item order): no thread outlives a solve.
+    The calling thread takes a share since each thread that allocates grows
+    a glibc malloc arena: a pool running every item raised the peak memory
+    of ``verify --suite all`` by 1.6 MB on a 2-core host.
     """
-    if len(calls) < 2:
-        for fn, args in calls:
-            fn(*args)
-        return
+    if len(items) < 2:
+        return [fn(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor
 
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(len(calls), cpus)) as pool:
-        for future in [pool.submit(fn, *args) for fn, args in calls]:
-            future.result()
+    with ThreadPoolExecutor(max_workers=min(len(items) - 1, cpus)) as pool:
+        rest = [pool.submit(fn, item) for item in items[1:]]
+        first = fn(items[0])
+        return [first] + [future.result() for future in rest]
 
 
 def _address(arr: np.ndarray):
@@ -554,28 +554,28 @@ def _address(arr: np.ndarray):
     return arr.ctypes.data_as(ctypes.c_void_p)
 
 
-def _reduce_band(ab: np.ndarray):
-    """LAPACK's reduction of one lower band to a real tridiagonal, as a call.
+def _reduce_band(band: np.ndarray):
+    """LAPACK's reduction of one lower band to a real tridiagonal.
 
-    dsbtrd for a real band and zhbtrd for a complex one, with vect='N' on
-    a copy, so the band is left as it is.  Returns ((fn, args), (d, e,
-    info)); once ``_run`` has made the call, the buffers d and e hold the
-    tridiagonal and the ctypes int info LAPACK's info.
+    dsbtrd for a real band and zhbtrd for a complex one, with vect='N'.
+    The call overwrites ``band``, a Fortran-ordered float64 or complex128
+    array (any other is copied first).  Returns (d, e, info), the
+    tridiagonal and LAPACK's info.
     """
-    kd1, n = ab.shape
-    routine = "zhbtrd" if np.iscomplexobj(ab) else "dsbtrd"
-    band = np.array(ab, dtype=np.complex128 if routine == "zhbtrd" else np.float64, order="F")
+    kd1, n = band.shape
+    routine = "zhbtrd" if np.iscomplexobj(band) else "dsbtrd"
+    band = np.require(band, _BAND_DTYPES[routine], "FW")
     d = np.zeros(n)
     e = np.zeros(max(n - 1, 1))
     work = np.zeros(n + 1, dtype=band.dtype)  # work[n:] stands in for the unused q
     info = ctypes.c_int(0)
     ref = ctypes.byref
     n_, kd_, ldab_, ldq_ = (ctypes.c_int(v) for v in (n, kd1 - 1, kd1, 1))
-    args = (
+    _lapack(routine)(
         b"N", b"L", ref(n_), ref(kd_), _address(band), ref(ldab_), _address(d), _address(e),
         _address(work[n:]), ref(ldq_), _address(work), ref(info),
     )
-    return (_lapack(routine), args), (d, e[: n - 1], info)
+    return d, e[: n - 1], info.value
 
 
 def _band_sums(ab: np.ndarray):
@@ -600,17 +600,16 @@ def _check_sums(what: str, trace, fro_sq, want_trace, want_fro_sq, dim: int):
         )
 
 
-def _tridiagonals(bands):
-    """Scale each lower band and reduce it to a unitarily similar real tridiagonal.
+def _tridiagonal(ab: np.ndarray):
+    """Scale a lower band and reduce it to a unitarily similar real tridiagonal.
 
-    Returns (d, e, sigma, sums) per band: the tridiagonal of the band times
-    sigma = ``_sbevx_scale``, and sums, the trace and squared Frobenius
-    norm of the scaled band (``_band_sums``).  The bands are reduced in one
-    batch (``_reduce_band``, ``_run``), and each tridiagonal is checked.
-    dsbtrd (real band) or zhbtrd (complex band) chases the band down to
-    tridiagonal form with plane rotations in O(kd * dim^2); zhbtrd then
-    makes the off-diagonal real by a diagonal unitary.  A nonzero info
-    raises.
+    Returns (d, e, sigma, sums): the tridiagonal of the band times sigma =
+    ``_sbevx_scale``, and sums, the trace and squared Frobenius norm of the
+    scaled band (``_band_sums``), read off the scaled copy before
+    ``_reduce_band`` overwrites it.  dsbtrd (real band) or zhbtrd (complex
+    band) chases the band down to tridiagonal form with plane rotations in
+    O(kd * dim^2); zhbtrd then makes the off-diagonal real by a diagonal
+    unitary.  A nonzero info raises.
 
     A unitary similarity keeps the trace and the squared Frobenius norm,
     so d must reproduce the band's trace to tol*||S||_F, and
@@ -628,22 +627,18 @@ def _tridiagonals(bands):
     random Hermitian matrices of dimension 2 to 256, plain and graded by up
     to e^12, at most 0.52.
     """
-    sigmas = [_sbevx_scale(ab) for ab in bands]
-    scaled = [ab * sigma for ab, sigma in zip(bands, sigmas)]
-    calls, outs = zip(*(_reduce_band(ab) for ab in scaled))
-    _run(calls)
-    reduced = []
-    for ab, sigma, (d, e, info) in zip(scaled, sigmas, outs):
-        routine = "zhbtrd" if np.iscomplexobj(ab) else "dsbtrd"
-        if info.value != 0:
-            raise SpectralPairingError(f"{routine} returned info={info.value}")
-        sums = _band_sums(ab)
-        _check_sums(
-            f"{routine}'s tridiagonal entries", float(np.sum(d)),
-            float(np.dot(d, d)) + 2.0 * float(np.dot(e, e)), *sums, d.size,
-        )
-        reduced.append((d, e, sigma, sums))
-    return reduced
+    routine = "zhbtrd" if np.iscomplexobj(ab) else "dsbtrd"
+    sigma = _sbevx_scale(ab)
+    band = np.multiply(ab, sigma, order="F", dtype=_BAND_DTYPES[routine])
+    sums = _band_sums(band)
+    d, e, info = _reduce_band(band)
+    if info != 0:
+        raise SpectralPairingError(f"{routine} returned info={info}")
+    _check_sums(
+        f"{routine}'s tridiagonal entries", float(np.sum(d)),
+        float(np.dot(d, d)) + 2.0 * float(np.dot(e, e)), *sums, d.size,
+    )
+    return d, e, sigma, sums
 
 
 def _sbevx_scale(ab: np.ndarray) -> float:
@@ -663,13 +658,12 @@ def _sbevx_scale(ab: np.ndarray) -> float:
 
 
 def _dstebz(d: np.ndarray, e: np.ndarray, il: int = 0, iu: int = 0):
-    """LAPACK's dstebz on the tridiagonal (d, e), abstol 0, ascending, as a call.
+    """LAPACK's dstebz on the tridiagonal (d, e), abstol 0, ascending.
 
     Finds the eigenvalues il..iu (1-based, range 'I') when il is given,
     else all of them (range 'A', which bisects as range 'V' on (-inf, inf],
-    the request of ?sbevx and ?hbevx, does).  Returns ((fn, args), (count,
-    w, info)); once ``_run`` has made the call, the ctypes ints count and
-    info hold dstebz's m and info, and the first count entries of w are the
+    the request of ?sbevx and ?hbevx, does).  Returns (count, w, info):
+    dstebz's m and info, and w, whose first count entries are the
     eigenvalues.
     """
     n = d.size
@@ -680,42 +674,32 @@ def _dstebz(d: np.ndarray, e: np.ndarray, il: int = 0, iu: int = 0):
     count, nsplit, info = ctypes.c_int(0), ctypes.c_int(0), ctypes.c_int(0)
     zero = ctypes.byref(ctypes.c_double(0.0))  # vl and vu, unread, and abstol
     ref = ctypes.byref
-    args = (
+    _lapack("dstebz")(
         b"I" if il else b"A", b"E", ref(ctypes.c_int(n)), zero, zero, ref(ctypes.c_int(il)),
         ref(ctypes.c_int(iu)), zero, _address(d), _address(e), ref(count), ref(nsplit),
         _address(w), _address(iwork), _address(iwork[n:]), _address(work),
         _address(iwork[2 * n :]), ref(info),
     )
-    return (_lapack("dstebz"), args), (count, w, info)
+    return count.value, w, info.value
 
 
-def _bisect(requests):
-    """The eigenvalues lo..hi (1-based) of each request (d, e, lo, hi), by index.
+def _bisect(d: np.ndarray, e: np.ndarray, lo: int = 0, hi: int = 0):
+    """The eigenvalues lo..hi (1-based) of the tridiagonal (d, e), by index.
 
-    Each request is one dstebz call, all in one batch (``_run``); lo = 0
-    asks for every eigenvalue.  Where dstebz splits a tridiagonal into
-    parts whose eigenvalues cluster, an index range can come back short
-    (info 2, or 3 if a bisection failed too).  Such a request is made again
-    as one call over the whole spectrum, the cure LAPACK documents, and
-    lo..hi is cut out of that.  Any other failure or a missing eigenvalue
-    raises.
+    One dstebz call; lo = 0 asks for every eigenvalue.  Where dstebz splits
+    a tridiagonal into parts whose eigenvalues cluster, an index range can
+    come back short (info 2, or 3 if a bisection failed too).  It is then
+    made again as one call over the whole spectrum, the cure LAPACK
+    documents, and lo..hi is cut out of that.  Any other failure or a
+    missing eigenvalue raises.
     """
-    runs = [_dstebz(*request) for request in requests]
-    _run([call for call, _ in runs])
-    redo = [k for k, (_, (_, _, info)) in enumerate(runs)
-            if requests[k][2] and info.value in (2, 3)]
-    for k in redo:
-        runs[k] = _dstebz(*requests[k][:2])
-    _run([runs[k][0] for k in redo])
-    values = []
-    for k, ((d, _, lo, hi), (_, (count, w, info))) in enumerate(zip(requests, runs)):
-        want = d.size if lo == 0 or k in redo else hi - lo + 1
-        if info.value != 0 or count.value != want:
-            raise SpectralPairingError(
-                f"dstebz returned info={info.value} and {count.value} of {want} eigenvalues"
-            )
-        values.append(w[lo - 1 : hi] if k in redo else w[: count.value])
-    return values
+    count, w, info = _dstebz(d, e, lo, hi)
+    if lo and info in (2, 3):
+        return _bisect(d, e)[lo - 1 : hi]
+    want = hi - lo + 1 if lo else d.size
+    if info != 0 or count != want:
+        raise SpectralPairingError(f"dstebz returned info={info} and {count} of {want} eigenvalues")
+    return w[:count]
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, x) -> np.ndarray:
@@ -778,11 +762,11 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     Each band block is scaled and reduced to a real tridiagonal as LAPACK's
-    dsbevx and zhbevx do it (``_tridiagonals``), then bisected by dstebz
-    with abstol 0 (``_bisect``); the reductions of all blocks are one batch
-    of calls and their bisections another.  The reduction costs
-    O(kd * dim^2), not the dense O(dim^3); bisection is more accurate than
-    the all-eigenvalue QR path (dsterf).
+    dsbevx and zhbevx do it (``_tridiagonal``), then bisected by dstebz
+    with abstol 0 (``_bisect``) and checked, all in one task per block
+    (``_block_eigenvalues``); the blocks are solved in parallel (``_each``).
+    The reduction costs O(kd * dim^2), not the dense O(dim^3); bisection is
+    more accurate than the all-eigenvalue QR path (dsterf).
 
     A tridiagonal with an all-zero diagonal, such as the generic block
     (``generic_S``, one complex block of half-width 14) and the scalar one
@@ -827,17 +811,19 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     9 and 25 eps; they exceed dim*eps alone at dimensions 2 to 5 (plain)
     and 2 to 16 (graded).
     """
-    reduced = _tridiagonals([ab for _, ab in m.blocks])
-    los = [d.size // 2 + 1 if not np.any(d) else 0 for d, *_ in reduced]
-    spectra = _bisect([(d, e, lo, d.size) for (d, e, _, _), lo in zip(reduced, los)])
-    values = []
-    for (d, e, sigma, sums), w, lo in zip(reduced, spectra, los):
-        if lo:
-            _check_bracket(d, e, w, np.arange(lo, d.size + 1))
-            w = np.concatenate([-w[::-1][: lo - 1], w])
-        _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), *sums, w.size)
-        values.append(w * (1.0 / sigma))
-    return np.sort(np.concatenate(values))
+    return np.sort(np.concatenate(_each(_block_eigenvalues, [ab for _, ab in m.blocks])))
+
+
+def _block_eigenvalues(ab: np.ndarray) -> np.ndarray:
+    """The eigenvalues of one lower band, checked as ``hermitian_eigenvalues`` says."""
+    d, e, sigma, sums = _tridiagonal(ab)
+    lo = d.size // 2 + 1 if not np.any(d) else 0
+    w = _bisect(d, e, lo, d.size)
+    if lo:
+        _check_bracket(d, e, w, np.arange(lo, d.size + 1))
+        w = np.concatenate([-w[::-1][: lo - 1], w])
+    _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), *sums, w.size)
+    return w * (1.0 / sigma)
 
 
 def spectral_eta_partial(eigs, s, kernel_eps: float):
@@ -902,44 +888,42 @@ def oracle_window(params, g: GradedMetric, basis_size: int):
     kernel, ascending: the edge eigenvalues of a truncated unbounded
     operator are spurious.  Returns (unit, kernel_eps, kernel_count, window).
 
-    Each band block is scaled and reduced once, as ``hermitian_eigenvalues``
-    does it (``_tridiagonals``), the blocks in one batch and the dstebz
-    calls below in another.  Below, kernel_eps and the eigenvalues are
-    those of the scaled block; the window values are divided by the scale
-    at the end.  Sturm counts at -kernel_eps and +kernel_eps give the
-    numbers n- and n+ of eigenvalues at or below them; the kernel holds
-    n+ - n-, about a third of the spectrum.  dstebz bisects only indices
-    n- - w + 1 .. n- and n+ + 1 .. n+ + w, w = basis_size//8, never the
-    kernel or the spurious edges, and the w smallest |ev| of all blocks'
-    candidates are the window, as ``trusted_window`` cuts it from the full
-    spectrum.  Both sides are bisected for a chiral block too, so a generic
-    window's ``pairing_symmetry`` compares two bisections.  The window is
-    the same set of indices as that of ``hermitian_eigenvalues``, and each
-    value is checked on its own: it must lie on its side of the kernel, at
-    or below -kernel_eps for an index up to n-, above +kernel_eps for an
-    index past n+, and the Sturm counts must bracket it (``_check_bracket``,
-    which bounds its distance to the full solve's value).  Any violation
-    raises SpectralPairingError.
+    Each band block is scaled, reduced, bisected and checked in one task, as
+    in ``hermitian_eigenvalues``, and the blocks are solved in parallel
+    (``_each``); the two sides of a block are bisected one after the other.
+    Below, kernel_eps and the eigenvalues are those of the scaled block; the
+    window values are divided by the scale at the end.  Sturm counts at
+    -kernel_eps and +kernel_eps give the numbers n- and n+ of eigenvalues at
+    or below them; the kernel holds n+ - n-, about a third of the spectrum.
+    dstebz bisects only indices n- - w + 1 .. n- and n+ + 1 .. n+ + w,
+    w = basis_size//8, never the kernel or the spurious edges, and the w
+    smallest |ev| of all blocks' candidates are the window, as
+    ``trusted_window`` cuts it from the full spectrum.  Both sides are
+    bisected for a chiral block too, so a generic window's
+    ``pairing_symmetry`` compares two bisections.  The window is the same
+    set of indices as that of ``hermitian_eigenvalues``, and each value is
+    checked on its own: it must lie on its side of the kernel, at or below
+    -kernel_eps for an index up to n-, above +kernel_eps for an index past
+    n+, and the Sturm counts must bracket it (``_check_bracket``, which
+    bounds its distance to the full solve's value).  Any violation raises
+    SpectralPairingError.
     """
     mat, unit, kernel_eps = _truncation(params, g, basis_size)
     count = basis_size // 8
-    kernel_count = 0
-    blocks, requests = [], []
-    for d, e, sigma, _ in _tridiagonals([ab for _, ab in mat.blocks]):
+
+    def block(ab):
+        # (kernel count, unscaled window candidates) of one band block
+        d, e, sigma, _ = _tridiagonal(ab)
         cut = kernel_eps * sigma
         below, above = (int(c) for c in _sturm_counts(d, e, [-cut, cut]))
-        kernel_count += above - below
         ranges = [(max(below - count, 0) + 1, below), (above + 1, min(above + count, d.size))]
         ranges = [(lo, hi) for lo, hi in ranges if lo <= hi]
-        requests += [(d, e, lo, hi) for lo, hi in ranges]
-        blocks.append((sigma, cut, d, e, below, above, ranges))
-    spectra = iter(_bisect(requests))
-    values = []
-    for sigma, cut, d, e, below, above, ranges in blocks:
-        w = np.concatenate([next(spectra) for _ in ranges] + [np.empty(0)])
+        w = np.concatenate([_bisect(d, e, lo, hi) for lo, hi in ranges] + [np.empty(0)])
         k = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges] + [np.empty(0, int)])
         _check_bracket(d, e, w, k, np.where(k <= below, w > -cut, w <= cut),
                        f"their Sturm counts {below}, {above} at -+{cut:.3e} or ")
-        values.append(w * (1.0 / sigma))
+        return above - below, w * (1.0 / sigma)
+
+    kernel_counts, values = zip(*_each(block, [ab for _, ab in mat.blocks]))
     window = trusted_window(np.sort(np.concatenate(values)), kernel_eps, count)
-    return unit, kernel_eps, kernel_count, window
+    return unit, kernel_eps, sum(kernel_counts), window

@@ -36,9 +36,10 @@ from .rep_oracle import (
     GenericRepParams,
     SchrodingerParams,
     _bisect,
-    _tridiagonals,
+    _tridiagonal,
     closed_form_error,
     closed_form_schrodinger_spectrum,
+    generic_S,
     hermitian_eigenvalues,
     oracle_window,
     pairing_symmetry,
@@ -250,8 +251,8 @@ def criterion_scalar_battery() -> dict:
         scale = max(1.0, float(np.max(np.abs(arr))))
         e0, e1, e2 = hermitian_eigenvalues(mat)
         # e0 is the mirror of e2; one bisection of the whole spectrum measures the pairing
-        [(d, e, sigma, _)] = _tridiagonals([mat.blocks[0][1]])
-        f0, _, f2 = _bisect([(d, e, 0, 3)])[0] / sigma
+        d, e, sigma, _ = _tridiagonal(mat.blocks[0][1])
+        f0, _, f2 = _bisect(d, e) / sigma
         top = max(abs(e2), abs(e0))
         parts.append(_part(f"draw {i}: trace", abs(np.trace(arr)), 1e-12 * scale))
         parts.append(_part(f"draw {i}: det", abs(np.linalg.det(arr)), 1e-10 * scale**3))
@@ -269,17 +270,22 @@ def criterion_scalar_battery() -> dict:
 
 
 def criterion_generic_symmetry(basis_size: int = 256) -> dict:
-    """C8: balanced-metric generic representations pair the spectrum to +/-."""
+    """C8: balanced-metric generic representations pair the spectrum to +/-, chirally."""
     degraded = basis_size < 256
     tol = 1e-6 * ((256.0 / basis_size) ** 2 if degraded else 1.0)
     parts = []
     for lam, mu, nu, g44 in [(1.0, 1.0, 0.0, 1.0), (0.7, -1.3, 0.4, 1.7)]:
-        params = GenericRepParams(lam=lam, mu=mu, nu=nu)
-        *_, window = oracle_window(params, GradedMetric(1.0, g44, g44), basis_size)
-        err = pairing_symmetry(window)
-        parts.append(
-            _part(f"pairing lam={lam:g}, mu={mu:g}, nu={nu:g}, g44={g44:g}", err, tol)
-        )
+        params, g = GenericRepParams(lam=lam, mu=mu, nu=nu), GradedMetric(1.0, g44, g44)
+        *_, window = oracle_window(params, g, basis_size)
+        point = f"lam={lam:g}, mu={mu:g}, nu={nu:g}, g44={g44:g}"
+        parts.append(_part(f"pairing {point}", pairing_symmetry(window), tol))
+        # the full solve mirrors half of the spectrum, as D conj(S) D = -S with
+        # D = diag((-1)^level) exactly; band[d, j] is S at (j + d, j), the padding 0
+        [(idx, band)] = generic_S(params, g, basis_size).blocks
+        level = idx % basis_size
+        rows = np.minimum(np.arange(idx.size) + np.arange(band.shape[0])[:, None], idx.size - 1)
+        defect = np.max(np.abs((-1.0) ** (level[rows] + level) * band.conj() + band))
+        parts.append(_part(f"chirality {point}", defect, 0.0))
     return _record(
         "C8",
         "generic representation spectrum is symmetric about zero",
