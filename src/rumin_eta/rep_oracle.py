@@ -12,8 +12,9 @@ Only the trusted window of a truncation, its basis_size/8
 smallest-magnitude eigenvalues off the kernel, should be compared against
 exact spectra; ``oracle_window`` builds a Schrodinger or generic
 truncation and bisects only that window.  A whole truncation is solved by
-``hermitian_eigenvalues``, which bisects half of a +/- symmetric block.
-Either solves each band block in one task, and several blocks in parallel.
+``hermitian_eigenvalues``, which takes half of a +/- symmetric block from
+dqds and bisects only the values the Sturm counts do not bracket.  Either
+solves each band block in one task, and several blocks in parallel.
 """
 
 from __future__ import annotations
@@ -502,16 +503,19 @@ _SIGNATURES = {
     ),
 }
 _SIGNATURES["zhbtrd"] = _SIGNATURES["dsbtrd"]
+# (n, d, e, work, info)
+_SIGNATURES["dlasq1"] = (_INT, _PTR, _PTR, _PTR, _INT)
 _BAND_DTYPES = {"dsbtrd": np.float64, "zhbtrd": np.complex128}
 
 
 @functools.lru_cache(maxsize=None)
 def _lapack(routine: str):
-    """LAPACK's dsbtrd, zhbtrd or dstebz, called through ctypes.
+    """LAPACK's dsbtrd, zhbtrd, dstebz or dlasq1, called through ctypes.
 
-    scipy.linalg.lapack wraps neither reduction, but scipy.linalg.cython_lapack
-    exports every routine of the same LAPACK as a PyCapsule.  A ctypes call
-    releases the GIL, so the blocks that ``_each`` solves run in parallel.
+    scipy.linalg.lapack wraps neither reduction nor dlasq1, but
+    scipy.linalg.cython_lapack exports every routine of the same LAPACK as
+    a PyCapsule.  A ctypes call releases the GIL, so the blocks that
+    ``_each`` solves run in parallel.
     """
     from scipy.linalg import cython_lapack
 
@@ -702,6 +706,30 @@ def _bisect(d: np.ndarray, e: np.ndarray, lo: int = 0, hi: int = 0):
     return w[:count]
 
 
+def _dqds(e: np.ndarray):
+    """The upper half of the chiral tridiagonal (0, e), by dqds.
+
+    A tridiagonal of n rows with an all-zero diagonal is the Golub-Kahan
+    form of the upper bidiagonal B with diagonal e[0::2] and superdiagonal
+    e[1::2], zero-padded to m = ceil(n/2) rows (the padding adds the exact
+    middle 0 at odd n), so its eigenvalues n//2 + 1 .. n are the singular
+    values of B.  dlasq1 finds them by the differential qd algorithm with
+    shifts (Fernando and Parlett, Numer. Math. 67, 1994).  Returns (w, info):
+    the m singular values, ascending, and dlasq1's info.
+    """
+    e = np.asarray(e, dtype=np.float64)
+    m = (e.size + 2) // 2
+    diag, off = np.zeros(m), np.zeros(m)  # dlasq1 reads m - 1 of off, and works in all m
+    diag[: (e.size + 1) // 2] = e[0::2]
+    off[: e.size // 2] = e[1::2]
+    work, info = np.zeros(4 * m), ctypes.c_int(0)
+    _lapack("dlasq1")(
+        ctypes.byref(ctypes.c_int(m)), _address(diag), _address(off), _address(work),
+        ctypes.byref(info),
+    )
+    return diag[::-1], info.value
+
+
 def _sturm_counts(d: np.ndarray, e: np.ndarray, x) -> np.ndarray:
     """How many eigenvalues of the tridiagonal (d, e) lie at or below each x.
 
@@ -725,14 +753,14 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, x) -> np.ndarray:
     return count
 
 
-def _check_bracket(d, e, w, k, bad=False, where=""):
-    """Raise unless the Sturm counts of (d, e) bracket each w as eigenvalue k (1-based).
+def _bracket_misses(d, e, w, k):
+    """Which w the Sturm counts of (d, e) do not bracket as eigenvalue k (1-based).
 
-    At most k - 1 eigenvalues may lie at or below w - delta and at least k
-    at or below w + delta, with delta = 2 eps G and G = max_j |d_j| +
-    |e_(j-1)| + |e_j|, the Gershgorin bound of the tridiagonal.  A NaN
-    counts no eigenvalue below it and fails.  ``bad`` marks values that
-    already failed the check named in ``where``.
+    Returns (miss, delta): w[i] is bracketed when at most k[i] - 1
+    eigenvalues lie at or below w[i] - delta and at least k[i] at or below
+    w[i] + delta, with delta = 2 eps G and G = max_j |d_j| + |e_(j-1)| +
+    |e_j|, the Gershgorin bound of the tridiagonal.  A NaN counts no
+    eigenvalue below it and misses.
 
     Why c = 2 in delta = c eps G: dstebz stops when its interval [a, b],
     with count(a) < k <= count(b), is narrower than max(eps B, 2 eps
@@ -742,16 +770,26 @@ def _check_bracket(d, e, w, k, bad=False, where=""):
     b while dim < 10^14, and the count is monotone.  The jump of the count
     to k therefore lies within delta of the value any dstebz call (a
     window, the half of a chiral block, or the single call of ?sbevx)
-    bisects from its own starting interval, so two such values differ by
-    at most 2 delta = 4 eps G <= 4 sqrt(3) eps rho, rho the
-    spectral radius (each row of a tridiagonal has at most three entries).
-    On the oracle's matrices up to N = 512 they differ by at most
-    0.91 eps G, up to 4e-12 relative to the value.
+    bisects from its own starting interval, and of any bracketed value, so
+    two such values differ by at most 2 delta = 4 eps G <= 4 sqrt(3) eps
+    rho, rho the spectral radius (each row of a tridiagonal has at most
+    three entries).  On the oracle's matrices up to N = 512 two bisections
+    differ by at most 0.91 eps G, up to 4e-12 relative to the value.
     """
     pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
     delta = 2.0 * _EPS * float(np.max(np.abs(d) + pad[:-1] + pad[1:]))
     at = _sturm_counts(d, e, np.concatenate([w - delta, w + delta]))
-    bad = bad | (at[: w.size] >= k) | (at[w.size :] < k)
+    return (at[: w.size] >= k) | (at[w.size :] < k), delta
+
+
+def _check_bracket(d, e, w, k, bad=False, where=""):
+    """Raise unless the Sturm counts of (d, e) bracket each w as eigenvalue k.
+
+    The bracket is that of ``_bracket_misses``.  ``bad`` marks values that
+    already failed the check named in ``where``.
+    """
+    miss, delta = _bracket_misses(d, e, w, k)
+    bad = bad | miss
     if np.any(bad):
         raise SpectralPairingError(
             f"bisected eigenvalues {w[bad]} fail {where}their bracket of {delta:.3e}"
@@ -762,28 +800,35 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     Each band block is scaled and reduced to a real tridiagonal as LAPACK's
-    dsbevx and zhbevx do it (``_tridiagonal``), then bisected by dstebz
-    with abstol 0 (``_bisect``) and checked, all in one task per block
-    (``_block_eigenvalues``); the blocks are solved in parallel (``_each``).
-    The reduction costs O(kd * dim^2), not the dense O(dim^3); bisection is
+    dsbevx and zhbevx do it (``_tridiagonal``), then solved and checked,
+    all in one task per block (``_block_eigenvalues``); the blocks are
+    solved in parallel (``_each``).  The reduction costs O(kd * dim^2), not
+    the dense O(dim^3); bisection by dstebz with abstol 0 (``_bisect``) is
     more accurate than the all-eigenvalue QR path (dsterf).
 
     A tridiagonal with an all-zero diagonal, such as the generic block
     (``generic_S``, one complex block of half-width 14) and the scalar one
     reduce to, is chiral: diag((-1)^j) conjugates it to its negative, so its
-    eigenvalues are +/- pairs, plus a zero at odd n.  dstebz bisects only
-    indices n//2 + 1 .. n, and the rest is their mirror; each value differs
-    from ?hbevx's, bisected from another starting interval, by at most
-    4 sqrt(3) eps rho, rho the block's spectral radius (``_check_bracket``).
-    Any other block, such as each of the two real parity blocks of
-    ``schrodinger_S`` (half-width 5), is one call over the whole spectrum,
-    the call ?sbevx and ?hbevx make, so its eigenvalues are theirs bit for
-    bit.  The oracle's bands put the highest oscillator level, where the
-    entries are largest, first: the reduction starts there.  Against
-    extended-precision Rayleigh quotients at N = 512 this errs by 8.7e-15
-    (Schrodinger, skewed metric), 1.1e-14 (proportional) and 1.1e-15
-    (generic) of the spectral radius, where the lowest level first errs by
-    up to 3.1e-14.
+    eigenvalues are +/- pairs, plus a zero at odd n.  Its indices n//2 + 1
+    .. n are the singular values of a bidiagonal of half its rows, which
+    dqds finds (``_dqds``), and the rest is their mirror.  Each value the
+    Sturm counts do not bracket within 2 eps G (``_bracket_misses``) is
+    bisected again, one dstebz call per maximal run of such indices, and a
+    dqds failure bisects the whole half; on the generic block at (1, 0.5,
+    0.3), 2-11% of the values are bisected again at N = 129 to 2048, all in
+    the top quarter of the half.  Then each value of the half lies within
+    2 eps G of the jump of the Sturm count at its index, as ?hbevx's does,
+    so the two differ by at most 4 sqrt(3) eps rho, rho the block's
+    spectral radius (``_check_bracket``); measured, at most 2.7 eps rho on
+    generic blocks from N = 64 to 1024.  Any other block, such as each of
+    the two real parity blocks of ``schrodinger_S`` (half-width 5), is one
+    dstebz call over the whole spectrum, the call ?sbevx and ?hbevx make,
+    so its eigenvalues are theirs bit for bit.  The oracle's bands put the
+    highest oscillator level, where the entries are largest, first: the
+    reduction starts there.  Against extended-precision Rayleigh quotients
+    at N = 512 this errs by 8.7e-15 (Schrodinger, skewed metric), 1.1e-14
+    (proportional) and 1.1e-15 (generic) of the spectral radius, where the
+    lowest level first errs by up to 3.1e-14.
 
     A LAPACK failure or a missing eigenvalue raises.  The eigenvalues of
     each block must reproduce its trace to tol*||S||_F and its squared
@@ -792,7 +837,7 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     internally inconsistent.  A mirrored spectrum meets the trace by
     construction, and the norm check sees an error d_i only as
     4 lambda_i d_i, little near the kernel; so the Sturm counts must also
-    bracket each bisected value of a chiral block (``_check_bracket``),
+    bracket each value of the half of a chiral block (``_check_bracket``),
     and so its mirror, since a chiral spectrum is exactly +/- symmetric.
 
     The bound, to first order: with d_i the error of the i-th eigenvalue,
@@ -815,12 +860,26 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
 
 
 def _block_eigenvalues(ab: np.ndarray) -> np.ndarray:
-    """The eigenvalues of one lower band, checked as ``hermitian_eigenvalues`` says."""
+    """The eigenvalues of one lower band, checked as ``hermitian_eigenvalues`` says.
+
+    A block that is not chiral is one dstebz call over its whole spectrum.
+    A chiral one takes its upper half from dqds, bisects again each run of
+    values outside their Sturm bracket (all of them if dqds fails), checks
+    the bracket of every value and mirrors the half.
+    """
     d, e, sigma, sums = _tridiagonal(ab)
-    lo = d.size // 2 + 1 if not np.any(d) else 0
-    w = _bisect(d, e, lo, d.size)
-    if lo:
-        _check_bracket(d, e, w, np.arange(lo, d.size + 1))
+    if np.any(d):
+        w = _bisect(d, e)
+    else:
+        lo = d.size // 2 + 1
+        k = np.arange(lo, d.size + 1)
+        w, info = _dqds(e)
+        miss = np.ones(w.size, bool) if info else _bracket_misses(d, e, w, k)[0]
+        # each maximal run i..j-1 of misses is made again by one bisection
+        runs = np.flatnonzero(np.diff(np.concatenate([[0], miss.astype(np.int8), [0]])))
+        for i, j in zip(runs[::2], runs[1::2]):
+            w[i:j] = _bisect(d, e, lo + i, lo + j - 1)
+        _check_bracket(d, e, w, k)
         w = np.concatenate([-w[::-1][: lo - 1], w])
     _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), *sums, w.size)
     return w * (1.0 / sigma)

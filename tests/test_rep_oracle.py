@@ -260,32 +260,54 @@ def test_hermitian_eigenvalues_does_not_mutate_input():
 
 
 def _patch_lapack(monkeypatch, change, which=None):
-    """Make dstebz calls return change(their results); returns the calls' requests.
+    """Make dstebz and dqds calls return change(their results); returns the calls' requests.
 
-    A request is (block size, il, iu).  Every call is spoiled, or with
-    ``which`` only those whose request is in which.  A full solve makes one
-    call per block, over the whole spectrum or over the upper half of a
-    chiral block; the window path makes one per side of the kernel and
-    block; a short index range is made again by one more call, (size, 0, 0).
-    The blocks of one matrix are solved on several threads, so the
-    requests are made in no fixed order: compare them sorted.  The results
-    are those of the library's ctypes binding, rep_oracle._dstebz,
-    (count, w, info).
+    A request is (block size, il, iu) for dstebz and (block size, il, iu,
+    "dqds") for dqds, which finds the upper half of a chiral block.  Every
+    call is spoiled, or with ``which`` only those of the block size of a
+    request in which whose indices il..iu lie within its own: spoiling a
+    chiral half spoils its dqds values and each bisection that makes some
+    of them again.  A full solve makes one dstebz call over the whole
+    spectrum, (size, 0, 0), of a block that is not chiral, and one dqds
+    call and one dstebz call per run of values outside their Sturm bracket
+    for a chiral one; the window path makes one dstebz call per side of the
+    kernel and block; a short index range is made again by one more call
+    over the whole spectrum.  The blocks of one matrix are solved on
+    several threads, so the requests are made in no fixed order: compare
+    them sorted.  The results are those of the library's ctypes bindings,
+    rep_oracle._dstebz, (count, w, info), and rep_oracle._dqds, (w, info),
+    which change sees as (w.size, w, info) and whose values past the count
+    it returns are NaN.
     """
-    stebz = rep_oracle._dstebz
+    stebz, dqds = rep_oracle._dstebz, rep_oracle._dqds
     made = []
 
-    def patched(d, e, il=0, iu=0):
-        out, request = stebz(d, e, il, iu), (d.size, il, iu)
+    def spoiled(request):
         made.append(request)
-        return change(out) if which is None or request in which else out
+        n, il, iu = request[:3]
+        return which is None or any(
+            r[0] == n and r[1] <= il and iu <= r[2] for r in which
+        )
+
+    def patched(d, e, il=0, iu=0):
+        out = stebz(d, e, il, iu)
+        return change(out) if spoiled((d.size, il, iu)) else out
+
+    def patched_dqds(e):
+        w, info = dqds(e)
+        n = e.size + 1
+        if spoiled((n, n // 2 + 1, n, "dqds")):
+            count, w, info = change((w.size, w, info))
+            w = np.where(np.arange(w.size) < count, w, np.nan)
+        return w, info
 
     monkeypatch.setattr(rep_oracle, "_dstebz", patched)
+    monkeypatch.setattr(rep_oracle, "_dqds", patched_dqds)
     return made
 
 
 def _patch_solver(monkeypatch, spoil, which=None):
-    """Make the spoiled dstebz calls return spoil(the eigenvalues they found)."""
+    """Make the spoiled dstebz and dqds calls return spoil(the eigenvalues they found)."""
 
     def change(out):
         count, w, info = out
@@ -302,19 +324,22 @@ def _shift_top(w):
 
 
 def _swap_mass(w):
-    # keeps the trace, breaks the Frobenius norm
+    # keeps the trace, breaks the Frobenius norm.  The two largest values
+    # of a chiral half lie next to each other, in one run that one
+    # bisection makes again
     w = w.copy()
     d = 1e-9 * np.max(np.abs(w))
-    w[0] -= d
-    w[-1] += d
+    w[-2:] += [-d, d]
     return w
 
 
 def _shift_bottom(w):
     # the smallest value of a chiral half lies next to the kernel, where the
-    # trace and norm of a mirrored spectrum see little of it
+    # trace and norm of a mirrored spectrum see little of it.  The shift is
+    # at least 1e-9, the spectra here being of order 1: a kernel value
+    # bisected again alone would move by far less than its bracket
     w = w.copy()
-    w[0] += 1e-9 * np.max(np.abs(w))
+    w[0] += 1e-9 * max(np.max(np.abs(w)), 1.0)
     return w
 
 
@@ -387,12 +412,17 @@ def _shift_trusted(w):
 @pytest.mark.parametrize("spoil", [_shift_bottom, _shift_trusted], ids=["kernel", "trusted"])
 @pytest.mark.parametrize("n", [9, 16])
 def test_a_shift_of_the_smallest_value_of_a_chiral_half_is_caught(monkeypatch, n, spoil):
-    # at odd dimension the smallest bisected value is the middle eigenvalue
+    # at odd dimension the smallest value of the half is the middle
+    # eigenvalue.  The shifted dqds value misses its bracket and is bisected
+    # again alone, and the shifted bisection fails the bracket
     mat = generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, n)
+    lo = 3 * n // 2 + 1
+    half = hermitian_eigenvalues(mat)[lo - 1 :]
+    (i,) = np.flatnonzero(spoil(half) != half) + lo
     made = _patch_solver(monkeypatch, spoil)
     with pytest.raises(SpectralPairingError, match="bracket"):
         hermitian_eigenvalues(mat)
-    assert made == [(3 * n, 3 * n // 2 + 1, 3 * n)]
+    assert made == [(3 * n, lo, 3 * n, "dqds"), (3 * n, i, i)]
     result = CliRunner().invoke(
         cli.main, ["spectrum", *_SPOILED_ARGV["generic"], "--basis-size", str(n)]
     )
@@ -771,12 +801,13 @@ def test_generic_tridiagonal_has_a_zero_diagonal(n):
 
 
 def test_c7_takes_the_pairing_from_a_whole_spectrum_bisection(monkeypatch):
-    # the oracle bisects the upper half of each chiral 3x3 and mirrors it,
-    # so its e0 + e2 is 0 by construction; C7 pairs the ends of one more
-    # call over the whole spectrum instead
+    # the oracle takes the upper half of each chiral 3x3 from dqds and
+    # mirrors it, so its e0 + e2 is 0 by construction; C7 pairs the ends of
+    # one more bisection over the whole spectrum instead.  No dqds value of
+    # the 20 draws misses its bracket, so none is bisected again
     made = _patch_lapack(monkeypatch, lambda out: out, which=())
     record = verification.criterion_scalar_battery()
-    assert record["passed"] and made == [(3, 2, 3), (3, 0, 0)] * 20
+    assert record["passed"] and made == [(3, 2, 3, "dqds"), (3, 0, 0)] * 20
 
 
 def _pairing_as_cli_computed(trusted):
@@ -890,6 +921,16 @@ def _seeded_oracle_matrices(n, seed=17):
     yield scalar_S(*rng.uniform(-2.0, 2.0, 2), GradedMetric(*rng.uniform(0.2, 3.0, 3)))
 
 
+def _sbevx(ab):
+    """?sbevx's or ?hbevx's eigenvalues of one lower band, over (-inf, inf]."""
+    name = "hbevx" if np.iscomplexobj(ab) else "sbevx"
+    (solver,) = scipy.linalg.lapack.get_lapack_funcs((name,), (ab,))
+    w, _, count, _, info = solver(ab, -np.inf, np.inf, 1, ab.shape[1], compute_v=0,
+                                  range=1, lower=1, abstol=0.0, overwrite_ab=0)
+    assert info == 0 and count == ab.shape[1]
+    return w
+
+
 def _sbevx_blocks(n, chiral):
     """(band, ?sbevx or ?hbevx eigenvalues, our eigenvalues) of the chiral or the other blocks.
 
@@ -907,13 +948,8 @@ def _sbevx_blocks(n, chiral):
         d, *_ = rep_oracle._tridiagonal(ab)
         if np.any(d) == chiral:
             continue
-        name = "hbevx" if np.iscomplexobj(ab) else "sbevx"
-        (solver,) = scipy.linalg.lapack.get_lapack_funcs((name,), (ab,))
-        w, _, count, _, info = solver(ab, -np.inf, np.inf, 1, ab.shape[1], compute_v=0,
-                                      range=1, lower=1, abstol=0.0, overwrite_ab=0)
-        assert info == 0 and count == ab.shape[1]
         block = HermitianOperatorMatrix.from_blocks([(np.arange(ab.shape[1]), ab)])
-        yield ab, w, hermitian_eigenvalues(block)
+        yield ab, _sbevx(ab), hermitian_eigenvalues(block)
 
 
 @pytest.mark.parametrize("n", [8, 16, 128, 256, 512])
@@ -941,6 +977,70 @@ def test_full_route_is_within_two_bisections_of_sbevx_and_hbevx(n):
     for _, want, got in blocks:
         bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= bound
+
+
+def _chiral_half(n):
+    """(matrix, d, e, lo) of the generic block at N = n, whose values lo..3n dqds finds."""
+    mat = generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, n)
+    d, e, sigma, _ = rep_oracle._tridiagonal(mat.blocks[0][1])
+    assert not np.any(d) and sigma == 1.0
+    return mat, d, e, d.size // 2 + 1
+
+
+def _record_bisections(monkeypatch):
+    """Record the index range (lo, hi) of each _bisect call; returns the list."""
+    bisect, calls = rep_oracle._bisect, []
+
+    def recorded(d, e, lo=0, hi=0):
+        calls.append((lo, hi))
+        return bisect(d, e, lo, hi)
+
+    monkeypatch.setattr(rep_oracle, "_bisect", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("spoil", ["shift", "nan"])
+@pytest.mark.parametrize("n", [9, 16, 64])
+def test_a_dqds_value_off_its_bracket_is_bisected_again_alone(monkeypatch, n, spoil):
+    # a dqds value moved 1e-9 rho off its bracket, or NaN, is a run of its
+    # own, made again by one bisection; the other values keep their dqds
+    # bits.  At N = 64 one value misses its bracket unspoiled, a run too
+    mat, d, e, lo = _chiral_half(n)
+    w, info = rep_oracle._dqds(e)
+    natural = rep_oracle._bracket_misses(d, e, w, np.arange(lo, d.size + 1))[0]
+    i = w.size // 2
+    assert info == 0 and not np.any(natural[i - 1 : i + 2])
+    assert not np.any(natural[1:] & natural[:-1]) and np.any(natural) == (n == 64)
+    dqds = rep_oracle._dqds
+
+    def spoiled(e):
+        w, info = dqds(e)
+        w = w.copy()
+        w[i] = np.nan if spoil == "nan" else w[i] + 1e-9 * w[-1]
+        return w, info
+
+    monkeypatch.setattr(rep_oracle, "_dqds", spoiled)
+    calls = _record_bisections(monkeypatch)
+    got = hermitian_eigenvalues(mat)
+    again = np.union1d(np.flatnonzero(natural), [i])
+    assert calls == [(lo + j, lo + j) for j in again]
+    kept = np.setdiff1d(np.arange(w.size), again)
+    assert np.array_equal(got[lo - 1 :][kept], w[kept])
+    want = _sbevx(mat.blocks[0][1])
+    assert np.max(np.abs(got - want)) <= 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_a_nonzero_dlasq1_info_bisects_the_whole_half(monkeypatch, n):
+    # the chiral half is then one dstebz call, as before dqds took it
+    mat, d, e, lo = _chiral_half(n)
+    half = rep_oracle._bisect(d, e, lo, d.size)
+    dqds = rep_oracle._dqds
+    monkeypatch.setattr(rep_oracle, "_dqds", lambda e: (dqds(e)[0], 1))
+    calls = _record_bisections(monkeypatch)
+    got = hermitian_eigenvalues(mat)
+    assert calls == [(lo, d.size)]
+    assert np.array_equal(got, np.concatenate([-half[::-1][: lo - 1], half]))
 
 
 @pytest.mark.parametrize("n", [16, 64, 128])
@@ -1151,7 +1251,7 @@ def test_no_thread_outlives_a_solve(monkeypatch):
     assert threading.active_count() == before and not executor_threads()
     mat = _eight_blocks("schrodinger")
     n = mat.blocks[-1][1].shape[1]
-    _patch_solver(monkeypatch, _shift_top, {(n, 0, n)})
+    _patch_solver(monkeypatch, _shift_top, {(n, 0, 0)})
     with pytest.raises(SpectralPairingError):
         hermitian_eigenvalues(mat)
     assert threading.active_count() == before and not executor_threads()
@@ -1182,11 +1282,12 @@ _SOLVES = {
     "full": lambda rep: hermitian_eigenvalues(_SPOILED_MATRICES[rep]()),
     "window": lambda rep: oracle_window(*_SPOILED_WINDOWS[rep])[3],
 }
-# the request (block size, il, iu) of each dstebz call: one per block in the
-# full solve, here over the upper half of the chiral generic block, and one
-# per side of the kernel and block in the window path
+# the request (block size, il, iu) of each dstebz call and (size, il, iu,
+# "dqds") of each dqds call: in the full solve, one dqds call over the upper
+# half of the chiral generic block, all of whose values meet their bracket,
+# and one dstebz call per side of the kernel and block in the window path
 _CALLS = {
-    ("generic", "full"): [(48, 25, 48)],
+    ("generic", "full"): [(48, 25, 48, "dqds")],
     ("schrodinger", "window"): [(24, 8, 9), (24, 16, 17), (24, 7, 8), (24, 17, 18)],
     ("generic", "window"): [(48, 17, 18), (48, 31, 32)],
 }
@@ -1227,15 +1328,17 @@ def _each_fault_raises(monkeypatch, solve, calls):
 @pytest.mark.parametrize("block", range(8))
 @pytest.mark.parametrize("rep", ["schrodinger", "generic"])
 def test_a_fault_in_any_one_interval_is_caught(monkeypatch, rep, block):
-    # 8 blocks are 8 dstebz calls, one per block: over the whole spectrum of
-    # a real block, over the upper half of a chiral one.  Only the call of
-    # the block-th is spoiled
+    # 8 blocks are 8 calls, one per block: dstebz over the whole spectrum of
+    # a real block, dqds over the upper half of a chiral one, whose values
+    # all meet their bracket here.  Only the calls of the block-th are
+    # spoiled: for a chiral block, its dqds call and each bisection that
+    # makes its values again
     mat = _eight_blocks(rep)
     with monkeypatch.context() as patch:
         made = _patch_lapack(patch, lambda out: out, which=())
         hermitian_eigenvalues(mat)
     sizes = [ab.shape[1] for _, ab in mat.blocks]
-    want = [(n, 0 if rep == "schrodinger" else n // 2 + 1, n) for n in sizes]
+    want = [(n, 0, 0) if rep == "schrodinger" else (n, n // 2 + 1, n, "dqds") for n in sizes]
     assert sorted(made) == sorted(want)
     _each_fault_raises(monkeypatch, lambda: hermitian_eigenvalues(mat), [want[block]])
 
@@ -1268,8 +1371,11 @@ def test_a_fault_on_a_worker_thread_raises_as_on_the_calling_thread(monkeypatch,
         with pytest.raises(SpectralPairingError) as raised:
             hermitian_eigenvalues(solve)
         messages.append(str(raised.value))
+    # a spoiled chiral half is spoiled twice, in dqds and in its repair
     caller = threading.current_thread()
-    assert threads[0] is not caller and threads[1] is caller
+    calls = len(threads) // 2
+    assert calls in (1, 2) and len(threads) == 2 * calls
+    assert caller not in threads[:calls] and threads[calls:] == [caller] * calls
     assert messages[0] == messages[1]
     if case == "schrodinger":
         argv = ["spectrum", "--rep", "schroedinger", "--hbar", "1", "--basis-size", "17"]
@@ -1299,10 +1405,12 @@ def test_a_short_index_range_is_made_again_in_one_call(monkeypatch, rep, route):
     bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(_SOLVES["full"](rep)))
     short = _CALLS[rep, route][0]
     again = (short[0], 0, 0)  # the one more call, over every eigenvalue
+    # a nonzero info of dqds hands the chiral half to one bisection, short too
+    half = [short[:3]] if short[3:] == ("dqds",) else []
     with monkeypatch.context() as patch:
         made = _patch_lapack(patch, _short, which={short})
         got = _SOLVES[route](rep)
-    assert sorted(made) == sorted(_CALLS[rep, route] + [again])
+    assert sorted(made) == sorted(_CALLS[rep, route] + half + [again])
     assert got.size == want.size and np.max(np.abs(got - want)) <= bound
     # a fault in that call still raises
     with monkeypatch.context() as patch:
