@@ -13,8 +13,10 @@ smallest-magnitude eigenvalues off the kernel, should be compared against
 exact spectra; ``oracle_window`` builds a Schrodinger or generic
 truncation and bisects only that window.  A whole truncation is solved by
 ``hermitian_eigenvalues``, which takes half of a +/- symmetric block from
-dqds and bisects only the values the Sturm counts do not bracket.  Either
-solves each band block in one task, and several blocks in parallel.
+dqds and bisects only the values the Sturm counts do not bracket, and
+enters dstebz's bisection tree of any other block near its leaves from
+dsterf's seeds.  Either solves each band block in one task, and several
+blocks in parallel.
 """
 
 from __future__ import annotations
@@ -505,14 +507,19 @@ _SIGNATURES = {
 _SIGNATURES["zhbtrd"] = _SIGNATURES["dsbtrd"]
 # (n, d, e, work, info)
 _SIGNATURES["dlasq1"] = (_INT, _PTR, _PTR, _PTR, _INT)
+# (n, d, e, info)
+_SIGNATURES["dsterf"] = (_INT, _PTR, _PTR, _INT)
+# (ijob, nitmax, n, mmax, minp, nbmin, abstol, reltol, pivmin, d, e, e2, nval, ab,
+#  c, mout, nab, work, iwork, info)
+_SIGNATURES["dlaebz"] = (_INT,) * 6 + (_DBL,) * 3 + (_PTR,) * 6 + (_INT,) + (_PTR,) * 3 + (_INT,)
 _BAND_DTYPES = {"dsbtrd": np.float64, "zhbtrd": np.complex128}
 
 
 @functools.lru_cache(maxsize=None)
 def _lapack(routine: str):
-    """LAPACK's dsbtrd, zhbtrd, dstebz or dlasq1, called through ctypes.
+    """LAPACK's dsbtrd, zhbtrd, dstebz, dlasq1, dsterf or dlaebz, called through ctypes.
 
-    scipy.linalg.lapack wraps neither reduction nor dlasq1, but
+    scipy.linalg.lapack wraps neither reduction, dlasq1 nor dlaebz, but
     scipy.linalg.cython_lapack exports every routine of the same LAPACK as
     a PyCapsule.  A ctypes call releases the GIL, so the blocks that
     ``_each`` solves run in parallel.
@@ -730,20 +737,167 @@ def _dqds(e: np.ndarray):
     return diag[::-1], info.value
 
 
+def _squares(d: np.ndarray, e: np.ndarray):
+    """The squared off-diagonals of the tridiagonal (d, e) as dstebz takes them.
+
+    An e_j^2 below |d_j d_(j+1)| eps^2 + safmin is negligible: dstebz
+    splits the tridiagonal there, and its Sturm counts take it as 0.
+    Returns (e2, split, pivmin): e2 with n entries, the last 0, whether any
+    e_j^2 is negligible, and pivmin = safmin * max(1, max e2).
+    """
+    e2 = np.concatenate([e * e, [0.0]])
+    negligible = np.abs(d[1:] * d[:-1]) * _EPS**2 + _SAFMIN > e2[:-1]
+    e2[:-1][negligible] = 0.0
+    return e2, bool(np.any(negligible)), _SAFMIN * max(1.0, float(np.max(e2)))
+
+
+def _dsterf(d: np.ndarray, e: np.ndarray):
+    """The eigenvalues of the tridiagonal (d, e) by dsterf, ascending.
+
+    dsterf is the root-free QL/QR iteration (Pal, Walker and Kahan); it
+    is fast, but not as accurate as bisection.  Returns (w, info): the
+    eigenvalues and dsterf's info.
+    """
+    w = np.array(d, dtype=np.float64)
+    e = np.concatenate([np.asarray(e, dtype=np.float64), [0.0]])  # a buffer even when n = 1
+    info = ctypes.c_int(0)
+    _lapack("dsterf")(ctypes.byref(ctypes.c_int(w.size)), _address(w), _address(e),
+                      ctypes.byref(info))
+    return w, info.value
+
+
+def _dlaebz(ijob: int, d, e2, pivmin: float, atoli: float, ab, nab, nitmax: int = 0):
+    """LAPACK's dlaebz, the bisection inside dstebz, on the intervals ab.
+
+    The tridiagonal has diagonal d and squared off-diagonal e2 (n entries,
+    the last unread); ab holds one interval [a, b] per row.  Job 1 counts
+    the eigenvalues at or below a and b.  Job 2 takes nab, those counts,
+    and halves each interval as dstebz does, for at most nitmax rounds:
+    it keeps the halves that hold eigenvalues, and stops an interval once
+    it is narrower than max(atoli, pivmin, 2 eps max(|a|, |b|)).  Returns
+    (count, ab, nab, info), dlaebz's arrays and scalars: for job 1 the
+    counts in nab and, in count, the eigenvalues inside all intervals; for
+    job 2 count intervals and their counts, and in info how many of them
+    did not converge.
+    """
+    m = ab.shape[0]
+    # job 2 makes at most one interval per eigenvalue in its intervals
+    mmax = m if ijob == 1 else int(np.sum(nab[:, 1] - nab[:, 0]))
+    ab_out = np.zeros((mmax, 2), order="F")
+    nab_out = np.zeros((mmax, 2), dtype=np.intc, order="F")
+    ab_out[:m] = ab
+    if ijob == 2:
+        nab_out[:m] = nab
+    work = np.zeros(2 * mmax)  # c, then dlaebz's work
+    iwork = np.zeros(mmax + 1, dtype=np.intc)  # iwork[mmax:] stands in for nval, read by job 3
+    count, info = ctypes.c_int(0), ctypes.c_int(0)
+    ref = ctypes.byref
+    ints = (ref(ctypes.c_int(v)) for v in (ijob, nitmax, d.size, mmax, m, 0))
+    tols = (ref(ctypes.c_double(v)) for v in (atoli, 2.0 * _EPS, pivmin))
+    _lapack("dlaebz")(
+        *ints, *tols, _address(d), _address(e2), _address(e2), _address(iwork[mmax:]),
+        _address(ab_out), _address(work), ref(count), _address(nab_out), _address(work[mmax:]),
+        _address(iwork), ref(info),
+    )
+    return count.value, ab_out, nab_out, info.value
+
+
+def _seeded_bisect(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """dstebz's eigenvalues of the tridiagonal (d, e) over its whole spectrum, bit for bit.
+
+    dstebz (range 'A', abstol 0) bisects one tree from the Gershgorin
+    interval [GL, GU], widened by 2.1 bnorm eps n + 2.1 pivmin, bnorm =
+    max(|GL|, |GU|): a node [a, b] holding index k is halved at c =
+    0.5 (a + b), and k goes on into [a, c] if at least k eigenvalues lie
+    at or below c, else into [c, b].  Each new node is checked at once and
+    stops once narrower than max(atoli, pivmin, 2 eps max(|a|, |b|)),
+    atoli = eps max(|GL|, |GU|); k's value is its midpoint.
+
+    Here each index walks that tree without a Sturm count, by the seeds w
+    of dsterf (``_dsterf``), which land within about 30 eps G of the
+    values, G = bnorm: it goes left where c > w_k, until it meets a node
+    that has converged or one whose midpoint lies within 64 eps G of w_k.
+    The Sturm count is monotone (Demmel, Dhillon and Ren, ETNA 3, 1995),
+    so where k stops at [a, b] with count(a) < k <= count(b), every step
+    above agrees with dstebz's: a midpoint c that sent k left is at or
+    above b, so count(c) >= k.  One dlaebz call counts at both ends of
+    every distinct stopping node, and one more finishes the nodes that
+    have not converged, as dstebz would (``_dlaebz``), so each value is
+    dstebz's; about 7 halvings a value are left of about 53.
+
+    The counts of job 1 differ from those of dstebz's halvings (and of
+    ``_sturm_counts``) in one case: a pivot of exactly +pivmin counts as
+    positive.  A proof that relies on those counts could then fail to
+    match dstebz; ``test_full_route_is_bit_identical_to_sbevx_and_hbevx``
+    guards the bits.  Where dstebz splits the tridiagonal (``_squares``)
+    or takes a 1 x 1 as it is, where dsterf or dlaebz fails, or where a
+    node fails its counts, the values come from one ``_bisect`` call
+    instead.
+    """
+    n = d.size
+    e2, split, pivmin = _squares(d, e)
+    if n < 2 or split:
+        return _bisect(d, e)
+    seeds, info = _dsterf(d, e)
+    if info:
+        return _bisect(d, e)
+    pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
+    gl = float(np.min(d - pad[:-1] - pad[1:]))
+    gu = float(np.max(d + pad[:-1] + pad[1:]))
+    bnorm = max(abs(gl), abs(gu))
+    gl = gl - 2.1 * bnorm * _EPS * n - 2.1 * pivmin
+    gu = gu + 2.1 * bnorm * _EPS * n + 2.1 * pivmin
+    atoli = _EPS * max(abs(gl), abs(gu))
+    radius = 64.0 * _EPS * bnorm
+    a, b = np.full(n, gl), np.full(n, gu)
+    done = np.zeros(n, dtype=bool)  # k's node has converged
+    walking = np.arange(n)
+    while walking.size:
+        lo, hi, w = a[walking], b[walking], seeds[walking]
+        c = 0.5 * (lo + hi)
+        on = ~(np.abs(c - w) <= radius)  # a NaN seed walks on, and fails its counts
+        left = on & (c > w)
+        hi = np.where(left, c, hi)
+        lo = np.where(on & ~left, c, lo)
+        converged = on & (hi - lo < np.maximum(max(atoli, pivmin),
+                                               2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi))))
+        a[walking], b[walking], done[walking] = lo, hi, converged
+        walking = walking[on & ~converged]
+    # the seeds ascend, so indices that stop at one node are neighbours
+    first = np.concatenate([[True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
+    node = np.cumsum(first) - 1
+    ends = np.stack([a[first], b[first]], axis=1)
+    _, _, counts, info = _dlaebz(1, d, e2, pivmin, atoli, ends, None)
+    k = np.arange(1, n + 1)
+    if info or np.any(counts[node, 0] >= k) or np.any(counts[node, 1] < k):
+        return _bisect(d, e)
+    w = np.where(done, 0.5 * (a + b), np.nan)
+    rest = ~done[first]
+    if np.any(rest):
+        nitmax = int((math.log(gu - gl + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
+        count, ends, counts, info = _dlaebz(2, d, e2, pivmin, atoli, ends[rest], counts[rest],
+                                            nitmax)
+        if info:
+            return _bisect(d, e)
+        # as in dstebz, indices counts[j, 0] + 1 .. counts[j, 1] take interval j's midpoint
+        lo, size = counts[:count, 0], counts[:count, 1] - counts[:count, 0]
+        at = np.arange(int(np.sum(size))) + np.repeat(lo - np.cumsum(size) + size, size)
+        w[at] = np.repeat(0.5 * (ends[:count, 0] + ends[:count, 1]), size)
+    return w
+
+
 def _sturm_counts(d: np.ndarray, e: np.ndarray, x) -> np.ndarray:
     """How many eigenvalues of the tridiagonal (d, e) lie at or below each x.
 
     Kahan's count as dstebz's bisection (dlaebz) takes it, operation for
-    operation: off-diagonals with e_j^2 below |d_j d_(j+1)| eps^2 + safmin
-    count as zero, and a pivot at or below pivmin = safmin * max(1, max
-    e_j^2) counts as negative and becomes min(pivot, -pivmin), which is
-    -pivmin for |pivot| <= pivmin and the pivot otherwise.  This count is
-    monotone in x (Demmel, Dhillon and Ren, ETNA 3, 1995).
+    operation: negligible off-diagonals count as zero (``_squares``), and
+    a pivot at or below pivmin = safmin * max(1, max e_j^2) counts as
+    negative and becomes min(pivot, -pivmin), which is -pivmin for
+    |pivot| <= pivmin and the pivot otherwise.  This count is monotone in
+    x (Demmel, Dhillon and Ren, ETNA 3, 1995).
     """
     x = np.asarray(x, dtype=np.float64)
-    e2 = e * e
-    e2[np.abs(d[1:] * d[:-1]) * _EPS**2 + _SAFMIN > e2] = 0.0
-    pivmin = _SAFMIN * max(1.0, float(np.max(e2, initial=0.0)))
+    e2, _, pivmin = _squares(d, e)
     count = np.zeros(x.shape, dtype=np.int64)
     q = np.ones_like(x)
     for dj, e2j in zip(d.tolist(), [0.0] + e2.tolist()):
@@ -803,8 +957,8 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     dsbevx and zhbevx do it (``_tridiagonal``), then solved and checked,
     all in one task per block (``_block_eigenvalues``); the blocks are
     solved in parallel (``_each``).  The reduction costs O(kd * dim^2), not
-    the dense O(dim^3); bisection by dstebz with abstol 0 (``_bisect``) is
-    more accurate than the all-eigenvalue QR path (dsterf).
+    the dense O(dim^3); bisection by dstebz with abstol 0 is more accurate
+    than the all-eigenvalue QR path (dsterf), which only seeds it here.
 
     A tridiagonal with an all-zero diagonal, such as the generic block
     (``generic_S``, one complex block of half-width 14) and the scalar one
@@ -821,11 +975,17 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     so the two differ by at most 4 sqrt(3) eps rho, rho the block's
     spectral radius (``_check_bracket``); measured, at most 2.7 eps rho on
     generic blocks from N = 64 to 1024.  Any other block, such as each of
-    the two real parity blocks of ``schrodinger_S`` (half-width 5), is one
-    dstebz call over the whole spectrum, the call ?sbevx and ?hbevx make,
-    so its eigenvalues are theirs bit for bit.  The oracle's bands put the
-    highest oscillator level, where the entries are largest, first: the
-    reduction starts there.  Against extended-precision Rayleigh quotients
+    the two real parity blocks of ``schrodinger_S`` (half-width 5), takes
+    the values of dstebz over its whole spectrum, the call ?sbevx and
+    ?hbevx make, so its eigenvalues are theirs bit for bit; but each index
+    enters dstebz's bisection tree near its leaf, at a node that dsterf's
+    seed picks and two Sturm counts prove on its path, and dlaebz, the
+    bisection inside dstebz, finishes it (``_seeded_bisect``; one dstebz
+    call where that fails).  About 7 halvings a value are left of 53: on 2
+    vCPUs a parity block of N = 512 took 152 ms by dstebz and 55 ms this
+    way.  A zero block (d = e = 0) is its own spectrum.  The oracle's bands
+    put the highest oscillator level, where the entries are largest, first:
+    the reduction starts there.  Against extended-precision Rayleigh quotients
     at N = 512 this errs by 8.7e-15 (Schrodinger, skewed metric), 1.1e-14
     (proportional) and 1.1e-15 (generic) of the spectral radius, where the
     lowest level first errs by up to 3.1e-14.
@@ -862,14 +1022,18 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
 def _block_eigenvalues(ab: np.ndarray) -> np.ndarray:
     """The eigenvalues of one lower band, checked as ``hermitian_eigenvalues`` says.
 
-    A block that is not chiral is one dstebz call over its whole spectrum.
+    A block that is not chiral takes dstebz's values over its whole
+    spectrum, from its tree entered at dsterf's seeds (``_seeded_bisect``).
     A chiral one takes its upper half from dqds, bisects again each run of
     values outside their Sturm bracket (all of them if dqds fails), checks
-    the bracket of every value and mirrors the half.
+    the bracket of every value and mirrors the half.  A zero tridiagonal
+    is its own spectrum, exact, so a zero block has no bracket to meet.
     """
     d, e, sigma, sums = _tridiagonal(ab)
-    if np.any(d):
-        w = _bisect(d, e)
+    if not (np.any(d) or np.any(e)):
+        w = np.zeros(d.size)
+    elif np.any(d):
+        w = _seeded_bisect(d, e)
     else:
         lo = d.size // 2 + 1
         k = np.arange(lo, d.size + 1)

@@ -444,6 +444,17 @@ def test_spectrum_scalar_csv_and_sidecar(runner):
     assert sidecar["eigenvalue_count"] == 3
 
 
+def test_spectrum_scalar_at_zero_frequencies_is_three_zeros(runner):
+    # the zero matrix is its own spectrum; its Sturm bracket would be of width 0
+    result = runner.invoke(
+        cli.main, ["spectrum", "--rep", "scalar", "--alpha", "0", "--beta", "0"]
+    )
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout.splitlines() == ["index,eigenvalue"] + [
+        f"{i},0.0000000000000000e+00" for i in range(3)
+    ]
+
+
 def test_spectrum_schroedinger_sidecar_comparison(runner):
     result = runner.invoke(
         cli.main,

@@ -260,54 +260,79 @@ def test_hermitian_eigenvalues_does_not_mutate_input():
 
 
 def _patch_lapack(monkeypatch, change, which=None):
-    """Make dstebz and dqds calls return change(their results); returns the calls' requests.
+    """Make the calls that find eigenvalues return change(their results); returns their requests.
 
-    A request is (block size, il, iu) for dstebz and (block size, il, iu,
-    "dqds") for dqds, which finds the upper half of a chiral block.  Every
-    call is spoiled, or with ``which`` only those of the block size of a
-    request in which whose indices il..iu lie within its own: spoiling a
-    chiral half spoils its dqds values and each bisection that makes some
-    of them again.  A full solve makes one dstebz call over the whole
-    spectrum, (size, 0, 0), of a block that is not chiral, and one dqds
-    call and one dstebz call per run of values outside their Sturm bracket
-    for a chiral one; the window path makes one dstebz call per side of the
+    A request is (block size, il, iu) for dstebz, (block size, il, iu,
+    "dqds") for dqds, which finds the upper half of a chiral block, and
+    (block size, 1, block size, "dsterf") for dsterf's seeds and (block
+    size, 1, block size, "dlaebz") for the dlaebz call that finishes
+    dstebz's tree from them, both of a real block.  Every call is spoiled,
+    or with ``which`` only those of the block size and kind of a request in
+    which whose indices il..iu lie within its own; a dqds request spoils
+    the dstebz calls in its range too, so spoiling a chiral half spoils its
+    dqds values and each bisection that makes some of them again.  A full
+    solve makes one dsterf and one dlaebz call for a block that is not
+    chiral, or one dstebz call over the whole spectrum, (size, 0, 0), where
+    dstebz would split its tridiagonal or the seeds fail; one dqds call and
+    one dstebz call per run of values outside their Sturm bracket for a
+    chiral one; the window path makes one dstebz call per side of the
     kernel and block; a short index range is made again by one more call
     over the whole spectrum.  The blocks of one matrix are solved on
     several threads, so the requests are made in no fixed order: compare
     them sorted.  The results are those of the library's ctypes bindings,
-    rep_oracle._dstebz, (count, w, info), and rep_oracle._dqds, (w, info),
-    which change sees as (w.size, w, info) and whose values past the count
-    it returns are NaN.
+    rep_oracle._dstebz, (count, w, info), rep_oracle._dqds and _dsterf,
+    (w, info), which change sees as (w.size, w, info) and whose values past
+    the count it returns are NaN, and rep_oracle._dlaebz, which change sees
+    as (count, midpoints of the count intervals, info) and whose intervals
+    move with their midpoints.  dlaebz's Sturm counts (its job 1) are
+    neither spoiled nor requests.
     """
-    stebz, dqds = rep_oracle._dstebz, rep_oracle._dqds
+    stebz, dqds, sterf, laebz = (rep_oracle._dstebz, rep_oracle._dqds, rep_oracle._dsterf,
+                                 rep_oracle._dlaebz)
     made = []
 
     def spoiled(request):
         made.append(request)
         n, il, iu = request[:3]
         return which is None or any(
-            r[0] == n and r[1] <= il and iu <= r[2] for r in which
+            r[0] == n and r[1] <= il and iu <= r[2]
+            and (r[3:] == request[3:] or r[3:] == ("dqds",) and not request[3:])
+            for r in which
         )
 
     def patched(d, e, il=0, iu=0):
         out = stebz(d, e, il, iu)
         return change(out) if spoiled((d.size, il, iu)) else out
 
-    def patched_dqds(e):
-        w, info = dqds(e)
-        n = e.size + 1
-        if spoiled((n, n // 2 + 1, n, "dqds")):
-            count, w, info = change((w.size, w, info))
-            w = np.where(np.arange(w.size) < count, w, np.nan)
-        return w, info
+    def values(solver, kind, lo):
+        def patched_values(*args):
+            w, info = solver(*args)
+            n = args[-1].size + 1
+            if spoiled((n, lo(n), n, kind)):
+                count, w, info = change((w.size, w, info))
+                w = np.where(np.arange(w.size) < count, w, np.nan)
+            return w, info
+
+        return patched_values
+
+    def patched_dlaebz(ijob, d, *args):
+        count, ab, nab, info = laebz(ijob, d, *args)
+        if ijob == 2 and spoiled((d.size, 1, d.size, "dlaebz")):
+            mid = 0.5 * (ab[:count, 0] + ab[:count, 1])
+            count, moved, info = change((count, mid, info))
+            ab = ab.copy()
+            ab[:count] += (moved[:count] - mid[:count])[:, None]
+        return count, ab, nab, info
 
     monkeypatch.setattr(rep_oracle, "_dstebz", patched)
-    monkeypatch.setattr(rep_oracle, "_dqds", patched_dqds)
+    monkeypatch.setattr(rep_oracle, "_dqds", values(dqds, "dqds", lambda n: n // 2 + 1))
+    monkeypatch.setattr(rep_oracle, "_dsterf", values(sterf, "dsterf", lambda n: 1))
+    monkeypatch.setattr(rep_oracle, "_dlaebz", patched_dlaebz)
     return made
 
 
 def _patch_solver(monkeypatch, spoil, which=None):
-    """Make the spoiled dstebz and dqds calls return spoil(the eigenvalues they found)."""
+    """Make the spoiled calls of ``_patch_lapack`` return spoil(the eigenvalues they found)."""
 
     def change(out):
         count, w, info = out
@@ -1043,6 +1068,86 @@ def test_a_nonzero_dlasq1_info_bisects_the_whole_half(monkeypatch, n):
     assert np.array_equal(got, np.concatenate([-half[::-1][: lo - 1], half]))
 
 
+def _real_block(n):
+    """A real parity block of Schrodinger at hbar = -1.2 and N = n, as a matrix of its own."""
+    ab = schrodinger_S(SchrodingerParams(-1.2), GradedMetric(0.9, 1.4, 1.4), n).blocks[0][1]
+    return ab, HermitianOperatorMatrix.from_blocks([(np.arange(ab.shape[1]), ab)])
+
+
+@pytest.mark.parametrize("spoil", ["shift", "nan", "info"])
+@pytest.mark.parametrize("n", [16, 128])
+def test_a_bad_seed_bisects_from_the_root_with_the_bits_of_sbevx(monkeypatch, n, spoil):
+    # a seed moved 1e-9 rho, far beyond the 64 eps G of the walk, or NaN,
+    # leads its index to a node whose Sturm counts do not hold it; a nonzero
+    # dsterf info leaves no seeds.  Either way the block is one dstebz call
+    # over its whole spectrum, ?sbevx's call
+    ab, block = _real_block(n)
+    want = _sbevx(ab)
+    calls = _record_bisections(monkeypatch)
+    assert np.array_equal(hermitian_eigenvalues(block), want) and calls == []
+    sterf = rep_oracle._dsterf
+
+    def spoiled(d, e):
+        w, info = sterf(d, e)
+        i = w.size // 2
+        w[i] = {"shift": w[i] + 1e-9 * np.max(np.abs(w)), "nan": np.nan}.get(spoil, w[i])
+        return w, int(spoil == "info")
+
+    monkeypatch.setattr(rep_oracle, "_dsterf", spoiled)
+    assert np.array_equal(hermitian_eigenvalues(block), want)
+    assert calls == [(0, 0)]
+
+
+def test_a_node_that_fails_its_counts_bisects_from_the_root(monkeypatch):
+    # the top node, one count short at its upper end, cannot hold the top index
+    ab, block = _real_block(16)
+    laebz = rep_oracle._dlaebz
+
+    def short(ijob, *args):
+        count, ends, counts, info = laebz(ijob, *args)
+        if ijob == 1:
+            counts[np.argmax(ends[:, 1]), 1] -= 1
+        return count, ends, counts, info
+
+    monkeypatch.setattr(rep_oracle, "_dlaebz", short)
+    calls = _record_bisections(monkeypatch)
+    assert np.array_equal(hermitian_eigenvalues(block), _sbevx(ab))
+    assert calls == [(0, 0)]
+
+
+def test_a_split_tridiagonal_takes_one_dstebz_call(monkeypatch):
+    # at hbar = 1e-157 the band is scaled up to about 1e-146, where some
+    # squared off-diagonals of its tridiagonal fall below safmin: dstebz
+    # splits it into parts, so no seed is taken
+    mat = schrodinger_S(SchrodingerParams(1e-157), IDENTITY_METRIC, 16)
+    made = _patch_lapack(monkeypatch, lambda out: out, which=())
+    got = [hermitian_eigenvalues(HermitianOperatorMatrix.from_blocks([block]))
+           for block in mat.blocks]
+    assert made == [(24, 0, 0), (24, 0, 0)]
+    for (_, ab), w in zip(mat.blocks, got):
+        assert np.array_equal(w, _sbevx(ab))
+
+
+@pytest.mark.parametrize("spoil", [_shift_top, _swap_mass, _shift_bottom, _nan_one, _one_missing])
+def test_a_spoiled_dlaebz_value_fails_the_sums(monkeypatch, spoil):
+    # a value dlaebz finishes is not checked on its own: the trace and norm
+    # of the block catch a moved, NaN or missing one
+    _, block = _real_block(16)
+    n = block.dim
+    patch = _patch_lapack if spoil is _one_missing else _patch_solver
+    made = patch(monkeypatch, spoil, {(n, 1, n, "dlaebz")})
+    with pytest.raises(SpectralPairingError, match="eigenvalues miss the trace"):
+        hermitian_eigenvalues(block)
+    assert made == [(n, 1, n, "dsterf"), (n, 1, n, "dlaebz")]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_zero_matrix_is_its_own_spectrum(n):
+    # d = e = 0: the Sturm bracket 2 eps G of a value would have width 0
+    got = hermitian_eigenvalues(HermitianOperatorMatrix(np.zeros((n, n))))
+    assert np.array_equal(got, np.zeros(n))
+
+
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_window_holds_the_indices_and_kernel_of_the_full_solve(n):
     rng = np.random.default_rng(n)
@@ -1313,34 +1418,51 @@ def _eight_blocks(rep):
 
 
 def _each_fault_raises(monkeypatch, solve, calls):
-    """Spoil each of the given dstebz requests in turn with each fault; solve must raise."""
+    """Spoil each of the given requests in turn with each fault; solve must raise.
+
+    A fault of a real block's dsterf seeds, or a nonzero dlaebz info, hands
+    the block to one dstebz call over its whole spectrum, which is not
+    spoiled: solve must then give its unspoiled values, bit for bit.
+    """
+    want = solve()
     for request in calls:
         for patch_with, fault in [(_patch_lapack, _bisection_failed),
                                   (_patch_lapack, _one_missing), (_patch_solver, _nan_one),
                                   (_patch_solver, _shift_top), (_patch_solver, _swap_mass),
                                   (_patch_solver, _shift_bottom)]:
             with monkeypatch.context() as patch:
-                patch_with(patch, fault, {request})
-                with pytest.raises(SpectralPairingError):
-                    solve()
+                made = patch_with(patch, fault, {request})
+                try:
+                    got = solve()
+                except SpectralPairingError:
+                    continue
+                fallback = (request[0], 0, 0) in made
+                assert request[3:] in (("dsterf",), ("dlaebz",)) and fallback, (request, fault)
+                assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("block", range(8))
 @pytest.mark.parametrize("rep", ["schrodinger", "generic"])
 def test_a_fault_in_any_one_interval_is_caught(monkeypatch, rep, block):
-    # 8 blocks are 8 calls, one per block: dstebz over the whole spectrum of
-    # a real block, dqds over the upper half of a chiral one, whose values
-    # all meet their bracket here.  Only the calls of the block-th are
-    # spoiled: for a chiral block, its dqds call and each bisection that
-    # makes its values again
+    # 8 blocks: dsterf's seeds and one dlaebz call for a real block, or one
+    # dstebz call over the whole spectrum where dstebz would split its
+    # tridiagonal (the two blocks of hbar = 1e-157); one dqds call over the
+    # upper half of a chiral one, whose values all meet their bracket here.
+    # Only the calls of the block-th are spoiled, each in turn: for a
+    # chiral block, its dqds call and each bisection that makes its values
+    # again
     mat = _eight_blocks(rep)
     with monkeypatch.context() as patch:
         made = _patch_lapack(patch, lambda out: out, which=())
         hermitian_eigenvalues(mat)
     sizes = [ab.shape[1] for _, ab in mat.blocks]
-    want = [(n, 0, 0) if rep == "schrodinger" else (n, n // 2 + 1, n, "dqds") for n in sizes]
-    assert sorted(made) == sorted(want)
-    _each_fault_raises(monkeypatch, lambda: hermitian_eigenvalues(mat), [want[block]])
+    if rep == "schrodinger":
+        want = [[(n, 1, n, "dsterf"), (n, 1, n, "dlaebz")] for n in sizes[:6]]
+        want += [[(n, 0, 0)] for n in sizes[6:]]
+    else:
+        want = [[(n, n // 2 + 1, n, "dqds")] for n in sizes]
+    assert sorted(made) == sorted(sum(want, []))
+    _each_fault_raises(monkeypatch, lambda: hermitian_eigenvalues(mat), want[block])
 
 
 _ON_A_WORKER = {
@@ -1365,7 +1487,9 @@ def test_a_fault_on_a_worker_thread_raises_as_on_the_calling_thread(monkeypatch,
         threads.append(threading.current_thread())
         return _shift_top(w)
 
-    _patch_solver(monkeypatch, spoil, set(made))
+    # a real block's seeds are not spoiled: a spoiled seed would only hand
+    # the block to its fallback, one dstebz call, which is not spoiled
+    _patch_solver(monkeypatch, spoil, {r for r in made if r[3:] != ("dsterf",)})
     messages = []
     for solve in (mat, last):
         with pytest.raises(SpectralPairingError) as raised:
