@@ -26,7 +26,6 @@ from .rep_oracle import (
     closed_form_schrodinger_spectrum,
     generic_S,
     hermitian_eigenvalues,
-    oracle_window,
     pairing_symmetry,
     scalar_S,
     schrodinger_S,
@@ -78,7 +77,6 @@ __all__ = [
     "im_polylog_even",
     "im_polylog_even_quad",
     "lambda_n",
-    "oracle_window",
     "pairing_symmetry",
     "polylog_circle",
     "polylog_circle_direct",

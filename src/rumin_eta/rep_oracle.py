@@ -8,15 +8,15 @@ every block uses the exact band formulas of the full operator, which
 confines the truncation error to the top Hermite levels.  Only the blocks
 on and above the block diagonal are written; those below are their
 conjugate transposes, so each truncation is Hermitian by construction.
-Only the trusted window of a truncation, its basis_size/8
+A truncation is solved whole by ``hermitian_eigenvalues``, which takes
+half of a +/- symmetric block from dqds and bisects only the values the
+Sturm counts do not bracket, and enters dstebz's bisection tree of any
+other block near its leaves from dsterf's seeds.  It solves each band
+block in one task, and several blocks in parallel.  Only the trusted
+window of a truncation (``trusted_window``), its basis_size/8
 smallest-magnitude eigenvalues off the kernel, should be compared against
-exact spectra; ``oracle_window`` builds a Schrodinger or generic
-truncation and bisects only that window.  A whole truncation is solved by
-``hermitian_eigenvalues``, which takes half of a +/- symmetric block from
-dqds and bisects only the values the Sturm counts do not bracket, and
-enters dstebz's bisection tree of any other block near its leaves from
-dsterf's seeds.  Either solves each band block in one task, and several
-blocks in parallel.
+exact spectra; ``_truncation`` builds a Schrodinger or generic truncation
+with its spectral unit and kernel cut.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "spectral_eta_partial",
     "trusted_window",
     "pairing_symmetry",
-    "oracle_window",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -57,8 +56,8 @@ class SpectralPairingError(RuntimeError):
 
     The tridiagonal of each band block and the computed spectrum must
     reproduce the trace and the squared Frobenius norm of the matrix to
-    rounding, and each bisected value of a window or of a mirrored half
-    must sit where the Sturm counts put it; a violation means the solver
+    rounding, and each value of a mirrored half must sit where the Sturm
+    counts put it; a violation means the solver
     or the Hermitian structure is broken, not that the input was invalid.
     """
 
@@ -936,20 +935,6 @@ def _bracket_misses(d, e, w, k):
     return (at[: w.size] >= k) | (at[w.size :] < k), delta
 
 
-def _check_bracket(d, e, w, k, bad=False, where=""):
-    """Raise unless the Sturm counts of (d, e) bracket each w as eigenvalue k.
-
-    The bracket is that of ``_bracket_misses``.  ``bad`` marks values that
-    already failed the check named in ``where``.
-    """
-    miss, delta = _bracket_misses(d, e, w, k)
-    bad = bad | miss
-    if np.any(bad):
-        raise SpectralPairingError(
-            f"bisected eigenvalues {w[bad]} fail {where}their bracket of {delta:.3e}"
-        )
-
-
 def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
@@ -973,7 +958,7 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     the top quarter of the half.  Then each value of the half lies within
     2 eps G of the jump of the Sturm count at its index, as ?hbevx's does,
     so the two differ by at most 4 sqrt(3) eps rho, rho the block's
-    spectral radius (``_check_bracket``); measured, at most 2.7 eps rho on
+    spectral radius (``_bracket_misses``); measured, at most 2.7 eps rho on
     generic blocks from N = 64 to 1024.  Any other block, such as each of
     the two real parity blocks of ``schrodinger_S`` (half-width 5), takes
     the values of dstebz over its whole spectrum, the call ?sbevx and
@@ -997,7 +982,7 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     internally inconsistent.  A mirrored spectrum meets the trace by
     construction, and the norm check sees an error d_i only as
     4 lambda_i d_i, little near the kernel; so the Sturm counts must also
-    bracket each value of the half of a chiral block (``_check_bracket``),
+    bracket each value of the half of a chiral block (``_bracket_misses``),
     and so its mirror, since a chiral spectrum is exactly +/- symmetric.
 
     The bound, to first order: with d_i the error of the i-th eigenvalue,
@@ -1015,21 +1000,25 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     matrices of dimension 2 to 256, plain and graded by up to e^12, reach
     9 and 25 eps; they exceed dim*eps alone at dimensions 2 to 5 (plain)
     and 2 to 16 (graded).
+
+    This is the oracle's one solve route: ``spectrum`` and criteria C6 and
+    C8 cut the trusted window (``trusted_window``) from what it returns.
     """
-    return np.sort(np.concatenate(_each(_block_eigenvalues, [ab for _, ab in m.blocks])))
+    blocks = [ab for _, ab in m.blocks]
+    return np.sort(np.concatenate(_each(lambda ab: _block_eigenvalues(*_tridiagonal(ab)), blocks)))
 
 
-def _block_eigenvalues(ab: np.ndarray) -> np.ndarray:
-    """The eigenvalues of one lower band, checked as ``hermitian_eigenvalues`` says.
+def _block_eigenvalues(d, e, sigma, sums) -> np.ndarray:
+    """The eigenvalues of one band block, checked as ``hermitian_eigenvalues`` says.
 
-    A block that is not chiral takes dstebz's values over its whole
-    spectrum, from its tree entered at dsterf's seeds (``_seeded_bisect``).
-    A chiral one takes its upper half from dqds, bisects again each run of
-    values outside their Sturm bracket (all of them if dqds fails), checks
-    the bracket of every value and mirrors the half.  A zero tridiagonal
-    is its own spectrum, exact, so a zero block has no bracket to meet.
+    Takes the block's (d, e, sigma, sums) from ``_tridiagonal``.  A block
+    that is not chiral takes dstebz's values over its whole spectrum, from
+    its tree entered at dsterf's seeds (``_seeded_bisect``).  A chiral one
+    takes its upper half from dqds, bisects again each run of values
+    outside their Sturm bracket (all of them if dqds fails), checks the
+    bracket of every value and mirrors the half.  A zero tridiagonal is its
+    own spectrum, exact, so a zero block has no bracket to meet.
     """
-    d, e, sigma, sums = _tridiagonal(ab)
     if not (np.any(d) or np.any(e)):
         w = np.zeros(d.size)
     elif np.any(d):
@@ -1043,7 +1032,11 @@ def _block_eigenvalues(ab: np.ndarray) -> np.ndarray:
         runs = np.flatnonzero(np.diff(np.concatenate([[0], miss.astype(np.int8), [0]])))
         for i, j in zip(runs[::2], runs[1::2]):
             w[i:j] = _bisect(d, e, lo + i, lo + j - 1)
-        _check_bracket(d, e, w, k)
+        miss, delta = _bracket_misses(d, e, w, k)
+        if np.any(miss):
+            raise SpectralPairingError(
+                f"bisected eigenvalues {w[miss]} fail their bracket of {delta:.3e}"
+            )
         w = np.concatenate([-w[::-1][: lo - 1], w])
     _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), *sums, w.size)
     return w * (1.0 / sigma)
@@ -1101,52 +1094,3 @@ def _truncation(params, g: GradedMetric, basis_size: int):
         freq = _dilation(params)[1]
     unit = 2.0 * math.pi * freq / math.sqrt(g.g33)
     return mat, unit, 1e-6 * unit
-
-
-def oracle_window(params, g: GradedMetric, basis_size: int):
-    """Build one truncation and bisect only its trusted window.
-
-    The truncation, its spectral unit and kernel_eps are those of
-    ``_truncation``.  The window is the basis_size//8 smallest |ev| off the
-    kernel, ascending: the edge eigenvalues of a truncated unbounded
-    operator are spurious.  Returns (unit, kernel_eps, kernel_count, window).
-
-    Each band block is scaled, reduced, bisected and checked in one task, as
-    in ``hermitian_eigenvalues``, and the blocks are solved in parallel
-    (``_each``); the two sides of a block are bisected one after the other.
-    Below, kernel_eps and the eigenvalues are those of the scaled block; the
-    window values are divided by the scale at the end.  Sturm counts at
-    -kernel_eps and +kernel_eps give the numbers n- and n+ of eigenvalues at
-    or below them; the kernel holds n+ - n-, about a third of the spectrum.
-    dstebz bisects only indices n- - w + 1 .. n- and n+ + 1 .. n+ + w,
-    w = basis_size//8, never the kernel or the spurious edges, and the w
-    smallest |ev| of all blocks' candidates are the window, as
-    ``trusted_window`` cuts it from the full spectrum.  Both sides are
-    bisected for a chiral block too, so a generic window's
-    ``pairing_symmetry`` compares two bisections.  The window is the same
-    set of indices as that of ``hermitian_eigenvalues``, and each value is
-    checked on its own: it must lie on its side of the kernel, at or below
-    -kernel_eps for an index up to n-, above +kernel_eps for an index past
-    n+, and the Sturm counts must bracket it (``_check_bracket``, which
-    bounds its distance to the full solve's value).  Any violation raises
-    SpectralPairingError.
-    """
-    mat, unit, kernel_eps = _truncation(params, g, basis_size)
-    count = basis_size // 8
-
-    def block(ab):
-        # (kernel count, unscaled window candidates) of one band block
-        d, e, sigma, _ = _tridiagonal(ab)
-        cut = kernel_eps * sigma
-        below, above = (int(c) for c in _sturm_counts(d, e, [-cut, cut]))
-        ranges = [(max(below - count, 0) + 1, below), (above + 1, min(above + count, d.size))]
-        ranges = [(lo, hi) for lo, hi in ranges if lo <= hi]
-        w = np.concatenate([_bisect(d, e, lo, hi) for lo, hi in ranges] + [np.empty(0)])
-        k = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges] + [np.empty(0, int)])
-        _check_bracket(d, e, w, k, np.where(k <= below, w > -cut, w <= cut),
-                       f"their Sturm counts {below}, {above} at -+{cut:.3e} or ")
-        return above - below, w * (1.0 / sigma)
-
-    kernel_counts, values = zip(*_each(block, [ab for _, ab in mat.blocks]))
-    window = trusted_window(np.sort(np.concatenate(values)), kernel_eps, count)
-    return unit, kernel_eps, sum(kernel_counts), window

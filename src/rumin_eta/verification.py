@@ -36,15 +36,16 @@ from .rep_oracle import (
     GenericRepParams,
     SchrodingerParams,
     _bisect,
+    _block_eigenvalues,
     _tridiagonal,
+    _truncation,
     closed_form_error,
     closed_form_schrodinger_spectrum,
-    generic_S,
     hermitian_eigenvalues,
-    oracle_window,
     pairing_symmetry,
     scalar_S,
     spectral_eta_partial,
+    trusted_window,
 )
 from .specfun import (
     eta_hurw,
@@ -200,7 +201,8 @@ def criterion_hurw_battery() -> dict:
 def _schrodinger_window_error(basis_size: int, k: int = 8) -> float:
     params = SchrodingerParams(hbar=1.0)
     g = GradedMetric(1.0, 1.0, 1.0)
-    *_, window = oracle_window(params, g, basis_size)
+    mat, _, kernel_eps = _truncation(params, g, basis_size)
+    window = trusted_window(hermitian_eigenvalues(mat), kernel_eps, basis_size // 8)
     trusted = sorted(window, key=abs)[:k]
     if not trusted:
         return math.inf
@@ -249,9 +251,9 @@ def criterion_scalar_battery() -> dict:
         mat = scalar_S(alpha, beta, g)
         arr = mat.entries
         scale = max(1.0, float(np.max(np.abs(arr))))
-        e0, e1, e2 = hermitian_eigenvalues(mat)
         # e0 is the mirror of e2; one bisection of the whole spectrum measures the pairing
-        d, e, sigma, _ = _tridiagonal(mat.blocks[0][1])
+        d, e, sigma, sums = _tridiagonal(mat.blocks[0][1])
+        e0, e1, e2 = _block_eigenvalues(d, e, sigma, sums)
         f0, _, f2 = _bisect(d, e) / sigma
         top = max(abs(e2), abs(e0))
         parts.append(_part(f"draw {i}: trace", abs(np.trace(arr)), 1e-12 * scale))
@@ -276,12 +278,21 @@ def criterion_generic_symmetry(basis_size: int = 256) -> dict:
     parts = []
     for lam, mu, nu, g44 in [(1.0, 1.0, 0.0, 1.0), (0.7, -1.3, 0.4, 1.7)]:
         params, g = GenericRepParams(lam=lam, mu=mu, nu=nu), GradedMetric(1.0, g44, g44)
-        *_, window = oracle_window(params, g, basis_size)
+        mat, _, kernel_eps = _truncation(params, g, basis_size)
+        [(idx, band)] = mat.blocks
+        d, e, sigma, sums = _tridiagonal(band)
+        eigs = _block_eigenvalues(d, e, sigma, sums)
+        window = trusted_window(eigs, kernel_eps, basis_size // 8)
+        # the full solve mirrors its dqds half, so the window's lower side is
+        # bisected again (its last index is the last below the kernel) and
+        # paired with the window's upper side
+        below, lower = np.count_nonzero(eigs <= -kernel_eps), np.count_nonzero(window < 0.0)
+        bisected = _bisect(d, e, below - lower + 1, below) * (1.0 / sigma) if lower else []
+        pairs = np.concatenate([bisected, window[window > 0.0]])
         point = f"lam={lam:g}, mu={mu:g}, nu={nu:g}, g44={g44:g}"
-        parts.append(_part(f"pairing {point}", pairing_symmetry(window), tol))
-        # the full solve mirrors half of the spectrum, as D conj(S) D = -S with
-        # D = diag((-1)^level) exactly; band[d, j] is S at (j + d, j), the padding 0
-        [(idx, band)] = generic_S(params, g, basis_size).blocks
+        parts.append(_part(f"pairing {point}", pairing_symmetry(pairs), tol))
+        # that mirror holds as D conj(S) D = -S with D = diag((-1)^level)
+        # exactly; band[d, j] is S at (j + d, j), the padding 0
         level = idx % basis_size
         rows = np.minimum(np.arange(idx.size) + np.arange(band.shape[0])[:, None], idx.size - 1)
         defect = np.max(np.abs((-1.0) ** (level[rows] + level) * band.conj() + band))

@@ -28,7 +28,6 @@ from rumin_eta.rep_oracle import (
     closed_form_schrodinger_spectrum,
     generic_S,
     hermitian_eigenvalues,
-    oracle_window,
     pairing_symmetry,
     scalar_S,
     schrodinger_S,
@@ -39,6 +38,14 @@ from rumin_eta.tilde_eta import tilde_eta_direct
 
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(np.float64).eps
+
+
+def _full_window(params, g, n):
+    """(unit, kernel_eps, kernel count, trusted window) of a truncation, as spectrum has them."""
+    mat, unit, kernel_eps = rep_oracle._truncation(params, g, n)
+    eigs = hermitian_eigenvalues(mat)
+    kernel_count = int(np.count_nonzero(np.abs(eigs) < kernel_eps))
+    return unit, kernel_eps, kernel_count, trusted_window(eigs, kernel_eps, n // 8)
 
 
 def test_metric_validation():
@@ -57,7 +64,7 @@ def test_params_validation():
         GenericRepParams(lam=0.0, mu=0.0, nu=1.0)
     for params in (SchrodingerParams(hbar=1.0), GenericRepParams(1.0, 1.0, 0.0)):
         with pytest.raises(ValueError, match="basis_size must be at least 8"):
-            oracle_window(params, IDENTITY_METRIC, 4)
+            _full_window(params, IDENTITY_METRIC, 4)
 
 
 @pytest.mark.parametrize("lam, mu", [(0.0, 0.0)])
@@ -73,7 +80,7 @@ def test_generic_params_at_the_edges_of_the_double_range_solve():
     for lam, mu in ((5e-324, 0.0), (1e-300, 0.0), (1e-200, 0.0), (0.0, -1e-160), (1.5e-154, 0.0),
                     (1.3e154, 0.0), (1e154, 1e154), (1e200, 0.0), (1.7e308, 0.0)):
         params = GenericRepParams(lam, mu, 0.0)
-        unit, kernel_eps, kernel_count, window = oracle_window(params, IDENTITY_METRIC, 16)
+        unit, kernel_eps, kernel_count, window = _full_window(params, IDENTITY_METRIC, 16)
         assert 0.0 < kernel_eps < unit < math.inf
         assert kernel_count == 12
         assert np.all(np.isfinite(window)) and np.all(window != 0.0)
@@ -170,7 +177,7 @@ def test_closed_form_list_structure():
 def test_truncated_spectrum_hits_closed_form():
     params = SchrodingerParams(hbar=1.0)
     n = 96
-    *_, window = oracle_window(params, IDENTITY_METRIC, n)
+    *_, window = _full_window(params, IDENTITY_METRIC, n)
     trusted = sorted(window, key=abs)
     exact = sorted(closed_form_schrodinger_spectrum(params, IDENTITY_METRIC, 24), key=abs)
     assert len(trusted) == n // 8
@@ -186,7 +193,6 @@ def test_trusted_window_drops_kernel_and_edges():
     trusted = trusted_window(eigs, kernel_eps, n // 8)
     assert unit == TWO_PI and kernel_eps == 1e-6 * TWO_PI
     kernel = [e for e in eigs if abs(e) < kernel_eps]
-    assert oracle_window(params, IDENTITY_METRIC, n)[:3] == (unit, kernel_eps, len(kernel))
     # the kernel carries about one zero mode per oscillator level
     assert n - 4 <= len(kernel) <= n + 4
     assert all(abs(t) >= kernel_eps for t in trusted)
@@ -223,7 +229,7 @@ def test_generic_spectrum_symmetric_for_balanced_metric():
     params = GenericRepParams(1.0, 1.0, 0.0)
     g = GradedMetric(1.0, 1.0, 1.0)
     n = 64
-    *_, trusted = oracle_window(params, g, n)
+    *_, trusted = _full_window(params, g, n)
     folded = trusted + trusted[::-1]
     assert np.max(np.abs(folded)) <= 1e-9 * np.max(np.abs(trusted))
 
@@ -275,11 +281,10 @@ def _patch_lapack(monkeypatch, change, which=None):
     chiral, or one dstebz call over the whole spectrum, (size, 0, 0), where
     dstebz would split its tridiagonal or the seeds fail; one dqds call and
     one dstebz call per run of values outside their Sturm bracket for a
-    chiral one; the window path makes one dstebz call per side of the
-    kernel and block; a short index range is made again by one more call
-    over the whole spectrum.  The blocks of one matrix are solved on
-    several threads, so the requests are made in no fixed order: compare
-    them sorted.  The results are those of the library's ctypes bindings,
+    chiral one; a short index range is made again by one more call over
+    the whole spectrum.  The blocks of one matrix are solved on several
+    threads, so the requests are made in no fixed order: compare them
+    sorted.  The results are those of the library's ctypes bindings,
     rep_oracle._dstebz, (count, w, info), rep_oracle._dqds and _dsterf,
     (w, info), which change sees as (w.size, w, info) and whose values past
     the count it returns are NaN, and rep_oracle._dlaebz, which change sees
@@ -379,11 +384,6 @@ _SPOILED_MATRICES = {
     "schrodinger": lambda: schrodinger_S(SchrodingerParams(hbar=1.0), IDENTITY_METRIC, 16),
     "generic": lambda: generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, 16),
 }
-# the same truncations through the window path
-_SPOILED_WINDOWS = {
-    "schrodinger": (SchrodingerParams(hbar=1.0), IDENTITY_METRIC, 16),
-    "generic": (GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, 16),
-}
 
 
 def _over_both_reps(values, first, name=lambda v: v.__name__):
@@ -405,9 +405,6 @@ def test_consistency_check_catches_a_bad_solver(monkeypatch, spoil, rep):
     _patch_solver(monkeypatch, spoil)
     with pytest.raises(SpectralPairingError):
         hermitian_eigenvalues(mat)
-    # the window path has no sums to check; the Sturm bracket trips instead
-    with pytest.raises(SpectralPairingError, match="bracket"):
-        oracle_window(*_SPOILED_WINDOWS[rep])
 
 
 _SPOILED_ARGV = {
@@ -474,8 +471,6 @@ def test_solver_failure_raises_instead_of_a_partial_spectrum(monkeypatch, change
     _patch_lapack(monkeypatch, change)
     with pytest.raises(SpectralPairingError, match="dstebz"):
         hermitian_eigenvalues(mat)
-    with pytest.raises(SpectralPairingError, match="dstebz"):
-        oracle_window(*_SPOILED_WINDOWS[rep])
 
 
 def _half_bandwidth(mat):
@@ -706,29 +701,6 @@ def test_band_solver_accuracy_against_extended_precision(n):
         assert float(np.max(np.abs(got - ref))) <= 5e-15 * rho
 
 
-def test_oracle_window_matches_the_former_pipeline():
-    # the spectral units, kernel cut and window that spectrum, C6 and C8
-    # assembled themselves before oracle_window, from the full solve.  The
-    # window is bisected from another starting interval, so its values
-    # agree within oracle_window's a-priori bound 4 sqrt(3) eps rho
-    g = GradedMetric(1.3, 0.8, 1.1)
-    for build, params, freq in (
-        (schrodinger_S, SchrodingerParams(hbar=-0.7), 0.7),
-        (generic_S, GenericRepParams(1.0, 0.5, 0.3), 1.25 ** (1.0 / 3.0)),
-    ):
-        for n in (16, 40):
-            unit, kernel_eps, kernel_count, window = oracle_window(params, g, n)
-            eigs = hermitian_eigenvalues(build(params, g, n))
-            assert unit == 2.0 * math.pi * freq / math.sqrt(g.g33)
-            assert kernel_eps == 1e-6 * unit
-            assert kernel_count == np.count_nonzero(np.abs(eigs) < kernel_eps)
-            nonzero = eigs[np.abs(eigs) >= kernel_eps]
-            former = np.sort(nonzero[np.argsort(np.abs(nonzero), kind="stable")[: n // 8]])
-            bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(eigs))
-            assert window.shape == former.shape
-            assert np.max(np.abs(window - former)) <= bound
-
-
 _DILATED = {
     # the representation at dilation t, and the values of t checked
     "schrodinger": (lambda t: SchrodingerParams(hbar=0.7 * t), (1e-150, 1e-3, 3.0, 1e150)),
@@ -742,18 +714,18 @@ def test_truncations_scale_with_their_unit(rep):
     # the operator has Heisenberg order two, so the dilation by t multiplies
     # the spectrum by t^2: in units of the spectral unit, the kernel and the
     # window of a dilated truncation are those of the undilated one.  Each
-    # window is within oracle_window's bound 4 sqrt(3) eps rho of the
-    # eigenvalues of its matrix, and the two matrices agree to rounding, so
-    # the two windows differ by at most twice that bound
+    # window is within the bracket bound 4 sqrt(3) eps rho of the exact
+    # eigenvalues of its matrix's tridiagonal, and the two matrices agree to
+    # rounding, so the two windows differ by at most twice that bound
     build, ts = _DILATED[rep]
     g, n = GradedMetric(1.3, 0.8, 1.1), 64
     mat, unit, _ = rep_oracle._truncation(build(1.0), g, n)
     rho = np.max(np.abs(hermitian_eigenvalues(mat))) / unit
     tol = 2.0 * 4.0 * math.sqrt(3.0) * EPS * rho
-    _, _, kernel_count, window = oracle_window(build(1.0), g, n)
+    _, _, kernel_count, window = _full_window(build(1.0), g, n)
     assert kernel_count == {"generic": n - 4, "schrodinger": n - 2}[rep]
     for t in ts:
-        unit_t, _, kernel_count_t, window_t = oracle_window(build(t), g, n)
+        unit_t, _, kernel_count_t, window_t = _full_window(build(t), g, n)
         assert kernel_count_t == kernel_count, t
         assert np.max(np.abs(window_t / unit_t - window / unit)) <= tol, t
 
@@ -766,8 +738,8 @@ def _window_drift(point, n):
     """Largest relative change of the magnitudes of the window of N = n at N = 2n."""
     lam, mu, nu, g44 = point
     params, g = GenericRepParams(lam, mu, nu), GradedMetric(1.0, g44, g44)
-    small = np.sort(np.abs(oracle_window(params, g, n)[3]))
-    large = np.sort(np.abs(oracle_window(params, g, 2 * n)[3]))[: small.size]
+    small = np.sort(np.abs(_full_window(params, g, n)[3]))
+    large = np.sort(np.abs(_full_window(params, g, 2 * n)[3]))[: small.size]
     return float(np.max(np.abs(small - large) / large))
 
 
@@ -795,20 +767,47 @@ def test_generic_truncation_is_chiral(g):
 
 
 def test_c8_fails_a_band_with_one_entry_turned_by_a_quarter_phase(monkeypatch):
-    # D conj(S) D = -S makes each entry real or imaginary; i times one is neither
-    build = verification.generic_S
+    # D conj(S) D = -S makes each entry real or imaginary; i times one is
+    # neither, and the spectrum is no longer paired.  At N = 16 the window
+    # of the turned band at the second point holds no negative value, so C8
+    # bisects nothing there (a range lo > hi would make dstebz raise)
+    truncation = verification._truncation
 
     def turned(params, g, n):
-        [(idx, band)] = build(params, g, n).blocks
+        mat, unit, kernel_eps = truncation(params, g, n)
+        [(idx, band)] = mat.blocks
         band = band.copy()
         band[tuple(np.argwhere(band)[0])] *= 1j
-        return HermitianOperatorMatrix.from_blocks([(idx, band)])
+        return HermitianOperatorMatrix.from_blocks([(idx, band)]), unit, kernel_eps
 
     assert verification.criterion_generic_symmetry(16)["passed"]
-    monkeypatch.setattr(verification, "generic_S", turned)
+    monkeypatch.setattr(verification, "_truncation", turned)
     record = verification.criterion_generic_symmetry(16)
     failed = [p["name"].split()[0] for p in record["details"]["parts"] if not p["passed"]]
-    assert not record["passed"] and failed == ["chirality", "chirality"]
+    assert not record["passed"] and failed == ["pairing", "chirality"] * 2
+
+
+def test_c8_pairs_a_bisected_lower_side_with_the_mirrored_upper_side():
+    # the full solve mirrors the dqds half exactly; C8 bisects the window's
+    # lower side again, so its pairing compares two algorithms (measured:
+    # 2.9e-14 and 2.8e-14)
+    record = verification.criterion_generic_symmetry(256)
+    pairing = [p["error"] for p in record["details"]["parts"] if p["name"].startswith("pairing")]
+    assert len(pairing) == 2 and all(0.0 < x <= 1e-12 for x in pairing)
+
+
+def test_c8_fails_only_its_pairing_on_a_spoiled_lower_side(monkeypatch):
+    bisect = verification._bisect
+
+    def spoiled(d, e, lo=0, hi=0):
+        w = bisect(d, e, lo, hi).copy()
+        w[0] += 1e-3 * np.max(np.abs(w))  # the window's largest magnitude
+        return w
+
+    monkeypatch.setattr(verification, "_bisect", spoiled)
+    record = verification.criterion_generic_symmetry(64)
+    failed = [p["name"].split()[0] for p in record["details"]["parts"] if not p["passed"]]
+    assert failed == ["pairing", "pairing"]
 
 
 @pytest.mark.parametrize("n", [9, 64, 129, 256])
@@ -886,7 +885,7 @@ def test_closed_form_error_matches_both_former_formulas():
     for n, hbar, g in ((32, 1.0, IDENTITY_METRIC), (64, -0.7, GradedMetric(1.3, 0.6, 0.6)),
                        (96, 1.9, GradedMetric(0.5, 2.0, 2.0))):
         params = SchrodingerParams(hbar=hbar)
-        *_, window = oracle_window(params, g, n)
+        *_, window = _full_window(params, g, n)
         trusted = list(window)
         got = closed_form_error(trusted, params, g)
         assert got == _closed_form_as_cli_computed(trusted, params, g)
@@ -992,7 +991,7 @@ def test_full_route_is_within_two_bisections_of_sbevx_and_hbevx(n):
     # the generic and the scalar block are chiral: only their upper half is
     # bisected, each value from another starting interval than in ?hbevx's
     # single call.  Either bisection of index k stops within delta = 2 eps G
-    # of the jump of the Sturm count to k (rep_oracle._check_bracket), G the
+    # of the jump of the Sturm count to k (rep_oracle._bracket_misses), G the
     # Gershgorin bound of the tridiagonal, so the two differ by at most
     # 4 eps G; each row of a tridiagonal has at most three entries, so
     # G <= sqrt(3) rho, rho the spectral radius.  At odd dimension the
@@ -1148,26 +1147,6 @@ def test_a_zero_matrix_is_its_own_spectrum(n):
     assert np.array_equal(got, np.zeros(n))
 
 
-@pytest.mark.parametrize("n", [16, 64, 128])
-def test_window_holds_the_indices_and_kernel_of_the_full_solve(n):
-    rng = np.random.default_rng(n)
-    for params in (SchrodingerParams(rng.uniform(0.5, 2.0)),
-                   SchrodingerParams(-rng.uniform(0.5, 2.0)),
-                   GenericRepParams(*rng.uniform(-1.5, 1.5, 3))):
-        for g in (GradedMetric(1.0, 1.3, 1.3), GradedMetric(*rng.uniform(0.5, 2.0, 3))):
-            mat, unit, kernel_eps = rep_oracle._truncation(params, g, n)
-            eigs = hermitian_eigenvalues(mat)
-            full = trusted_window(eigs, kernel_eps, n // 8)
-            got_unit, got_eps, kernel_count, window = oracle_window(params, g, n)
-            assert (got_unit, got_eps) == (unit, kernel_eps)
-            assert kernel_count == np.count_nonzero(np.abs(eigs) < kernel_eps)
-            # each window value is nearest to the full solve's value at the same index
-            nearest = np.abs(eigs[None, :] - window[:, None]).argmin(axis=1)
-            assert np.array_equal(nearest, np.flatnonzero(np.isin(eigs, full)))
-            bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(eigs))
-            assert np.max(np.abs(window - full)) <= bound
-
-
 def _patch_reduction(monkeypatch, change):
     """Make the band reduction's (d, e, info) come out as change(d, e, info)."""
     reduce_band = rep_oracle._reduce_band
@@ -1215,18 +1194,20 @@ def _bisection_info(monkeypatch):
     _patch_lapack(monkeypatch, _bisection_failed)
 
 
-# fault -> (message of the window path, which checks each value on its own,
-# whether the full route sees it too).  In the full route the smallest
-# |eigenvalue| is a kernel value, which a change by 1e-9 of itself, or to
+# fault -> (the message the full route raises, or None where it sees
+# nothing, and the exit code of the oracle suite).  The smallest |eigenvalue|
+# of a full solve is a kernel value, which a change by 1e-9 of itself, or to
 # 0, leaves within rounding; test_spectrum_exits_3_on_a_bad_solver and
 # test_a_shift_of_the_smallest_value_of_a_chiral_half_is_caught shift by
-# 1e-9 of the spectral radius instead
+# 1e-9 of the spectral radius instead.  C8's bisection of its window's lower
+# side is spoiled too: there the smallest |value| is a window value, and
+# moved to 0 it fails C8's pairing
 _FAULTS = {
-    _perturb_d: ("tridiagonal entries miss the trace", True),
-    _reduction_info: ("returned info=-5", True),
-    _shift_smallest: ("bracket", False),
-    _into_kernel: ("Sturm counts", False),
-    _bisection_info: ("dstebz returned info=1", True),
+    _perturb_d: ("tridiagonal entries miss the trace", 3),
+    _reduction_info: ("returned info=-5", 3),
+    _shift_smallest: (None, 0),
+    _into_kernel: (None, 1),
+    _bisection_info: ("dstebz returned info=1", 3),
 }
 
 
@@ -1234,19 +1215,20 @@ _FAULTS = {
 @pytest.mark.parametrize("fault", list(_FAULTS), ids=lambda f: f.__name__.strip("_"))
 def test_each_fault_raises_and_spectrum_exits_3(monkeypatch, fault, rep):
     fault(monkeypatch)
-    message, full_route = _FAULTS[fault]
-    with pytest.raises(SpectralPairingError, match=message):
-        oracle_window(*_SPOILED_WINDOWS[rep])
-    commands = [["verify", "--suite", "oracle", "--basis-size", "16"]]
-    if full_route:
-        with pytest.raises(SpectralPairingError):
+    message, verify_exit = _FAULTS[fault]
+    if message is None:
+        hermitian_eigenvalues(_SPOILED_MATRICES[rep]())
+    else:
+        with pytest.raises(SpectralPairingError, match=message):
             hermitian_eigenvalues(_SPOILED_MATRICES[rep]())
-        commands.append(["spectrum", *_SPOILED_ARGV[rep], "--basis-size", "16"])
-    for argv in commands:
+    for argv, code in [(["verify", "--suite", "oracle", "--basis-size", "16"], verify_exit),
+                       (["spectrum", *_SPOILED_ARGV[rep], "--basis-size", "16"],
+                        0 if message is None else 3)]:
         result = CliRunner().invoke(cli.main, argv)
-        assert result.exit_code == 3
-        assert "internal inconsistency" in result.stderr
-        assert result.stdout == ""
+        assert result.exit_code == code
+        assert ("internal inconsistency" in result.stderr) == (code == 3)
+        if code == 3:
+            assert result.stdout == ""
 
 
 def test_sturm_counts_agree_with_the_full_solve():
@@ -1318,8 +1300,7 @@ def test_index_ranges_match_one_dstebz_call(n):
 def test_one_worker_gives_the_bits_of_the_default_pool(monkeypatch):
     g = GradedMetric(1.3, 0.8, 1.1)
     cases = [(SchrodingerParams(0.7), g, 128), (GenericRepParams(1.0, 0.5, 0.3), g, 128)]
-    want = [(hermitian_eigenvalues(rep_oracle._truncation(*c)[0]), oracle_window(*c))
-            for c in cases]
+    want = [hermitian_eigenvalues(rep_oracle._truncation(*c)[0]) for c in cases]
     eight = _eight_blocks("schrodinger")  # a pool of up to 7 workers, one per CPU
     want_eight = hermitian_eigenvalues(eight)
     workers = []
@@ -1333,10 +1314,8 @@ def test_one_worker_gives_the_bits_of_the_default_pool(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
-    for case, (eigs, window) in zip(cases, want):
+    for case, eigs in zip(cases, want):
         assert np.array_equal(hermitian_eigenvalues(rep_oracle._truncation(*case)[0]), eigs)
-        got = oracle_window(*case)
-        assert got[:3] == window[:3] and np.array_equal(got[3], window[3])
     assert np.array_equal(hermitian_eigenvalues(eight), want_eight)
     assert workers and set(workers) == {1}
 
@@ -1351,8 +1330,6 @@ def test_no_thread_outlives_a_solve(monkeypatch):
     mat = schrodinger_S(SchrodingerParams(0.7), GradedMetric(1.3, 0.8, 1.1), 64)
     assert len(mat.blocks) == 2
     hermitian_eigenvalues(mat)
-    assert threading.active_count() == before and not executor_threads()
-    oracle_window(GenericRepParams(1.0, 0.5, 0.3), GradedMetric(1.3, 0.8, 1.1), 64)
     assert threading.active_count() == before and not executor_threads()
     mat = _eight_blocks("schrodinger")
     n = mat.blocks[-1][1].shape[1]
@@ -1381,21 +1358,6 @@ def test_a_forked_child_solves_on_a_pool_of_its_own():
         child.kill()
         child.join()
     assert not alive and child.exitcode == 0 and done.get(timeout=5)
-
-
-_SOLVES = {
-    "full": lambda rep: hermitian_eigenvalues(_SPOILED_MATRICES[rep]()),
-    "window": lambda rep: oracle_window(*_SPOILED_WINDOWS[rep])[3],
-}
-# the request (block size, il, iu) of each dstebz call and (size, il, iu,
-# "dqds") of each dqds call: in the full solve, one dqds call over the upper
-# half of the chiral generic block, all of whose values meet their bracket,
-# and one dstebz call per side of the kernel and block in the window path
-_CALLS = {
-    ("generic", "full"): [(48, 25, 48, "dqds")],
-    ("schrodinger", "window"): [(24, 8, 9), (24, 16, 17), (24, 7, 8), (24, 17, 18)],
-    ("generic", "window"): [(48, 17, 18), (48, 31, 32)],
-}
 
 
 def _eight_blocks(rep):
@@ -1508,39 +1470,34 @@ def test_a_fault_on_a_worker_thread_raises_as_on_the_calling_thread(monkeypatch,
         assert f"internal inconsistency: {messages[0]}" in result.stderr
 
 
-@pytest.mark.parametrize("rep", ["schrodinger", "generic"])
-def test_a_fault_in_any_one_window_call_is_caught(monkeypatch, rep):
-    with monkeypatch.context() as patch:
-        made = _patch_lapack(patch, lambda out: out, which=())
-        _SOLVES["window"](rep)
-    assert sorted(made) == sorted(_CALLS[rep, "window"])
-    _each_fault_raises(monkeypatch, lambda: _SOLVES["window"](rep), made)
-
-
 def _short(out):
     return out[0] - 1, out[1], 2  # info 2: an eigenvalue of the range was not found
 
 
-@pytest.mark.parametrize("rep, route", list(_CALLS))
-def test_a_short_index_range_is_made_again_in_one_call(monkeypatch, rep, route):
+@pytest.mark.parametrize("rep", ["generic"], ids=["generic-full"])
+def test_a_short_index_range_is_made_again_in_one_call(monkeypatch, rep):
     # LAPACK's cure for info 2: one call over the whole spectrum, cut to
-    # the range; its values are within two bisections of the range's own
-    want = _SOLVES[route](rep)
-    bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(_SOLVES["full"](rep)))
-    short = _CALLS[rep, route][0]
-    again = (short[0], 0, 0)  # the one more call, over every eigenvalue
-    # a nonzero info of dqds hands the chiral half to one bisection, short too
-    half = [short[:3]] if short[3:] == ("dqds",) else []
+    # the range; its values are within two bisections of the range's own.
+    # The generic block makes one dqds call over its upper half, all of
+    # whose values meet their bracket; a nonzero info of dqds hands the
+    # half to one bisection, short too
+    def solve():
+        return hermitian_eigenvalues(_SPOILED_MATRICES[rep]())
+
+    want = solve()
+    bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(want))
+    dqds = (48, 25, 48, "dqds")
+    short, again = dqds[:3], (48, 0, 0)  # the half's one bisection, then the one more call
     with monkeypatch.context() as patch:
-        made = _patch_lapack(patch, _short, which={short})
-        got = _SOLVES[route](rep)
-    assert sorted(made) == sorted(_CALLS[rep, route] + half + [again])
+        made = _patch_lapack(patch, _short, which={dqds})
+        got = solve()
+    assert sorted(made) == sorted([dqds, short, again])
     assert got.size == want.size and np.max(np.abs(got - want)) <= bound
     # a fault in that call still raises
     with monkeypatch.context() as patch:
-        _patch_lapack(patch, _short, which={short, again})
+        _patch_lapack(patch, _short, which={dqds, again})
         with pytest.raises(SpectralPairingError, match="info=2"):
-            _SOLVES[route](rep)
+            solve()
 
 
 @pytest.mark.parametrize("hbar", [1e-157, 1e152])
@@ -1548,8 +1505,8 @@ def test_checks_hold_at_extreme_scales(hbar):
     # the squared Frobenius norm of the unscaled band is subnormal at
     # 1e-157 and overflows at 1e152; the checks run on the scaled band
     params = SchrodingerParams(hbar)
-    unit, kernel_eps, kernel_count, window = oracle_window(params, IDENTITY_METRIC, 64)
-    ref = oracle_window(SchrodingerParams(1.0), IDENTITY_METRIC, 64)
+    unit, kernel_eps, kernel_count, window = _full_window(params, IDENTITY_METRIC, 64)
+    ref = _full_window(SchrodingerParams(1.0), IDENTITY_METRIC, 64)
     assert kernel_count == ref[2]
     assert np.allclose(window / unit, ref[3] / ref[0], rtol=1e-12, atol=0.0)
     result = CliRunner().invoke(
