@@ -12,11 +12,12 @@ A truncation is solved whole by ``hermitian_eigenvalues``, which takes
 half of a +/- symmetric block from dqds and bisects only the values the
 Sturm counts do not bracket, and enters dstebz's bisection tree of any
 other block near its leaves from dsterf's seeds.  It solves each band
-block in one task, and several blocks in parallel.  Only the trusted
-window of a truncation (``trusted_window``), its basis_size/8
-smallest-magnitude eigenvalues off the kernel, should be compared against
-exact spectra; ``_truncation`` builds a Schrodinger or generic truncation
-with its spectral unit and kernel cut.
+block in one task, the first on the calling thread and the rest, in
+order, on one worker thread.  Only the trusted window of a truncation
+(``trusted_window``), its basis_size/8 smallest-magnitude eigenvalues off
+the kernel, should be compared against exact spectra; ``_truncation``
+builds a Schrodinger or generic truncation with its spectral unit and
+kernel cut.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -520,8 +520,9 @@ def _lapack(routine: str):
 
     scipy.linalg.lapack wraps neither reduction, dlasq1 nor dlaebz, but
     scipy.linalg.cython_lapack exports every routine of the same LAPACK as
-    a PyCapsule.  A ctypes call releases the GIL, so the blocks that
-    ``_each`` solves run in parallel.
+    a PyCapsule.  A ctypes call releases the GIL, so the blocks of a
+    matrix that ``hermitian_eigenvalues`` solves on two threads run in
+    parallel.
     """
     from scipy.linalg import cython_lapack
 
@@ -532,31 +533,6 @@ def _lapack(routine: str):
         ("PyCapsule_GetPointer", api)
     )(capsule, name(capsule))
     return ctypes.CFUNCTYPE(None, *_SIGNATURES[routine])(address)
-
-
-def _each(fn, items):
-    """[fn(item) for item in items], the items on several threads.
-
-    One item runs inline.  With more, the calling thread does the first
-    while a pool of its own, min(items - 1, CPUs the process may use)
-    workers, does the rest and is shut down before ``_each`` returns (or
-    raises the first exception in item order): no thread outlives a solve.
-    The calling thread takes a share since each thread that allocates grows
-    a glibc malloc arena: a pool running every item raised the peak memory
-    of ``verify --suite all`` by 1.6 MB on a 2-core host.
-    """
-    if len(items) < 2:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(len(items) - 1, cpus)) as pool:
-        rest = [pool.submit(fn, item) for item in items[1:]]
-        first = fn(items[0])
-        return [first] + [future.result() for future in rest]
 
 
 def _address(arr: np.ndarray):
@@ -940,10 +916,13 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
 
     Each band block is scaled and reduced to a real tridiagonal as LAPACK's
     dsbevx and zhbevx do it (``_tridiagonal``), then solved and checked,
-    all in one task per block (``_block_eigenvalues``); the blocks are
-    solved in parallel (``_each``).  The reduction costs O(kd * dim^2), not
-    the dense O(dim^3); bisection by dstebz with abstol 0 is more accurate
-    than the all-eigenvalue QR path (dsterf), which only seeds it here.
+    all in one task per block (``_block_eigenvalues``).  One block is
+    solved on the calling thread; with more, the calling thread solves the
+    first while one worker solves the rest in order, and the worker is shut
+    down before the solve returns or raises the first fault in block order.
+    The reduction costs O(kd * dim^2), not the dense O(dim^3); bisection by
+    dstebz with abstol 0 is more accurate than the all-eigenvalue QR path
+    (dsterf), which only seeds it here.
 
     A tridiagonal with an all-zero diagonal, such as the generic block
     (``generic_S``, one complex block of half-width 14) and the scalar one
@@ -1004,8 +983,20 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     This is the oracle's one solve route: ``spectrum`` and criteria C6 and
     C8 cut the trusted window (``trusted_window``) from what it returns.
     """
-    blocks = [ab for _, ab in m.blocks]
-    return np.sort(np.concatenate(_each(lambda ab: _block_eigenvalues(*_tridiagonal(ab)), blocks)))
+
+    def solve(ab):
+        return _block_eigenvalues(*_tridiagonal(ab))
+
+    first, *rest = [ab for _, ab in m.blocks]
+    if not rest:
+        return np.sort(solve(first))
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the calling thread takes a share: each thread that allocates grows a glibc malloc arena
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        solved = pool.map(solve, rest)
+        values = [solve(first), *solved]
+    return np.sort(np.concatenate(values))
 
 
 def _block_eigenvalues(d, e, sigma, sums) -> np.ndarray:

@@ -226,11 +226,20 @@ def test_generic_matrix_even_in_horizontal_parameters():
 
 
 def test_generic_spectrum_symmetric_for_balanced_metric():
+    # the full solve mirrors its dqds half, so, as C8 does, the window's
+    # lower side is bisected again and paired with its upper side
     params = GenericRepParams(1.0, 1.0, 0.0)
     g = GradedMetric(1.0, 1.0, 1.0)
     n = 64
-    *_, trusted = _full_window(params, g, n)
-    folded = trusted + trusted[::-1]
+    mat, _, kernel_eps = rep_oracle._truncation(params, g, n)
+    d, e, sigma, _ = rep_oracle._tridiagonal(mat.blocks[0][1])
+    eigs = hermitian_eigenvalues(mat)
+    trusted = trusted_window(eigs, kernel_eps, n // 8)
+    upper = trusted[trusted > 0.0]
+    below = np.count_nonzero(eigs <= -kernel_eps)
+    lower = rep_oracle._bisect(d, e, below - upper.size + 1, below) * (1.0 / sigma)
+    assert upper.size == np.count_nonzero(trusted < 0.0) > 0
+    folded = lower + upper[::-1]
     assert np.max(np.abs(folded)) <= 1e-9 * np.max(np.abs(trusted))
 
 
@@ -824,14 +833,22 @@ def test_generic_tridiagonal_has_a_zero_diagonal(n):
             assert np.array_equal(eigs, -eigs[::-1])
 
 
-def test_c7_takes_the_pairing_from_a_whole_spectrum_bisection(monkeypatch):
-    # the oracle takes the upper half of each chiral 3x3 from dqds and
-    # mirrors it, so its e0 + e2 is 0 by construction; C7 pairs the ends of
-    # one more bisection over the whole spectrum instead.  No dqds value of
-    # the 20 draws misses its bracket, so none is bisected again
-    made = _patch_lapack(monkeypatch, lambda out: out, which=())
+def test_c7_measures_the_pairing_on_the_dense_solve(monkeypatch):
+    # the oracle mirrors the dqds half of each chiral 3x3, so its eta sums
+    # vanish by construction; C7 takes the pairing and the sums from
+    # LAPACK's dense solver and checks the oracle against it
     record = verification.criterion_scalar_battery()
-    assert record["passed"] and made == [(3, 2, 3, "dqds"), (3, 0, 0)] * 20
+    eta = [p["error"] for p in record["details"]["parts"] if p["name"].startswith("partial eta")]
+    assert record["passed"] and len(eta) == 1 and 0.0 < eta[0] <= 1e-12
+
+    def shifted(mat):
+        w = hermitian_eigenvalues(mat)
+        return w + 1e-9 * np.max(np.abs(w))
+
+    monkeypatch.setattr(verification, "hermitian_eigenvalues", shifted)
+    record = verification.criterion_scalar_battery()
+    failed = [p["name"] for p in record["details"]["parts"] if not p["passed"]]
+    assert failed == [f"draw {i}: oracle vs dense" for i in range(20)]
 
 
 def _pairing_as_cli_computed(trusted):
@@ -1297,12 +1314,10 @@ def test_index_ranges_match_one_dstebz_call(n):
     assert set(short) <= {"clustered"} and bool(short) == (n in (17, 300))
 
 
-def test_one_worker_gives_the_bits_of_the_default_pool(monkeypatch):
+def test_each_solve_opens_at_most_one_worker(monkeypatch):
     g = GradedMetric(1.3, 0.8, 1.1)
     cases = [(SchrodingerParams(0.7), g, 128), (GenericRepParams(1.0, 0.5, 0.3), g, 128)]
-    want = [hermitian_eigenvalues(rep_oracle._truncation(*c)[0]) for c in cases]
-    eight = _eight_blocks("schrodinger")  # a pool of up to 7 workers, one per CPU
-    want_eight = hermitian_eigenvalues(eight)
+    mats = [rep_oracle._truncation(*c)[0] for c in cases] + [_eight_blocks("schrodinger")]
     workers = []
 
     class Recorded(concurrent.futures.ThreadPoolExecutor):
@@ -1310,14 +1325,16 @@ def test_one_worker_gives_the_bits_of_the_default_pool(monkeypatch):
             workers.append(max_workers)
             super().__init__(max_workers)
 
-    # a process allowed on one CPU gives the pool of each solve one worker
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
-    for case, eigs in zip(cases, want):
-        assert np.array_equal(hermitian_eigenvalues(rep_oracle._truncation(*case)[0]), eigs)
-    assert np.array_equal(hermitian_eigenvalues(eight), want_eight)
-    assert workers and set(workers) == {1}
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+        got = [hermitian_eigenvalues(mat) for mat in mats]
+    # Schrodinger's two parity blocks and the eight blocks open one worker
+    # each, whatever the CPUs; the one generic block is solved inline
+    assert workers == [1, 1]
+    # and give the bits of each block solved alone on the calling thread
+    for mat, eigs in zip(mats, got):
+        alone = [hermitian_eigenvalues(HermitianOperatorMatrix.from_blocks([b])) for b in mat.blocks]
+        assert np.array_equal(np.sort(np.concatenate(alone)), eigs)
 
 
 def test_no_thread_outlives_a_solve(monkeypatch):
@@ -1363,7 +1380,8 @@ def test_a_forked_child_solves_on_a_pool_of_its_own():
 def _eight_blocks(rep):
     """One matrix of 8 band blocks: of four Schrodinger truncations or of eight generic ones.
 
-    No two blocks have the same size, so the request of a dstebz call names its block.
+    No two blocks have the same size, so the request of a dstebz call names
+    its block.  The calling thread solves the first and one worker the other 7.
     """
     if rep == "schrodinger":
         mats = [schrodinger_S(SchrodingerParams(h), IDENTITY_METRIC, n)
