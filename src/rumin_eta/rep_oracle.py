@@ -9,15 +9,15 @@ confines the truncation error to the top Hermite levels.  Only the blocks
 on and above the block diagonal are written; those below are their
 conjugate transposes, so each truncation is Hermitian by construction.
 A truncation is solved whole by ``hermitian_eigenvalues``, which takes
-half of a +/- symmetric block from dqds and bisects only the values the
-Sturm counts do not bracket, and enters dstebz's bisection tree of any
-other block near its leaves from dsterf's seeds.  It solves each band
-block in one task, the first on the calling thread and the rest, in
-order, on one worker thread.  Only the trusted window of a truncation
-(``trusted_window``), its basis_size/8 smallest-magnitude eigenvalues off
-the kernel, should be compared against exact spectra; ``_truncation``
-builds a Schrodinger or generic truncation with its spectral unit and
-kernel cut.
+half of a +/- symmetric block from dqds and enters dstebz's bisection tree
+near its leaves from seeds: dsterf's for every value of any other block,
+and its own for each dqds value the Sturm counts do not bracket.  It
+solves each band block in one task, the first on the calling thread and
+the rest, in order, on one worker thread.  Only the trusted window of a
+truncation (``trusted_window``), its basis_size/8 smallest-magnitude
+eigenvalues off the kernel, should be compared against exact spectra;
+``_truncation`` builds a Schrodinger or generic truncation with its
+spectral unit and kernel cut.
 """
 
 from __future__ import annotations
@@ -643,14 +643,12 @@ def _sbevx_scale(ab: np.ndarray) -> float:
     return rmax / anrm if anrm > rmax else 1.0
 
 
-def _dstebz(d: np.ndarray, e: np.ndarray, il: int = 0, iu: int = 0):
-    """LAPACK's dstebz on the tridiagonal (d, e), abstol 0, ascending.
+def _dstebz(d: np.ndarray, e: np.ndarray):
+    """LAPACK's dstebz on the tridiagonal (d, e): every eigenvalue, abstol 0, ascending.
 
-    Finds the eigenvalues il..iu (1-based, range 'I') when il is given,
-    else all of them (range 'A', which bisects as range 'V' on (-inf, inf],
-    the request of ?sbevx and ?hbevx, does).  Returns (count, w, info):
-    dstebz's m and info, and w, whose first count entries are the
-    eigenvalues.
+    Range 'A', which bisects as range 'V' on (-inf, inf], the request of
+    ?sbevx and ?hbevx, does.  Returns (count, w, info): dstebz's m and
+    info, and w, whose first count entries are the eigenvalues.
     """
     n = d.size
     d = np.ascontiguousarray(d, dtype=np.float64)
@@ -659,33 +657,24 @@ def _dstebz(d: np.ndarray, e: np.ndarray, il: int = 0, iu: int = 0):
     iwork = np.zeros(5 * n, dtype=np.intc)  # iblock, isplit, then dstebz's 3n
     count, nsplit, info = ctypes.c_int(0), ctypes.c_int(0), ctypes.c_int(0)
     zero = ctypes.byref(ctypes.c_double(0.0))  # vl and vu, unread, and abstol
+    index = ctypes.byref(ctypes.c_int(0))  # il and iu, unread
     ref = ctypes.byref
     _lapack("dstebz")(
-        b"I" if il else b"A", b"E", ref(ctypes.c_int(n)), zero, zero, ref(ctypes.c_int(il)),
-        ref(ctypes.c_int(iu)), zero, _address(d), _address(e), ref(count), ref(nsplit),
-        _address(w), _address(iwork), _address(iwork[n:]), _address(work),
-        _address(iwork[2 * n :]), ref(info),
+        b"A", b"E", ref(ctypes.c_int(n)), zero, zero, index, index, zero, _address(d),
+        _address(e), ref(count), ref(nsplit), _address(w), _address(iwork),
+        _address(iwork[n:]), _address(work), _address(iwork[2 * n :]), ref(info),
     )
     return count.value, w, info.value
 
 
-def _bisect(d: np.ndarray, e: np.ndarray, lo: int = 0, hi: int = 0):
-    """The eigenvalues lo..hi (1-based) of the tridiagonal (d, e), by index.
-
-    One dstebz call; lo = 0 asks for every eigenvalue.  Where dstebz splits
-    a tridiagonal into parts whose eigenvalues cluster, an index range can
-    come back short (info 2, or 3 if a bisection failed too).  It is then
-    made again as one call over the whole spectrum, the cure LAPACK
-    documents, and lo..hi is cut out of that.  Any other failure or a
-    missing eigenvalue raises.
-    """
-    count, w, info = _dstebz(d, e, lo, hi)
-    if lo and info in (2, 3):
-        return _bisect(d, e)[lo - 1 : hi]
-    want = hi - lo + 1 if lo else d.size
-    if info != 0 or count != want:
-        raise SpectralPairingError(f"dstebz returned info={info} and {count} of {want} eigenvalues")
-    return w[:count]
+def _bisect(d: np.ndarray, e: np.ndarray):
+    """Every eigenvalue of (d, e), ascending, by ?sbevx's dstebz call; a failure raises."""
+    count, w, info = _dstebz(d, e)
+    if info != 0 or count != d.size:
+        raise SpectralPairingError(
+            f"dstebz returned info={info} and {count} of {d.size} eigenvalues"
+        )
+    return w
 
 
 def _dqds(e: np.ndarray):
@@ -777,45 +766,48 @@ def _dlaebz(ijob: int, d, e2, pivmin: float, atoli: float, ab, nab, nitmax: int 
     return count.value, ab_out, nab_out, info.value
 
 
-def _seeded_bisect(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """dstebz's eigenvalues of the tridiagonal (d, e) over its whole spectrum, bit for bit.
+def _seeded_bisect(d: np.ndarray, e: np.ndarray, k: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """dstebz's eigenvalues k of the tridiagonal (d, e), bit for bit, from seeds.
 
-    dstebz (range 'A', abstol 0) bisects one tree from the Gershgorin
-    interval [GL, GU], widened by 2.1 bnorm eps n + 2.1 pivmin, bnorm =
-    max(|GL|, |GU|): a node [a, b] holding index k is halved at c =
-    0.5 (a + b), and k goes on into [a, c] if at least k eigenvalues lie
-    at or below c, else into [c, b].  Each new node is checked at once and
-    stops once narrower than max(atoli, pivmin, 2 eps max(|a|, |b|)),
-    atoli = eps max(|GL|, |GU|); k's value is its midpoint.
+    k holds ascending 1-based indices, at least one, and seeds a guess at
+    each of their values.  The values are those of dstebz over the whole
+    spectrum (range 'A', abstol 0), the call ?sbevx and ?hbevx make.  It
+    bisects one tree from the Gershgorin interval [GL, GU], widened by
+    2.1 bnorm eps n + 2.1 pivmin, bnorm = max(|GL|, |GU|): a node [a, b]
+    holding index k is halved at c = 0.5 (a + b), and k goes on into
+    [a, c] if at least k eigenvalues lie at or below c, else into [c, b].
+    Each new node is checked at once and stops once narrower than
+    max(atoli, pivmin, 2 eps max(|a|, |b|)), atoli = eps max(|GL|, |GU|);
+    k's value is its midpoint.
 
-    Here each index walks that tree without a Sturm count, by the seeds w
-    of dsterf (``_dsterf``), which land within about 30 eps G of the
-    values, G = bnorm: it goes left where c > w_k, until it meets a node
-    that has converged or one whose midpoint lies within 64 eps G of w_k.
-    The Sturm count is monotone (Demmel, Dhillon and Ren, ETNA 3, 1995),
-    so where k stops at [a, b] with count(a) < k <= count(b), every step
-    above agrees with dstebz's: a midpoint c that sent k left is at or
-    above b, so count(c) >= k.  One dlaebz call counts at both ends of
-    every distinct stopping node, and one more finishes the nodes that
-    have not converged, as dstebz would (``_dlaebz``), so each value is
-    dstebz's; about 7 halvings a value are left of about 53.
+    Here each index walks that tree without a Sturm count, by its seed w:
+    it goes left where c > w, until it meets a node that has converged or
+    one whose midpoint lies within 64 eps G of w, G = bnorm.  The Sturm
+    count is monotone (Demmel, Dhillon and Ren, ETNA 3, 1995), so where k
+    stops at [a, b] with count(a) < k <= count(b), every step above agrees
+    with dstebz's: a midpoint c that sent k left is at or above b, so
+    count(c) >= k.  One dlaebz call counts at both ends of every distinct
+    stopping node, and one more finishes the nodes that have not
+    converged, as dstebz would (``_dlaebz``), so each value is dstebz's.
+    Only the counts prove a node, so the seeds may come from anywhere; one
+    far from its value leads its index off its path, and the counts fail.
+    dsterf's seeds of a real block land within about 30 eps G of the
+    values, and about 7 halvings a value are left of about 53.  A seed
+    within 64 eps G of the root's midpoint stops at the root, and dlaebz
+    then bisects the whole spectrum: slow, but dstebz's values still.
 
     The counts of job 1 differ from those of dstebz's halvings (and of
     ``_sturm_counts``) in one case: a pivot of exactly +pivmin counts as
     positive.  A proof that relies on those counts could then fail to
     match dstebz; ``test_full_route_is_bit_identical_to_sbevx_and_hbevx``
     guards the bits.  Where dstebz splits the tridiagonal (``_squares``)
-    or takes a 1 x 1 as it is, where dsterf or dlaebz fails, or where a
-    node fails its counts, the values come from one ``_bisect`` call
-    instead.
+    or takes a 1 x 1 as it is, where dlaebz fails, or where a node fails
+    its counts, the values come from one ``_bisect`` call instead, cut to k.
     """
     n = d.size
     e2, split, pivmin = _squares(d, e)
     if n < 2 or split:
-        return _bisect(d, e)
-    seeds, info = _dsterf(d, e)
-    if info:
-        return _bisect(d, e)
+        return _bisect(d, e)[k - 1]
     pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
     gl = float(np.min(d - pad[:-1] - pad[1:]))
     gu = float(np.max(d + pad[:-1] + pad[1:]))
@@ -824,9 +816,9 @@ def _seeded_bisect(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     gu = gu + 2.1 * bnorm * _EPS * n + 2.1 * pivmin
     atoli = _EPS * max(abs(gl), abs(gu))
     radius = 64.0 * _EPS * bnorm
-    a, b = np.full(n, gl), np.full(n, gu)
-    done = np.zeros(n, dtype=bool)  # k's node has converged
-    walking = np.arange(n)
+    a, b = np.full(k.size, gl), np.full(k.size, gu)
+    done = np.zeros(k.size, dtype=bool)  # k's node has converged
+    walking = np.arange(k.size)
     while walking.size:
         lo, hi, w = a[walking], b[walking], seeds[walking]
         c = 0.5 * (lo + hi)
@@ -843,22 +835,22 @@ def _seeded_bisect(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     node = np.cumsum(first) - 1
     ends = np.stack([a[first], b[first]], axis=1)
     _, _, counts, info = _dlaebz(1, d, e2, pivmin, atoli, ends, None)
-    k = np.arange(1, n + 1)
     if info or np.any(counts[node, 0] >= k) or np.any(counts[node, 1] < k):
-        return _bisect(d, e)
-    w = np.where(done, 0.5 * (a + b), np.nan)
+        return _bisect(d, e)[k - 1]
+    w = np.full(n, np.nan)
+    w[k - 1] = np.where(done, 0.5 * (a + b), np.nan)
     rest = ~done[first]
     if np.any(rest):
         nitmax = int((math.log(gu - gl + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
         count, ends, counts, info = _dlaebz(2, d, e2, pivmin, atoli, ends[rest], counts[rest],
                                             nitmax)
         if info:
-            return _bisect(d, e)
+            return _bisect(d, e)[k - 1]
         # as in dstebz, indices counts[j, 0] + 1 .. counts[j, 1] take interval j's midpoint
         lo, size = counts[:count, 0], counts[:count, 1] - counts[:count, 0]
         at = np.arange(int(np.sum(size))) + np.repeat(lo - np.cumsum(size) + size, size)
         w[at] = np.repeat(0.5 * (ends[:count, 0] + ends[:count, 1]), size)
-    return w
+    return w[k - 1]
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, x) -> np.ndarray:
@@ -897,13 +889,13 @@ def _bracket_misses(d, e, w, k):
     as dstebz widens it.  It returns the rounded midpoint, so the value is
     within eps G (1 + 2.1 dim eps) + eps |lambda_k|/2 < 2 eps G of a and of
     b while dim < 10^14, and the count is monotone.  The jump of the count
-    to k therefore lies within delta of the value any dstebz call (a
-    window, the half of a chiral block, or the single call of ?sbevx)
-    bisects from its own starting interval, and of any bracketed value, so
-    two such values differ by at most 2 delta = 4 eps G <= 4 sqrt(3) eps
-    rho, rho the spectral radius (each row of a tridiagonal has at most
-    three entries).  On the oracle's matrices up to N = 512 two bisections
-    differ by at most 0.91 eps G, up to 4e-12 relative to the value.
+    to k therefore lies within delta of dstebz's value, the value of ?sbevx
+    and ?hbevx and of the walk into dstebz's tree (``_seeded_bisect``), and
+    of any bracketed value, so two such values differ by at most 2 delta =
+    4 eps G <= 4 sqrt(3) eps rho, rho the spectral radius (each row of a
+    tridiagonal has at most three entries).  On the generic blocks of C8's
+    points and (1, 0.5, 0.3) up to N = 2048, each dqds value that meets its
+    bracket lies within 2.34 eps G of dstebz's.
     """
     pad = np.abs(np.concatenate([[0.0], e, [0.0]]))
     delta = 2.0 * _EPS * float(np.max(np.abs(d) + pad[:-1] + pad[1:]))
@@ -924,33 +916,36 @@ def hermitian_eigenvalues(m: HermitianOperatorMatrix) -> np.ndarray:
     dstebz with abstol 0 is more accurate than the all-eigenvalue QR path
     (dsterf), which only seeds it here.
 
+    A block whose tridiagonal is not chiral (below), such as each of the
+    two real parity blocks of ``schrodinger_S`` (half-width 5), takes the
+    values of dstebz over its whole spectrum, the call ?sbevx and ?hbevx
+    make, so its eigenvalues are theirs bit for bit; but each index enters
+    dstebz's bisection tree near its leaf, at a node that its dsterf seed
+    picks and two Sturm counts prove on its path, and dlaebz, the bisection
+    inside dstebz, finishes it (``_seeded_bisect``; one dstebz call where
+    that fails).  About 7 halvings a value are left of 53: on 2 vCPUs a
+    parity block of N = 512 took 152 ms by dstebz and 55 ms this way.
+
     A tridiagonal with an all-zero diagonal, such as the generic block
     (``generic_S``, one complex block of half-width 14) and the scalar one
     reduce to, is chiral: diag((-1)^j) conjugates it to its negative, so its
     eigenvalues are +/- pairs, plus a zero at odd n.  Its indices n//2 + 1
     .. n are the singular values of a bidiagonal of half its rows, which
-    dqds finds (``_dqds``), and the rest is their mirror.  Each value the
-    Sturm counts do not bracket within 2 eps G (``_bracket_misses``) is
-    bisected again, one dstebz call per maximal run of such indices, and a
-    dqds failure bisects the whole half; on the generic block at (1, 0.5,
-    0.3), 2-11% of the values are bisected again at N = 129 to 2048, all in
-    the top quarter of the half.  Then each value of the half lies within
-    2 eps G of the jump of the Sturm count at its index, as ?hbevx's does,
-    so the two differ by at most 4 sqrt(3) eps rho, rho the block's
-    spectral radius (``_bracket_misses``); measured, at most 2.7 eps rho on
-    generic blocks from N = 64 to 1024.  Any other block, such as each of
-    the two real parity blocks of ``schrodinger_S`` (half-width 5), takes
-    the values of dstebz over its whole spectrum, the call ?sbevx and
-    ?hbevx make, so its eigenvalues are theirs bit for bit; but each index
-    enters dstebz's bisection tree near its leaf, at a node that dsterf's
-    seed picks and two Sturm counts prove on its path, and dlaebz, the
-    bisection inside dstebz, finishes it (``_seeded_bisect``; one dstebz
-    call where that fails).  About 7 halvings a value are left of 53: on 2
-    vCPUs a parity block of N = 512 took 152 ms by dstebz and 55 ms this
-    way.  A zero block (d = e = 0) is its own spectrum.  The oracle's bands
-    put the highest oscillator level, where the entries are largest, first:
-    the reduction starts there.  Against extended-precision Rayleigh quotients
-    at N = 512 this errs by 8.7e-15 (Schrodinger, skewed metric), 1.1e-14
+    dqds finds (``_dqds``), and the rest is their mirror.  The values the
+    Sturm counts do not bracket within 2 eps G (``_bracket_misses``) enter
+    the same tree from their dqds values, within 27 eps G of dstebz's up
+    to N = 2048, so they too are ?hbevx's; a dqds failure takes the whole
+    half from one dstebz call.  On the generic block at (1, 0.5, 0.3), 2-11%
+    of the values are made again at N = 129 to 2048, all in the top quarter
+    of the half, far from the root's midpoint 0.  Then each value of the
+    half lies within 2 eps G of the jump of the Sturm count at its index,
+    as ?hbevx's does, so the two differ by at most 4 sqrt(3) eps rho, rho
+    the block's spectral radius (``_bracket_misses``); measured, at most
+    2.7 eps rho on generic blocks from N = 64 to 1024.  A zero block
+    (d = e = 0) is its own spectrum.  The oracle's bands put the highest
+    oscillator level, where the entries are largest, first: the reduction
+    starts there.  Against extended-precision Rayleigh quotients at N = 512
+    this errs by 8.7e-15 (Schrodinger, skewed metric), 1.1e-14
     (proportional) and 1.1e-15 (generic) of the spectral radius, where the
     lowest level first errs by up to 3.1e-14.
 
@@ -1004,30 +999,31 @@ def _block_eigenvalues(d, e, sigma, sums) -> np.ndarray:
 
     Takes the block's (d, e, sigma, sums) from ``_tridiagonal``.  A block
     that is not chiral takes dstebz's values over its whole spectrum, from
-    its tree entered at dsterf's seeds (``_seeded_bisect``).  A chiral one
-    takes its upper half from dqds, bisects again each run of values
-    outside their Sturm bracket (all of them if dqds fails), checks the
-    bracket of every value and mirrors the half.  A zero tridiagonal is its
-    own spectrum, exact, so a zero block has no bracket to meet.
+    its tree entered at dsterf's seeds (``_seeded_bisect``; one dstebz call
+    if dsterf fails).  A chiral one takes its upper half from dqds; the
+    values outside their Sturm bracket enter the same tree from their dqds
+    values, and a dqds failure bisects the whole half.  The values so made
+    must meet their bracket, and the half is mirrored.  A zero tridiagonal
+    is its own spectrum, exact, so a zero block has no bracket to meet.
     """
     if not (np.any(d) or np.any(e)):
         w = np.zeros(d.size)
     elif np.any(d):
-        w = _seeded_bisect(d, e)
+        seeds, info = _dsterf(d, e)
+        w = _bisect(d, e) if info else _seeded_bisect(d, e, np.arange(1, d.size + 1), seeds)
     else:
         lo = d.size // 2 + 1
         k = np.arange(lo, d.size + 1)
         w, info = _dqds(e)
         miss = np.ones(w.size, bool) if info else _bracket_misses(d, e, w, k)[0]
-        # each maximal run i..j-1 of misses is made again by one bisection
-        runs = np.flatnonzero(np.diff(np.concatenate([[0], miss.astype(np.int8), [0]])))
-        for i, j in zip(runs[::2], runs[1::2]):
-            w[i:j] = _bisect(d, e, lo + i, lo + j - 1)
-        miss, delta = _bracket_misses(d, e, w, k)
         if np.any(miss):
-            raise SpectralPairingError(
-                f"bisected eigenvalues {w[miss]} fail their bracket of {delta:.3e}"
-            )
+            # the other values have met their bracket already
+            w[miss] = _bisect(d, e)[lo - 1 :] if info else _seeded_bisect(d, e, k[miss], w[miss])
+            bad, delta = _bracket_misses(d, e, w[miss], k[miss])
+            if np.any(bad):
+                raise SpectralPairingError(
+                    f"bisected eigenvalues {w[miss][bad]} fail their bracket of {delta:.3e}"
+                )
         w = np.concatenate([-w[::-1][: lo - 1], w])
     _check_sums("eigenvalues", float(np.sum(w)), float(np.dot(w, w)), *sums, w.size)
     return w * (1.0 / sigma)

@@ -35,8 +35,8 @@ from .rep_oracle import (
     GradedMetric,
     GenericRepParams,
     SchrodingerParams,
-    _bisect,
     _block_eigenvalues,
+    _seeded_bisect,
     _tridiagonal,
     _truncation,
     closed_form_error,
@@ -283,11 +283,12 @@ def criterion_generic_symmetry(basis_size: int = 256) -> dict:
         d, e, sigma, sums = _tridiagonal(band)
         eigs = _block_eigenvalues(d, e, sigma, sums)
         window = trusted_window(eigs, kernel_eps, basis_size // 8)
-        # the full solve mirrors its dqds half, so the window's lower side is
-        # bisected again (its last index is the last below the kernel) and
-        # paired with the window's upper side
+        # the full solve mirrors its dqds half, so the window's lower side
+        # (its last index is the last below the kernel) is bisected again,
+        # seeded by the mirrored values, and paired with the window's upper side
         below, lower = np.count_nonzero(eigs <= -kernel_eps), np.count_nonzero(window < 0.0)
-        bisected = _bisect(d, e, below - lower + 1, below) * (1.0 / sigma) if lower else []
+        k = np.arange(below - lower + 1, below + 1)
+        bisected = _seeded_bisect(d, e, k, eigs[k - 1] * sigma) * (1.0 / sigma) if lower else []
         pairs = np.concatenate([bisected, window[window > 0.0]])
         point = f"lam={lam:g}, mu={mu:g}, nu={nu:g}, g44={g44:g}"
         parts.append(_part(f"pairing {point}", pairing_symmetry(pairs), tol))

@@ -226,8 +226,8 @@ def test_generic_matrix_even_in_horizontal_parameters():
 
 
 def test_generic_spectrum_symmetric_for_balanced_metric():
-    # the full solve mirrors its dqds half, so, as C8 does, the window's
-    # lower side is bisected again and paired with its upper side
+    # the full solve mirrors its dqds half, so the window's lower side is
+    # bisected again, here by one dstebz call, and paired with its upper side
     params = GenericRepParams(1.0, 1.0, 0.0)
     g = GradedMetric(1.0, 1.0, 1.0)
     n = 64
@@ -237,7 +237,7 @@ def test_generic_spectrum_symmetric_for_balanced_metric():
     trusted = trusted_window(eigs, kernel_eps, n // 8)
     upper = trusted[trusted > 0.0]
     below = np.count_nonzero(eigs <= -kernel_eps)
-    lower = rep_oracle._bisect(d, e, below - upper.size + 1, below) * (1.0 / sigma)
+    lower = rep_oracle._bisect(d, e)[below - upper.size : below] * (1.0 / sigma)
     assert upper.size == np.count_nonzero(trusted < 0.0) > 0
     folded = lower + upper[::-1]
     assert np.max(np.abs(folded)) <= 1e-9 * np.max(np.abs(trusted))
@@ -277,29 +277,29 @@ def test_hermitian_eigenvalues_does_not_mutate_input():
 def _patch_lapack(monkeypatch, change, which=None):
     """Make the calls that find eigenvalues return change(their results); returns their requests.
 
-    A request is (block size, il, iu) for dstebz, (block size, il, iu,
-    "dqds") for dqds, which finds the upper half of a chiral block, and
-    (block size, 1, block size, "dsterf") for dsterf's seeds and (block
-    size, 1, block size, "dlaebz") for the dlaebz call that finishes
-    dstebz's tree from them, both of a real block.  Every call is spoiled,
-    or with ``which`` only those of the block size and kind of a request in
-    which whose indices il..iu lie within its own; a dqds request spoils
-    the dstebz calls in its range too, so spoiling a chiral half spoils its
-    dqds values and each bisection that makes some of them again.  A full
-    solve makes one dsterf and one dlaebz call for a block that is not
-    chiral, or one dstebz call over the whole spectrum, (size, 0, 0), where
-    dstebz would split its tridiagonal or the seeds fail; one dqds call and
-    one dstebz call per run of values outside their Sturm bracket for a
-    chiral one; a short index range is made again by one more call over
-    the whole spectrum.  The blocks of one matrix are solved on several
-    threads, so the requests are made in no fixed order: compare them
-    sorted.  The results are those of the library's ctypes bindings,
-    rep_oracle._dstebz, (count, w, info), rep_oracle._dqds and _dsterf,
-    (w, info), which change sees as (w.size, w, info) and whose values past
-    the count it returns are NaN, and rep_oracle._dlaebz, which change sees
-    as (count, midpoints of the count intervals, info) and whose intervals
-    move with their midpoints.  dlaebz's Sturm counts (its job 1) are
-    neither spoiled nor requests.
+    A request is (block size, kind), one per call: "dstebz" for one dstebz
+    call over the whole spectrum (``_bisect``), "dqds" for the dqds call
+    that finds the upper half of a chiral block, "dsterf" for the seeds of
+    a real block, and "dlaebz" for the dlaebz call that finishes dstebz's
+    tree from seeds (``_seeded_bisect``).  Every call is spoiled, or with
+    ``which`` only those of a request in it; a dqds request spoils the
+    dlaebz and dstebz calls of its block too, so spoiling a chiral half
+    spoils its dqds values and the walk or bisection that makes some of
+    them again.  A dstebz call on a chiral tridiagonal is spoiled on its
+    upper half, the values dqds finds, so both spoil the same indices.  A
+    full solve makes one dsterf call for a block that is not chiral, then
+    one dlaebz call, or one dstebz call where dstebz would split its
+    tridiagonal or the seeds fail; and one dqds call for a chiral one, then
+    one dlaebz call, or one dstebz call where the walk fails, if some of
+    its values miss their Sturm bracket.  The blocks of one matrix are
+    solved on two threads, so the requests are made in no fixed order:
+    compare them sorted.  The results are those of the library's ctypes
+    bindings, rep_oracle._dstebz, (count, w, info), rep_oracle._dqds and
+    _dsterf, (w, info), which change sees as (w.size, w, info) and whose
+    values past the count it returns are NaN, and rep_oracle._dlaebz, which
+    change sees as (count, midpoints of the count intervals, info) and
+    whose intervals move with their midpoints.  dlaebz's Sturm counts (its
+    job 1) are neither spoiled nor requests.
     """
     stebz, dqds, sterf, laebz = (rep_oracle._dstebz, rep_oracle._dqds, rep_oracle._dsterf,
                                  rep_oracle._dlaebz)
@@ -307,22 +307,24 @@ def _patch_lapack(monkeypatch, change, which=None):
 
     def spoiled(request):
         made.append(request)
-        n, il, iu = request[:3]
+        n, kind = request
         return which is None or any(
-            r[0] == n and r[1] <= il and iu <= r[2]
-            and (r[3:] == request[3:] or r[3:] == ("dqds",) and not request[3:])
+            r[0] == n and (r[1] == kind or r[1] == "dqds" and kind in ("dstebz", "dlaebz"))
             for r in which
         )
 
-    def patched(d, e, il=0, iu=0):
-        out = stebz(d, e, il, iu)
-        return change(out) if spoiled((d.size, il, iu)) else out
+    def patched(d, e):
+        count, w, info = stebz(d, e)
+        if not spoiled((d.size, "dstebz")):
+            return count, w, info
+        lo = 0 if np.any(d) else d.size // 2
+        top, w[lo:], info = change((count - lo, w[lo:], info))
+        return top + lo, w, info
 
-    def values(solver, kind, lo):
+    def values(solver, kind):
         def patched_values(*args):
             w, info = solver(*args)
-            n = args[-1].size + 1
-            if spoiled((n, lo(n), n, kind)):
+            if spoiled((args[-1].size + 1, kind)):
                 count, w, info = change((w.size, w, info))
                 w = np.where(np.arange(w.size) < count, w, np.nan)
             return w, info
@@ -331,7 +333,7 @@ def _patch_lapack(monkeypatch, change, which=None):
 
     def patched_dlaebz(ijob, d, *args):
         count, ab, nab, info = laebz(ijob, d, *args)
-        if ijob == 2 and spoiled((d.size, 1, d.size, "dlaebz")):
+        if ijob == 2 and spoiled((d.size, "dlaebz")):
             mid = 0.5 * (ab[:count, 0] + ab[:count, 1])
             count, moved, info = change((count, mid, info))
             ab = ab.copy()
@@ -339,8 +341,8 @@ def _patch_lapack(monkeypatch, change, which=None):
         return count, ab, nab, info
 
     monkeypatch.setattr(rep_oracle, "_dstebz", patched)
-    monkeypatch.setattr(rep_oracle, "_dqds", values(dqds, "dqds", lambda n: n // 2 + 1))
-    monkeypatch.setattr(rep_oracle, "_dsterf", values(sterf, "dsterf", lambda n: 1))
+    monkeypatch.setattr(rep_oracle, "_dqds", values(dqds, "dqds"))
+    monkeypatch.setattr(rep_oracle, "_dsterf", values(sterf, "dsterf"))
     monkeypatch.setattr(rep_oracle, "_dlaebz", patched_dlaebz)
     return made
 
@@ -364,8 +366,7 @@ def _shift_top(w):
 
 def _swap_mass(w):
     # keeps the trace, breaks the Frobenius norm.  The two largest values
-    # of a chiral half lie next to each other, in one run that one
-    # bisection makes again
+    # of a chiral half lie next to each other, made again by one walk
     w = w.copy()
     d = 1e-9 * np.max(np.abs(w))
     w[-2:] += [-d, d]
@@ -376,7 +377,7 @@ def _shift_bottom(w):
     # the smallest value of a chiral half lies next to the kernel, where the
     # trace and norm of a mirrored spectrum see little of it.  The shift is
     # at least 1e-9, the spectra here being of order 1: a kernel value
-    # bisected again alone would move by far less than its bracket
+    # made again would move by far less than its bracket
     w = w.copy()
     w[0] += 1e-9 * max(np.max(np.abs(w)), 1.0)
     return w
@@ -444,16 +445,16 @@ def _shift_trusted(w):
 @pytest.mark.parametrize("n", [9, 16])
 def test_a_shift_of_the_smallest_value_of_a_chiral_half_is_caught(monkeypatch, n, spoil):
     # at odd dimension the smallest value of the half is the middle
-    # eigenvalue.  The shifted dqds value misses its bracket and is bisected
-    # again alone, and the shifted bisection fails the bracket
+    # eigenvalue.  The shifted dqds value misses its bracket, and its walk,
+    # so far off, fails its counts; the bisection of the whole spectrum that
+    # makes it instead is shifted too and fails the bracket
     mat = generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, n)
-    lo = 3 * n // 2 + 1
-    half = hermitian_eigenvalues(mat)[lo - 1 :]
-    (i,) = np.flatnonzero(spoil(half) != half) + lo
+    half = hermitian_eigenvalues(mat)[3 * n // 2 :]
+    assert np.count_nonzero(spoil(half) != half) == 1
     made = _patch_solver(monkeypatch, spoil)
     with pytest.raises(SpectralPairingError, match="bracket"):
         hermitian_eigenvalues(mat)
-    assert made == [(3 * n, lo, 3 * n, "dqds"), (3 * n, i, i)]
+    assert made == [(3 * n, "dqds"), (3 * n, "dstebz")]
     result = CliRunner().invoke(
         cli.main, ["spectrum", *_SPOILED_ARGV["generic"], "--basis-size", str(n)]
     )
@@ -779,7 +780,7 @@ def test_c8_fails_a_band_with_one_entry_turned_by_a_quarter_phase(monkeypatch):
     # D conj(S) D = -S makes each entry real or imaginary; i times one is
     # neither, and the spectrum is no longer paired.  At N = 16 the window
     # of the turned band at the second point holds no negative value, so C8
-    # bisects nothing there (a range lo > hi would make dstebz raise)
+    # bisects nothing there
     truncation = verification._truncation
 
     def turned(params, g, n):
@@ -799,21 +800,39 @@ def test_c8_fails_a_band_with_one_entry_turned_by_a_quarter_phase(monkeypatch):
 def test_c8_pairs_a_bisected_lower_side_with_the_mirrored_upper_side():
     # the full solve mirrors the dqds half exactly; C8 bisects the window's
     # lower side again, so its pairing compares two algorithms (measured:
-    # 2.9e-14 and 2.8e-14)
+    # 3.9e-14 and 3.2e-14)
     record = verification.criterion_generic_symmetry(256)
     pairing = [p["error"] for p in record["details"]["parts"] if p["name"].startswith("pairing")]
     assert len(pairing) == 2 and all(0.0 < x <= 1e-12 for x in pairing)
 
 
-def test_c8_fails_only_its_pairing_on_a_spoiled_lower_side(monkeypatch):
-    bisect = verification._bisect
+def test_c8_bisects_its_lower_side_to_the_bits_of_hbevx(monkeypatch):
+    # the lower side enters dstebz's tree at the mirrored values of the full
+    # solve, so it takes the values of ?hbevx's one dstebz call
+    walk, made = verification._seeded_bisect, []
 
-    def spoiled(d, e, lo=0, hi=0):
-        w = bisect(d, e, lo, hi).copy()
+    def recorded(d, e, k, seeds):
+        made.append((k, walk(d, e, k, seeds)))
+        return made[-1][1]
+
+    monkeypatch.setattr(verification, "_seeded_bisect", recorded)
+    assert verification.criterion_generic_symmetry(256)["passed"]
+    for (lam, mu, nu, g44), (k, got) in zip(_C8_POINTS, made, strict=True):
+        params, g = GenericRepParams(lam, mu, nu), GradedMetric(1.0, g44, g44)
+        ab = rep_oracle._truncation(params, g, 256)[0].blocks[0][1]
+        assert rep_oracle._sbevx_scale(ab) == 1.0 and k.size > 0
+        assert np.array_equal(got, _sbevx(ab)[k - 1])
+
+
+def test_c8_fails_only_its_pairing_on_a_spoiled_lower_side(monkeypatch):
+    walk = verification._seeded_bisect
+
+    def spoiled(d, e, k, seeds):
+        w = walk(d, e, k, seeds).copy()
         w[0] += 1e-3 * np.max(np.abs(w))  # the window's largest magnitude
         return w
 
-    monkeypatch.setattr(verification, "_bisect", spoiled)
+    monkeypatch.setattr(verification, "_seeded_bisect", spoiled)
     record = verification.criterion_generic_symmetry(64)
     failed = [p["name"].split()[0] for p in record["details"]["parts"] if not p["passed"]]
     assert failed == ["pairing", "pairing"]
@@ -1005,14 +1024,14 @@ def test_full_route_is_bit_identical_to_sbevx_and_hbevx(n):
 
 @pytest.mark.parametrize("n", [8, 16, 128, 129, 256, 512])
 def test_full_route_is_within_two_bisections_of_sbevx_and_hbevx(n):
-    # the generic and the scalar block are chiral: only their upper half is
-    # bisected, each value from another starting interval than in ?hbevx's
-    # single call.  Either bisection of index k stops within delta = 2 eps G
-    # of the jump of the Sturm count to k (rep_oracle._bracket_misses), G the
-    # Gershgorin bound of the tridiagonal, so the two differ by at most
+    # the generic and the scalar block are chiral: their upper half comes
+    # from dqds, and only the values outside their Sturm bracket take
+    # ?hbevx's bisection.  Either value of index k lies within delta =
+    # 2 eps G of the jump of the Sturm count to k (rep_oracle._bracket_misses),
+    # G the Gershgorin bound of the tridiagonal, so the two differ by at most
     # 4 eps G; each row of a tridiagonal has at most three entries, so
     # G <= sqrt(3) rho, rho the spectral radius.  At odd dimension the
-    # middle eigenvalue is bisected too
+    # middle eigenvalue comes from dqds too
     blocks = list(_sbevx_blocks(n, chiral=True))
     assert [ab.shape[1] for ab, _, _ in blocks] == [3 * n, 3]
     for _, want, got in blocks:
@@ -1029,30 +1048,46 @@ def _chiral_half(n):
 
 
 def _record_bisections(monkeypatch):
-    """Record the index range (lo, hi) of each _bisect call; returns the list."""
+    """Record the size of each _bisect call (one dstebz over a whole spectrum); returns the list."""
     bisect, calls = rep_oracle._bisect, []
 
-    def recorded(d, e, lo=0, hi=0):
-        calls.append((lo, hi))
-        return bisect(d, e, lo, hi)
+    def recorded(d, e):
+        calls.append(d.size)
+        return bisect(d, e)
 
     monkeypatch.setattr(rep_oracle, "_bisect", recorded)
     return calls
 
 
+@pytest.mark.parametrize("n", [64, 129, 512])
+def test_a_chiral_half_makes_its_misses_again_with_the_bits_of_hbevx(monkeypatch, n):
+    # the values outside their Sturm bracket enter dstebz's tree from their
+    # dqds values, whose every node the counts prove, so they take the
+    # values of ?hbevx's one dstebz call; the others keep their dqds bits
+    mat, d, e, lo = _chiral_half(n)
+    w, _ = rep_oracle._dqds(e)
+    miss = rep_oracle._bracket_misses(d, e, w, np.arange(lo, d.size + 1))[0]
+    calls = _record_bisections(monkeypatch)
+    got = hermitian_eigenvalues(mat)[lo - 1 :]
+    assert np.any(miss) and calls == []
+    assert np.array_equal(got[miss], _sbevx(mat.blocks[0][1])[lo - 1 :][miss])
+    assert np.array_equal(got[~miss], w[~miss])
+
+
 @pytest.mark.parametrize("spoil", ["shift", "nan"])
 @pytest.mark.parametrize("n", [9, 16, 64])
 def test_a_dqds_value_off_its_bracket_is_bisected_again_alone(monkeypatch, n, spoil):
-    # a dqds value moved 1e-9 rho off its bracket, or NaN, is a run of its
-    # own, made again by one bisection; the other values keep their dqds
-    # bits.  At N = 64 one value misses its bracket unspoiled, a run too
+    # a dqds value moved 1e-9 rho off its bracket, or NaN, is made again by
+    # one walk, with the one value that misses its bracket unspoiled at
+    # N = 64.  Its seed leads it off its path, so the walk falls back to one
+    # dstebz call over the whole spectrum.  Either way the values made again
+    # are ?hbevx's, and the other values keep their dqds bits
     mat, d, e, lo = _chiral_half(n)
     w, info = rep_oracle._dqds(e)
     natural = rep_oracle._bracket_misses(d, e, w, np.arange(lo, d.size + 1))[0]
     i = w.size // 2
-    assert info == 0 and not np.any(natural[i - 1 : i + 2])
-    assert not np.any(natural[1:] & natural[:-1]) and np.any(natural) == (n == 64)
-    dqds = rep_oracle._dqds
+    assert info == 0 and not natural[i] and np.any(natural) == (n == 64)
+    dqds, walk, walks = rep_oracle._dqds, rep_oracle._seeded_bisect, []
 
     def spoiled(e):
         w, info = dqds(e)
@@ -1060,27 +1095,31 @@ def test_a_dqds_value_off_its_bracket_is_bisected_again_alone(monkeypatch, n, sp
         w[i] = np.nan if spoil == "nan" else w[i] + 1e-9 * w[-1]
         return w, info
 
+    def recorded(d, e, k, seeds):
+        walks.append(k.tolist())
+        return walk(d, e, k, seeds)
+
     monkeypatch.setattr(rep_oracle, "_dqds", spoiled)
+    monkeypatch.setattr(rep_oracle, "_seeded_bisect", recorded)
     calls = _record_bisections(monkeypatch)
-    got = hermitian_eigenvalues(mat)
+    got = hermitian_eigenvalues(mat)[lo - 1 :]
     again = np.union1d(np.flatnonzero(natural), [i])
-    assert calls == [(lo + j, lo + j) for j in again]
+    assert walks == [(lo + again).tolist()] and calls == [d.size]
     kept = np.setdiff1d(np.arange(w.size), again)
-    assert np.array_equal(got[lo - 1 :][kept], w[kept])
-    want = _sbevx(mat.blocks[0][1])
-    assert np.max(np.abs(got - want)) <= 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(want))
+    assert np.array_equal(got[kept], w[kept])
+    assert np.array_equal(got[again], _sbevx(mat.blocks[0][1])[lo - 1 :][again])
 
 
 @pytest.mark.parametrize("n", [9, 16])
 def test_a_nonzero_dlasq1_info_bisects_the_whole_half(monkeypatch, n):
-    # the chiral half is then one dstebz call, as before dqds took it
+    # the chiral half is then cut from one dstebz call, as before dqds took it
     mat, d, e, lo = _chiral_half(n)
-    half = rep_oracle._bisect(d, e, lo, d.size)
+    half = rep_oracle._bisect(d, e)[lo - 1 :]
     dqds = rep_oracle._dqds
     monkeypatch.setattr(rep_oracle, "_dqds", lambda e: (dqds(e)[0], 1))
     calls = _record_bisections(monkeypatch)
     got = hermitian_eigenvalues(mat)
-    assert calls == [(lo, d.size)]
+    assert calls == [d.size]
     assert np.array_equal(got, np.concatenate([-half[::-1][: lo - 1], half]))
 
 
@@ -1111,7 +1150,7 @@ def test_a_bad_seed_bisects_from_the_root_with_the_bits_of_sbevx(monkeypatch, n,
 
     monkeypatch.setattr(rep_oracle, "_dsterf", spoiled)
     assert np.array_equal(hermitian_eigenvalues(block), want)
-    assert calls == [(0, 0)]
+    assert calls == [block.dim]
 
 
 def test_a_node_that_fails_its_counts_bisects_from_the_root(monkeypatch):
@@ -1128,18 +1167,18 @@ def test_a_node_that_fails_its_counts_bisects_from_the_root(monkeypatch):
     monkeypatch.setattr(rep_oracle, "_dlaebz", short)
     calls = _record_bisections(monkeypatch)
     assert np.array_equal(hermitian_eigenvalues(block), _sbevx(ab))
-    assert calls == [(0, 0)]
+    assert calls == [block.dim]
 
 
 def test_a_split_tridiagonal_takes_one_dstebz_call(monkeypatch):
     # at hbar = 1e-157 the band is scaled up to about 1e-146, where some
     # squared off-diagonals of its tridiagonal fall below safmin: dstebz
-    # splits it into parts, so no seed is taken
+    # splits it into parts, so the seeds go unused
     mat = schrodinger_S(SchrodingerParams(1e-157), IDENTITY_METRIC, 16)
     made = _patch_lapack(monkeypatch, lambda out: out, which=())
     got = [hermitian_eigenvalues(HermitianOperatorMatrix.from_blocks([block]))
            for block in mat.blocks]
-    assert made == [(24, 0, 0), (24, 0, 0)]
+    assert made == [(24, "dsterf"), (24, "dstebz")] * 2
     for (_, ab), w in zip(mat.blocks, got):
         assert np.array_equal(w, _sbevx(ab))
 
@@ -1151,10 +1190,10 @@ def test_a_spoiled_dlaebz_value_fails_the_sums(monkeypatch, spoil):
     _, block = _real_block(16)
     n = block.dim
     patch = _patch_lapack if spoil is _one_missing else _patch_solver
-    made = patch(monkeypatch, spoil, {(n, 1, n, "dlaebz")})
+    made = patch(monkeypatch, spoil, {(n, "dlaebz")})
     with pytest.raises(SpectralPairingError, match="eigenvalues miss the trace"):
         hermitian_eigenvalues(block)
-    assert made == [(n, 1, n, "dsterf"), (n, 1, n, "dlaebz")]
+    assert made == [(n, "dsterf"), (n, "dlaebz")]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1216,9 +1255,9 @@ def _bisection_info(monkeypatch):
 # of a full solve is a kernel value, which a change by 1e-9 of itself, or to
 # 0, leaves within rounding; test_spectrum_exits_3_on_a_bad_solver and
 # test_a_shift_of_the_smallest_value_of_a_chiral_half_is_caught shift by
-# 1e-9 of the spectral radius instead.  C8's bisection of its window's lower
-# side is spoiled too: there the smallest |value| is a window value, and
-# moved to 0 it fails C8's pairing
+# 1e-9 of the spectral radius instead.  The dlaebz call that finishes C8's
+# walk over its window's lower side is spoiled too: there the smallest
+# |value| is a window value, and moved to 0 it fails C8's pairing
 _FAULTS = {
     _perturb_d: ("tridiagonal entries miss the trace", 3),
     _reduction_info: ("returned info=-5", 3),
@@ -1285,10 +1324,11 @@ _TRIDIAGONAL_KINDS = ["plain", "graded", "split", "clustered"]
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 300])
 def test_index_ranges_match_one_dstebz_call(n):
     # scipy's own dstebz wrapper over (-inf, inf] is the reference here
-    # only; the bound is that of test_full_route_is_within_two_bisections_of_sbevx_and_hbevx
+    # only.  The walk from dsterf's seeds at a random ascending set of
+    # indices gives that call's values at them, bit for bit, whether it
+    # proves its nodes or falls back to the one call
     rng = np.random.default_rng(100 + n)
     per_kind = 3 if n == 300 else 10
-    short = []
     for trial in range(4 * per_kind):
         kind = _TRIDIAGONAL_KINDS[trial % 4]
         d, e = _random_tridiagonal(rng, n, kind)
@@ -1297,21 +1337,10 @@ def test_index_ranges_match_one_dstebz_call(n):
         )
         assert info == 0 and count == n
         assert np.array_equal(rep_oracle._bisect(d, e), w)
-        bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(w))
-        # the upper half, as a chiral block asks for it, and the top eighth,
-        # an index range the size of a window
-        for lo, hi in [(n // 2 + 1, n), (n - max(n // 8, 1) + 1, n)]:
-            got = rep_oracle._bisect(d, e, lo, hi)
-            info = rep_oracle._dstebz(d, e, lo, hi)[2]
-            if info:
-                # dstebz split the tridiagonal and the range came back short;
-                # _bisect made the one call over the whole spectrum instead
-                assert info == 2 and np.array_equal(got, w[lo - 1 : hi])
-                short.append(kind)
-            else:
-                assert got.size == hi - lo + 1 and np.max(np.abs(got - w[lo - 1 : hi])) <= bound
-    # some clustered draws of 17 and 300 rows fall short at the top
-    assert set(short) <= {"clustered"} and bool(short) == (n in (17, 300))
+        k = np.flatnonzero(rng.random(n) < rng.uniform(0.05, 1.0)) + 1
+        if k.size:
+            seeds = rep_oracle._dsterf(d, e)[0][k - 1]
+            assert np.array_equal(rep_oracle._seeded_bisect(d, e, k, seeds), w[k - 1])
 
 
 def test_each_solve_opens_at_most_one_worker(monkeypatch):
@@ -1350,7 +1379,7 @@ def test_no_thread_outlives_a_solve(monkeypatch):
     assert threading.active_count() == before and not executor_threads()
     mat = _eight_blocks("schrodinger")
     n = mat.blocks[-1][1].shape[1]
-    _patch_solver(monkeypatch, _shift_top, {(n, 0, 0)})
+    _patch_solver(monkeypatch, _shift_top, {(n, "dstebz")})
     with pytest.raises(SpectralPairingError):
         hermitian_eigenvalues(mat)
     assert threading.active_count() == before and not executor_threads()
@@ -1380,7 +1409,7 @@ def test_a_forked_child_solves_on_a_pool_of_its_own():
 def _eight_blocks(rep):
     """One matrix of 8 band blocks: of four Schrodinger truncations or of eight generic ones.
 
-    No two blocks have the same size, so the request of a dstebz call names
+    No two blocks have the same size, so the request of a call names
     its block.  The calling thread solves the first and one worker the other 7.
     """
     if rep == "schrodinger":
@@ -1401,7 +1430,7 @@ def _each_fault_raises(monkeypatch, solve, calls):
     """Spoil each of the given requests in turn with each fault; solve must raise.
 
     A fault of a real block's dsterf seeds, or a nonzero dlaebz info, hands
-    the block to one dstebz call over its whole spectrum, which is not
+    the values to one dstebz call over the whole spectrum, which is not
     spoiled: solve must then give its unspoiled values, bit for bit.
     """
     want = solve()
@@ -1416,33 +1445,46 @@ def _each_fault_raises(monkeypatch, solve, calls):
                     got = solve()
                 except SpectralPairingError:
                     continue
-                fallback = (request[0], 0, 0) in made
-                assert request[3:] in (("dsterf",), ("dlaebz",)) and fallback, (request, fault)
+                fallback = (request[0], "dstebz") in made
+                assert request[1] in ("dsterf", "dlaebz") and fallback, (request, fault)
                 assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("block", range(8))
 @pytest.mark.parametrize("rep", ["schrodinger", "generic"])
 def test_a_fault_in_any_one_interval_is_caught(monkeypatch, rep, block):
-    # 8 blocks: dsterf's seeds and one dlaebz call for a real block, or one
-    # dstebz call over the whole spectrum where dstebz would split its
+    # 8 blocks: dsterf's seeds and one dlaebz call for a real block, or
+    # one dstebz call over the whole spectrum where dstebz would split its
     # tridiagonal (the two blocks of hbar = 1e-157); one dqds call over the
     # upper half of a chiral one, whose values all meet their bracket here.
     # Only the calls of the block-th are spoiled, each in turn: for a
-    # chiral block, its dqds call and each bisection that makes its values
-    # again
+    # chiral block, its dqds call and the walk or bisection that makes its
+    # values again
     mat = _eight_blocks(rep)
     with monkeypatch.context() as patch:
         made = _patch_lapack(patch, lambda out: out, which=())
         hermitian_eigenvalues(mat)
     sizes = [ab.shape[1] for _, ab in mat.blocks]
     if rep == "schrodinger":
-        want = [[(n, 1, n, "dsterf"), (n, 1, n, "dlaebz")] for n in sizes[:6]]
-        want += [[(n, 0, 0)] for n in sizes[6:]]
+        want = [[(n, "dsterf"), (n, "dlaebz")] for n in sizes[:6]]
+        want += [[(n, "dsterf"), (n, "dstebz")] for n in sizes[6:]]
     else:
-        want = [[(n, n // 2 + 1, n, "dqds")] for n in sizes]
+        want = [[(n, "dqds")] for n in sizes]
     assert sorted(made) == sorted(sum(want, []))
     _each_fault_raises(monkeypatch, lambda: hermitian_eigenvalues(mat), want[block])
+
+
+def test_a_fault_in_a_chiral_walk_is_caught(monkeypatch):
+    # at N = 129 four dqds values miss their bracket, and the walk makes them
+    # again: dlaebz finishes four intervals, one a value.  Each fault of
+    # those values fails their bracket, but a nonzero info, which hands them
+    # to one dstebz call over the whole spectrum, with the walk's values
+    mat = generic_S(GenericRepParams(1.0, 0.5, 0.3), IDENTITY_METRIC, 129)
+    with monkeypatch.context() as patch:
+        made = _patch_lapack(patch, lambda out: out, which=())
+        hermitian_eigenvalues(mat)
+    assert made == [(387, "dqds"), (387, "dlaebz")]
+    _each_fault_raises(monkeypatch, lambda: hermitian_eigenvalues(mat), made)
 
 
 _ON_A_WORKER = {
@@ -1469,7 +1511,7 @@ def test_a_fault_on_a_worker_thread_raises_as_on_the_calling_thread(monkeypatch,
 
     # a real block's seeds are not spoiled: a spoiled seed would only hand
     # the block to its fallback, one dstebz call, which is not spoiled
-    _patch_solver(monkeypatch, spoil, {r for r in made if r[3:] != ("dsterf",)})
+    _patch_solver(monkeypatch, spoil, {r for r in made if r[1] != "dsterf"})
     messages = []
     for solve in (mat, last):
         with pytest.raises(SpectralPairingError) as raised:
@@ -1486,36 +1528,6 @@ def test_a_fault_on_a_worker_thread_raises_as_on_the_calling_thread(monkeypatch,
         result = CliRunner().invoke(cli.main, argv)
         assert result.exit_code == 3 and result.stdout == ""
         assert f"internal inconsistency: {messages[0]}" in result.stderr
-
-
-def _short(out):
-    return out[0] - 1, out[1], 2  # info 2: an eigenvalue of the range was not found
-
-
-@pytest.mark.parametrize("rep", ["generic"], ids=["generic-full"])
-def test_a_short_index_range_is_made_again_in_one_call(monkeypatch, rep):
-    # LAPACK's cure for info 2: one call over the whole spectrum, cut to
-    # the range; its values are within two bisections of the range's own.
-    # The generic block makes one dqds call over its upper half, all of
-    # whose values meet their bracket; a nonzero info of dqds hands the
-    # half to one bisection, short too
-    def solve():
-        return hermitian_eigenvalues(_SPOILED_MATRICES[rep]())
-
-    want = solve()
-    bound = 4.0 * math.sqrt(3.0) * EPS * np.max(np.abs(want))
-    dqds = (48, 25, 48, "dqds")
-    short, again = dqds[:3], (48, 0, 0)  # the half's one bisection, then the one more call
-    with monkeypatch.context() as patch:
-        made = _patch_lapack(patch, _short, which={dqds})
-        got = solve()
-    assert sorted(made) == sorted([dqds, short, again])
-    assert got.size == want.size and np.max(np.abs(got - want)) <= bound
-    # a fault in that call still raises
-    with monkeypatch.context() as patch:
-        _patch_lapack(patch, _short, which={dqds, again})
-        with pytest.raises(SpectralPairingError, match="info=2"):
-            solve()
 
 
 @pytest.mark.parametrize("hbar", [1e-157, 1e152])
